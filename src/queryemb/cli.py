@@ -152,6 +152,14 @@ def verify_checksums(artifact_dir: str) -> list[str]:
     return problems
 
 
+def _verified(kind: str, artifact_dir: str) -> bool:
+    """verify_checksums with each problem reported on stderr; True if none."""
+    problems = verify_checksums(artifact_dir)
+    for p in problems:
+        print(f"error: {kind} {artifact_dir}: {p}", file=sys.stderr)
+    return not problems
+
+
 def _config_strings(cfg) -> dict[str, str]:
     out = {}
     for f in dataclasses.fields(cfg):
@@ -278,10 +286,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     t0 = time.time()
-    problems = verify_checksums(args.dataset)
-    if problems:
-        for p in problems:
-            print(f"error: dataset {args.dataset}: {p}", file=sys.stderr)
+    if not _verified("dataset", args.dataset):
         return 2
     dataset = load_dataset(args.dataset)
     mapping = _read_config_file(args.config)
@@ -324,10 +329,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.time()
-    problems = verify_checksums(args.dataset)
-    if problems:
-        for p in problems:
-            print(f"error: dataset {args.dataset}: {p}", file=sys.stderr)
+    if not _verified("dataset", args.dataset):
+        return 2
+    if args.model != "baseline" and not _verified(
+        "checkpoint", os.path.dirname(os.path.abspath(args.model))
+    ):
         return 2
     dataset = load_dataset(args.dataset)
     params = eval_params_from_mapping(_read_config_file(args.config)) if args.config else EvalParams()
@@ -454,24 +460,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_help: str, config_required: bool) -> None:
-        p.add_argument("--config", required=config_required, help=config_help)
+    def common(p: argparse.ArgumentParser, config_help: str | None, required: bool = True) -> None:
+        if config_help is not None:
+            p.add_argument("--config", required=required, help=config_help)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for generation (other commands are single-threaded)",
-        )
 
     p_gen = sub.add_parser("generate", help="sample a synthetic dataset to a directory")
-    common(p_gen, "generator config (key = value; see README for keys)", True)
+    common(p_gen, "generator config (key = value; see README for keys)")
+    p_gen.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for query sampling (the output does not depend on it)",
+    )
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train the attention embedder on a dataset")
     p_train.add_argument("dataset", help="dataset directory from `generate`")
-    common(p_train, "training config (key = value; learning_rate and epochs required)", True)
+    common(p_train, "training config (key = value; learning_rate and epochs required)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score reformulation retrieval for a model")
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=VALIDATE_SUITES + ("all",),
         help="which suite to run (figure1 also writes panel CSVs)",
     )
-    common(p_val, "unused; suites are self-contained", False)
+    common(p_val, None)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -10,8 +10,8 @@ entity can be regenerated in isolation and generation order never matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,17 +37,6 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of two equal-length float vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError(f"dot expects 1-d vectors, got shapes {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(a @ b)
 
 
 def sample_unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -153,36 +142,47 @@ class Query:
 class QueryGraph:
     """Undirected graph on query ids with purchase side-information.
 
-    ``adjacency[q]`` is a sorted int array of neighbours of q (never
-    containing q itself).  ``purchase_map[q]`` lists (product_id, count)
-    pairs recording purchases attributed to query q.
+    Stored in CSR form: the neighbours of q are ``indices[indptr[q]:indptr[q+1]]``,
+    sorted and never containing q.  ``edges`` lists each undirected edge once
+    as a ``(u, v)`` row with ``u < v``, so symmetry holds by construction.
+    ``purchase_map[q]`` lists (product_id, count) pairs recording purchases
+    attributed to query q.
     """
 
     def __init__(
         self,
-        adjacency: Sequence[np.ndarray | Sequence[int]],
+        n_queries: int,
+        edges: np.ndarray | Sequence[Sequence[int]],
         purchase_map: dict[int, list[tuple[int, int]]],
     ) -> None:
-        n = len(adjacency)
-        self.adjacency: list[np.ndarray] = []
-        for q, nbrs in enumerate(adjacency):
-            arr = np.asarray(nbrs, dtype=np.int64)
-            arr = np.sort(arr)
-            if arr.size:
-                if arr[0] < 0 or arr[-1] >= n:
-                    raise ValueError(f"neighbour id out of range for query {q}")
-                if np.any(arr == q):
-                    raise ValueError(f"self-loop at query {q}")
-                if np.any(arr[1:] == arr[:-1]):
-                    raise ValueError(f"duplicate edge at query {q}")
-            self.adjacency.append(arr)
-        # symmetry check: every directed edge must appear in both lists
-        for q, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                back = self.adjacency[int(v)]
-                j = np.searchsorted(back, q)
-                if j >= back.size or back[j] != q:
-                    raise ValueError(f"asymmetric edge ({q}, {v})")
+        n = int(n_queries)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (E, 2), got {edges.shape}")
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            bad = edges[((edges < 0) | (edges >= n)).any(axis=1)][0]
+            raise ValueError(f"edge {tuple(bad.tolist())} has a query id out of range")
+        u, v = edges[:, 0], edges[:, 1]
+        bad = np.flatnonzero(u >= v)
+        if bad.size:
+            a, b = edges[bad[0]].tolist()
+            if a == b:
+                raise ValueError(f"self-loop at query {a}")
+            raise ValueError(f"edge ({a}, {b}) violates u < v ordering")
+        # one key q * n + w per directed edge; sorted, the keys run through
+        # the CSR rows in order and key % n is the neighbour
+        keys = np.concatenate([u * n + v, v * n + u])
+        keys.sort()
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            a, b = sorted(divmod(int(keys[dup[0]]), n))
+            raise ValueError(f"duplicate edge ({a}, {b})")
+        keys %= max(n, 1)
+        self.indices = keys
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=self.indptr[1:])
         for q, purchases in purchase_map.items():
             if not (0 <= q < n):
                 raise ValueError(f"purchase_map key {q} is not a query id")
@@ -195,25 +195,25 @@ class QueryGraph:
 
     @property
     def n_queries(self) -> int:
-        return len(self.adjacency)
+        return self.indptr.size - 1
 
     @property
     def n_edges(self) -> int:
-        return sum(a.size for a in self.adjacency) // 2
+        return self.indices.size // 2
 
     def neighbors(self, q: int) -> np.ndarray:
-        return self.adjacency[q]
+        return self.indices[self.indptr[q] : self.indptr[q + 1]]
 
     def degree(self, q: int) -> int:
-        return int(self.adjacency[q].size)
+        return int(self.indptr[q + 1] - self.indptr[q])
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.adjacency[u]
+        nbrs = self.neighbors(u)
         j = np.searchsorted(nbrs, v)
         return bool(j < nbrs.size and nbrs[j] == v)
 
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs[nbrs > u]:
-                yield u, int(v)
+    def edges(self) -> np.ndarray:
+        """Each undirected edge once: (E, 2) rows (u, v), u < v, sorted by u then v."""
+        rows = np.repeat(np.arange(self.n_queries), np.diff(self.indptr))
+        upper = self.indices > rows
+        return np.column_stack([rows[upper], self.indices[upper]])

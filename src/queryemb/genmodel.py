@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,6 +45,10 @@ from .core import (
 # Skip the per-(product, position) CDF cache when it would exceed this many
 # floats; generation then recomputes tilted weights per query.
 _CDF_CACHE_MAX_FLOATS = 5e7
+
+# edges.tsv is formatted this many rows at a time, which bounds the
+# transient Python ints of a write.
+_EDGE_WRITE_BLOCK = 1 << 16
 
 MATRIX_MAGIC = b"QEMBMAT1"
 
@@ -211,30 +216,39 @@ class SyntheticDataset:
                 raise ValueError(f"product_id {q.product_id} out of range")
 
 
-def _product_neighbor_lists(products: np.ndarray, epsilon_p: float) -> list[np.ndarray]:
-    """For each product, ids of all products within epsilon_p (self included)."""
-    n = products.shape[0]
-    if n == 0:
-        return []
+def product_adjacency(products: np.ndarray, epsilon_p: float) -> np.ndarray:
+    """Boolean (P, P) matrix: products within epsilon_p of each other (self included)."""
     gram = products @ products.T
-    sq = np.maximum(np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2.0 * gram, 0.0)
-    close = np.sqrt(sq) <= epsilon_p
-    np.fill_diagonal(close, True)
-    return [np.flatnonzero(close[a]) for a in range(n)]
+    sq = np.maximum(gram.diagonal()[:, None] + gram.diagonal()[None, :] - 2.0 * gram, 0.0)
+    adj = np.sqrt(sq) <= epsilon_p
+    np.fill_diagonal(adj, True)  # same-product pairs are adjacent (distance 0)
+    return adj
 
 
-def _query_adjacency(
-    product_ids: np.ndarray, prod_neighbors: list[np.ndarray]
-) -> list[np.ndarray]:
-    queries_of_product = [
-        np.flatnonzero(product_ids == a) for a in range(len(prod_neighbors))
-    ]
-    adjacency = []
-    for q, a in enumerate(product_ids):
-        nbrs = np.concatenate([queries_of_product[b] for b in prod_neighbors[a]])
-        nbrs = np.sort(nbrs)
-        adjacency.append(nbrs[nbrs != q])
-    return adjacency
+def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """Edges (u, v), u < v, between queries whose products are adjacent.
+
+    Queries are bucketed by product; each bucket is paired with the
+    concatenated buckets of its adjacent products.
+    """
+    n_products = adjacency.shape[0]
+    order = np.argsort(product_ids, kind="stable")
+    bounds = np.searchsorted(product_ids[order], np.arange(n_products + 1))
+    buckets = [order[bounds[a] : bounds[a + 1]] for a in range(n_products)]
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for a, mine in enumerate(buckets):
+        near = np.concatenate([buckets[b] for b in np.flatnonzero(adjacency[a])])
+        u = np.repeat(mine, near.size)
+        v = np.tile(near, mine.size)
+        keep = u < v
+        blocks.append(np.column_stack([u[keep], v[keep]]))
+    return np.concatenate(blocks)
+
+
+def _query_graph(queries: list[Query], edges: np.ndarray) -> QueryGraph:
+    """The query graph; each query records one purchase of its own product."""
+    purchase_map = {qi: [(q.product_id, 1)] for qi, q in enumerate(queries)}
+    return QueryGraph(len(queries), edges, purchase_map)
 
 
 def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticDataset:
@@ -288,10 +302,8 @@ def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticData
         queries = [make_query(qi) for qi in range(config.n_queries)]
 
     product_ids = np.array([q.product_id for q in queries], dtype=np.int64)
-    adjacency = _query_adjacency(product_ids, _product_neighbor_lists(products, config.epsilon_p))
-    purchase_map = {qi: [(q.product_id, 1)] for qi, q in enumerate(queries)}
-    graph = QueryGraph(adjacency, purchase_map)
-    return SyntheticDataset(config, vocab, products, queries, graph)
+    edges = _query_edges(product_ids, product_adjacency(products, config.epsilon_p))
+    return SyntheticDataset(config, vocab, products, queries, _query_graph(queries, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +417,11 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
         for q in dataset.queries:
             fh.write("\t".join([str(q.product_id), *(str(t) for t in q.trigram_ids)]))
             fh.write("\n")
+    edges = dataset.graph.edges()
     with open(os.path.join(out_dir, EDGES_FILENAME), "w", newline="\n") as fh:
-        for u, v in dataset.graph.iter_edges():
-            fh.write(f"{u}\t{v}\n")
+        for lo in range(0, len(edges), _EDGE_WRITE_BLOCK):
+            block = edges[lo : lo + _EDGE_WRITE_BLOCK]
+            fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
     return [CONFIG_FILENAME, VOCAB_FILENAME, PRODUCTS_FILENAME, QUERIES_FILENAME, EDGES_FILENAME]
 
 
@@ -428,22 +442,11 @@ def load_dataset(in_dir: str) -> SyntheticDataset:
                 Query(trigram_ids=tuple(int(t) for t in fields[1:]), product_id=int(fields[0]))
             )
 
-    neighbor_sets: list[list[int]] = [[] for _ in range(len(queries))]
-    with open(os.path.join(in_dir, EDGES_FILENAME)) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            u_s, v_s = line.split("\t")
-            u, v = int(u_s), int(v_s)
-            if not (u < v):
-                raise ValueError(f"edge ({u}, {v}) violates u < v ordering")
-            neighbor_sets[u].append(v)
-            neighbor_sets[v].append(u)
-
-    purchase_map = {qi: [(q.product_id, 1)] for qi, q in enumerate(queries)}
-    graph = QueryGraph(neighbor_sets, purchase_map)
-    return SyntheticDataset(config, vocab, products, queries, graph)
+    with warnings.catch_warnings():
+        # an edge-free graph is saved as an empty edges.tsv
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        edges = np.loadtxt(os.path.join(in_dir, EDGES_FILENAME), dtype=np.int64, ndmin=2)
+    return SyntheticDataset(config, vocab, products, queries, _query_graph(queries, edges))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .genmodel import (
     generate_dataset,
     mixture_probs,
     partition_function,
+    product_adjacency,
     sample_trigrams_batch,
     trigram_empirical_variance,
     trigram_mean_coefficient,
@@ -119,14 +120,6 @@ class PmiEstimate:
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.pmi)):
             raise ValueError("retained PMI values must be finite")
-
-
-def _adjacency_matrix(products: np.ndarray, epsilon_p: float) -> np.ndarray:
-    gram = products @ products.T
-    sq = np.maximum(gram.diagonal()[:, None] + gram.diagonal()[None, :] - 2.0 * gram, 0.0)
-    adj = np.sqrt(sq) <= epsilon_p
-    np.fill_diagonal(adj, True)  # same-product pairs are adjacent (distance 0)
-    return adj
 
 
 def _position_cdfs(dataset: SyntheticDataset) -> np.ndarray:
@@ -220,7 +213,7 @@ def estimate_pmi(
     if n_joint < 1000:
         raise ValueError("need at least 1000 joint samples")
     c = dataset.config
-    adj = _adjacency_matrix(dataset.products, c.epsilon_p)
+    adj = product_adjacency(dataset.products, c.epsilon_p)
     pair_a, pair_b = np.nonzero(adj)  # ordered pairs, diagonal included
     cdfs = _position_cdfs(dataset)
     rng = rng_stream(seed, STREAM_VALIDATE)
@@ -304,31 +297,13 @@ def model_dot_over_d(
     return float(ua @ ub) / dataset.config.dim
 
 
-def _sequence_probability_by_product(
-    dataset: SyntheticDataset, sequence: Sequence[int]
-) -> np.ndarray:
-    """f[a] = Pr[sequence | product a], including the length factor."""
-    c = dataset.config
-    length_pmf = truncated_poisson_pmf(c.lam, c.max_len)
-    f = np.full(c.n_products, length_pmf[len(sequence) - 1])
-    for pos, t in enumerate(sequence):
-        probs = np.array(
-            [
-                mixture_probs(dataset.products[a], pos + 1, c, dataset.vocab)[t]
-                for a in range(c.n_products)
-            ]
-        )
-        f *= probs
-    return f
-
-
 class ExactPmi:
     """Exact enumeration oracle for sequence probabilities on a tiny universe."""
 
     def __init__(self, dataset: SyntheticDataset) -> None:
         c = dataset.config
         self.dataset = dataset
-        self.adj = _adjacency_matrix(dataset.products, c.epsilon_p)
+        self.adj = product_adjacency(dataset.products, c.epsilon_p)
         self.n_ordered_pairs = int(self.adj.sum())
         # probs[pos][a, t] = mixture probability of trigram t at position pos+1
         self.probs = np.stack(

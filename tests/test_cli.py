@@ -215,6 +215,18 @@ class TestEval:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_corrupted_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad_run"
+        shutil.copytree(pipeline["run"], bad)
+        ckpt = bad / "checkpoint.bin"
+        data = bytearray(ckpt.read_bytes())
+        data[-1] ^= 0xFF
+        ckpt.write_bytes(bytes(data))
+        rc = main(["eval", pipeline["data"], "--model", str(ckpt), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_checkpoint_dataset_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         cfg = _write(
             tmp_path / "g.cfg", GEN_CONFIG.replace("vocab_size = 300", "vocab_size = 200")
@@ -254,6 +266,20 @@ class TestValidate:
         manifest = read_manifest(os.path.join(out, "manifest.txt"))
         assert manifest.seed == 5
         assert manifest.config["seed_blue"] == "5"
+
+
+def test_options_that_did_nothing_are_rejected(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    for argv in (
+        ["validate", "blue", "--out", out, "--config", "c.cfg"],
+        ["validate", "blue", "--out", out, "--threads", "2"],
+        ["train", "data", "--config", "t.cfg", "--out", out, "--threads", "2"],
+        ["eval", "data", "--model", "baseline", "--out", out, "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigParsing:

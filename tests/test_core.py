@@ -6,30 +6,10 @@ from queryemb.core import (
     GeneratorConfig,
     Query,
     QueryGraph,
-    dot,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
 )
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_self_dot_is_squared_norm(self):
-        assert dot(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 5.0
-
-    def test_cancellation(self):
-        assert dot(np.array([0.5, 0.5]), np.array([1.0, -1.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            dot(np.zeros(3), np.zeros(4))
-
-    def test_rejects_matrices(self):
-        with pytest.raises(ValueError, match="1-d"):
-            dot(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestRngStream:
@@ -186,35 +166,68 @@ class TestQuery:
 
 class TestQueryGraph:
     def test_basic_adjacency(self):
-        g = QueryGraph([[1], [0, 2], [1]], {0: [(7, 2)]})
+        g = QueryGraph(3, [(0, 1), (1, 2)], {0: [(7, 2)]})
         assert g.n_queries == 3
         assert g.n_edges == 2
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
         assert g.degree(1) == 2
-        assert list(g.iter_edges()) == [(0, 1), (1, 2)]
+        assert g.edges().tolist() == [[0, 1], [1, 2]]
         assert g.purchase_map[0] == [(7, 2)]
 
     def test_neighbors_sorted(self):
-        g = QueryGraph([[2, 1], [0], [0]], {})
+        g = QueryGraph(3, [(0, 2), (0, 1)], {})
         assert list(g.neighbors(0)) == [1, 2]
+
+    def test_csr_matches_edge_set(self):
+        n = 30
+        rng = rng_stream(5)
+        pairs = {(u, v) for u, v in rng.integers(n, size=(120, 2)).tolist() if u < v}
+        edges = rng.permutation(np.array(sorted(pairs)))
+        g = QueryGraph(n, edges, {})
+        assert g.n_edges == len(pairs)
+        assert g.edges().tolist() == [list(e) for e in sorted(pairs)]
+        for q in range(n):
+            want = sorted({v for u, v in pairs if u == q} | {u for u, v in pairs if v == q})
+            assert g.neighbors(q).tolist() == want
+            assert g.degree(q) == len(want)
+            for w in range(n):
+                assert g.has_edge(q, w) == ((min(q, w), max(q, w)) in pairs)
+
+    def test_empty_and_isolated(self):
+        g = QueryGraph(0, [], {})
+        assert g.n_queries == 0 and g.n_edges == 0
+        assert g.edges().shape == (0, 2)
+        g = QueryGraph(4, [(1, 3)], {})
+        assert g.degree(0) == 0 and g.neighbors(2).size == 0
+        assert g.has_edge(3, 1) and not g.has_edge(0, 1)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            QueryGraph([[0]], {})
+            QueryGraph(1, [(0, 0)], {})
 
-    def test_asymmetry_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            QueryGraph([[1], []], {})
+    def test_reversed_edge_rejected(self):
+        with pytest.raises(ValueError, match="u < v"):
+            QueryGraph(2, [(1, 0)], {})
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            QueryGraph([[1, 1], [0]], {})
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
+            QueryGraph(3, [(0, 2), (0, 1), (0, 2)], {})
 
     def test_out_of_range_neighbor_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            QueryGraph([[5]], {})
+            QueryGraph(1, [(0, 5)], {})
+        with pytest.raises(ValueError, match="out of range"):
+            QueryGraph(2, [(-1, 1)], {})
+
+    def test_bad_edge_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            QueryGraph(3, [(0, 1, 2)], {})
 
     def test_bad_purchase_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            QueryGraph([[], []], {0: [(3, 0)]})
+            QueryGraph(2, [], {0: [(3, 0)]})
+
+    def test_bad_purchase_key_rejected(self):
+        with pytest.raises(ValueError, match="not a query id"):
+            QueryGraph(2, [], {2: [(3, 1)]})

@@ -35,13 +35,8 @@ def _singleton_queries(emb_rows):
     return [Query(trigram_ids=(i,), product_id=0) for i in range(len(emb_rows))]
 
 
-def _graph(n, edges, purchases=None):
-    adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    purchase_map = purchases or {i: [(0, 1)] for i in range(n)}
-    return QueryGraph(adjacency, purchase_map)
+def _graph(n, edges):
+    return QueryGraph(n, edges, {i: [(0, 1)] for i in range(n)})
 
 
 class TestEmbedQuery:

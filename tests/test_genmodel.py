@@ -267,6 +267,27 @@ class TestGenerateDataset:
                 same = ds.queries[u].product_id == ds.queries[v].product_id
                 assert ds.graph.has_edge(u, v) == same
 
+    def test_intermediate_epsilon_matches_brute_force_rule(self):
+        eps = 1.0
+        ds = generate_dataset(_config(epsilon_p=eps, n_products=8, n_queries=60))
+        p = ds.products
+        pid = [q.product_id for q in ds.queries]
+        n = len(pid)
+        want = [
+            [u, v]
+            for u in range(n)
+            for v in range(u + 1, n)
+            if pid[u] == pid[v] or np.linalg.norm(p[pid[u]] - p[pid[v]]) <= eps
+        ]
+        # some, but not all, cross-product query pairs are adjacent
+        cross = [(u, v) for u in range(n) for v in range(u + 1, n) if pid[u] != pid[v]]
+        n_cross_adjacent = sum([u, v] in want for u, v in cross)
+        assert 0 < n_cross_adjacent < len(cross)
+        for u in range(n):
+            for v in range(n):
+                assert ds.graph.has_edge(u, v) == (u != v and [min(u, v), max(u, v)] in want)
+        assert ds.graph.edges().tolist() == want
+
     def test_sphere_diameter_gives_complete_graph(self):
         ds = generate_dataset(_config(epsilon_p=2.0 * (1 + 1e-9), n_products=6, n_queries=25))
         n = len(ds.queries)
@@ -380,7 +401,7 @@ class TestDatasetSerialization:
         assert np.array_equal(back.vocab, ds.vocab)
         assert np.array_equal(back.products, ds.products)
         assert back.queries == ds.queries
-        assert sorted(back.graph.iter_edges()) == sorted(ds.graph.iter_edges())
+        assert np.array_equal(back.graph.edges(), ds.graph.edges())
         assert back.graph.purchase_map == ds.graph.purchase_map
 
     def test_save_is_byte_deterministic(self, tmp_path):
@@ -401,6 +422,25 @@ class TestDatasetSerialization:
         assert len(back.queries) == 0
         assert back.graph.n_edges == 0
         assert os.path.getsize(os.path.join(out, "edges.tsv")) == 0
+
+    def test_duplicate_edge_line_rejected(self, tmp_path):
+        ds = generate_dataset(_config())
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(ds, out)
+        u, v = ds.graph.edges()[0]
+        with open(os.path.join(out, "edges.tsv"), "a") as fh:
+            fh.write(f"{u}\t{v}\n")
+        with pytest.raises(ValueError, match="duplicate edge"):
+            load_dataset(out)
+
+    def test_malformed_edge_line_rejected(self, tmp_path):
+        ds = generate_dataset(_config())
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(ds, out)
+        with open(os.path.join(out, "edges.tsv"), "a") as fh:
+            fh.write("1\tx\n")
+        with pytest.raises(ValueError):
+            load_dataset(out)
 
     def test_unordered_edge_file_rejected(self, tmp_path):
         ds = generate_dataset(_config())
