@@ -8,12 +8,11 @@ Retrieval is brute-force nearest neighbours under Bray-Curtis distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Query
+from .core import QueryTable
 
 HASH_DIM = 300
 
@@ -39,32 +38,13 @@ def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
     return splitmix64(trigram_id) % n_buckets
 
 
-@dataclass(frozen=True)
-class HashedQuery:
-    """Bucketed trigram counts for one query; total count equals query length."""
-
-    buckets: np.ndarray
-    query_id: int
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.buckets, dtype=np.float64)
-        object.__setattr__(self, "buckets", b)
-        if b.ndim != 1:
-            raise ValueError("buckets must be a 1-d vector")
-        if np.any(b < 0):
-            raise ValueError("bucket counts must be non-negative")
+def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
+    """Bucketed trigram counts of one query; the total count equals its length."""
+    counts = np.bincount([bucket_of(t, n_buckets) for t in ids], minlength=n_buckets)
+    return counts.astype(np.float64)
 
 
-def hash_query(q: Query, query_id: int = -1, n_buckets: int = HASH_DIM) -> HashedQuery:
-    buckets = np.zeros(n_buckets, dtype=np.float64)
-    for t in q.trigram_ids:
-        buckets[bucket_of(t, n_buckets)] += 1.0
-    return HashedQuery(buckets=buckets, query_id=query_id)
-
-
-def _counts(x: HashedQuery | np.ndarray | Sequence[float]) -> np.ndarray:
-    if isinstance(x, HashedQuery):
-        return x.buckets
+def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("count vectors must be non-negative")
@@ -82,51 +62,50 @@ def bray_curtis(a, b) -> float:
     return float(np.sum(np.abs(va - vb)) / denom)
 
 
-class TrigramHashStore:
-    """Immutable retrieval index of hashed queries."""
+class QueryStore:
+    """Base of the retrieval stores: the stored query ids, one per table row."""
 
-    def __init__(self, queries: Sequence[Query], ids: Sequence[int] | None = None,
-                 n_buckets: int = HASH_DIM) -> None:
-        if ids is None:
-            ids = range(len(queries))
-        self.ids = np.asarray(list(ids), dtype=np.int64)
+    def __init__(self, queries: QueryTable, ids: Sequence[int] | None) -> None:
+        self.ids = np.asarray(range(len(queries)) if ids is None else list(ids), dtype=np.int64)
         if self.ids.size != len(queries):
             raise ValueError("ids and queries must have equal length")
-        self.n_buckets = n_buckets
-        self.matrix = np.zeros((len(queries), n_buckets), dtype=np.float64)
-        for row, q in enumerate(queries):
-            self.matrix[row] = hash_query(q, int(self.ids[row]), n_buckets).buckets
-        self._id_set = set(int(i) for i in self.ids)
 
     def __len__(self) -> int:
         return self.ids.size
 
     def __contains__(self, query_id: int) -> bool:
-        return int(query_id) in self._id_set
+        return bool(np.any(self.ids == query_id))
 
-    def distances(self, probe: HashedQuery | Query) -> np.ndarray:
-        if isinstance(probe, Query):
-            probe = hash_query(probe, n_buckets=self.n_buckets)
-        pv = probe.buckets
+    def _ranked(self, keys: np.ndarray, exclude_id: int | None) -> np.ndarray:
+        """Store ids ordered by (keys, ascending id), optionally dropping one id."""
+        ranked = self.ids[np.lexsort((self.ids, keys))]
+        return ranked if exclude_id is None else ranked[ranked != exclude_id]
+
+
+class TrigramHashStore(QueryStore):
+    """Immutable retrieval index of hashed queries."""
+
+    def __init__(self, queries: QueryTable, ids: Sequence[int] | None = None,
+                 n_buckets: int = HASH_DIM) -> None:
+        super().__init__(queries, ids)
+        self.n_buckets = n_buckets
+        self.matrix = np.zeros((len(queries), n_buckets), dtype=np.float64)
+        for row in range(len(queries)):
+            self.matrix[row] = hash_query(queries.row(row), n_buckets)
+
+    def distances(self, pv: np.ndarray) -> np.ndarray:
+        """Bray-Curtis distance from the probe's count vector to every stored row."""
         if pv.shape[0] != self.n_buckets:
             raise ValueError("probe bucket width does not match store")
-        num = np.abs(self.matrix - pv).sum(axis=1)
-        den = (self.matrix + pv).sum(axis=1)
-        if np.any(den == 0.0):
-            raise ValueError("Bray-Curtis undefined: all-zero probe against all-zero row")
-        return num / den
+        # every stored row counts >= 1 trigram, so no denominator is 0
+        return np.abs(self.matrix - pv).sum(axis=1) / (self.matrix + pv).sum(axis=1)
 
-    def rank(self, probe: HashedQuery | Query, exclude_id: int | None = None) -> np.ndarray:
-        """All store ids ordered by (distance, id), optionally dropping one id."""
-        dist = self.distances(probe)
-        order = np.lexsort((self.ids, dist))
-        ranked = self.ids[order]
-        if exclude_id is not None:
-            ranked = ranked[ranked != exclude_id]
-        return ranked
+    def rank(self, probe: Sequence[int], exclude_id: int | None = None) -> np.ndarray:
+        """All store ids ordered by the probe's (distance, id), optionally dropping one id."""
+        return self._ranked(self.distances(hash_query(probe, self.n_buckets)), exclude_id)
 
 
-def knn(store: TrigramHashStore, probe: HashedQuery | Query, k: int) -> list[int]:
+def knn(store: TrigramHashStore, probe: Sequence[int], k: int) -> list[int]:
     """ids of the k nearest stored queries; ties broken by ascending id."""
     if len(store) == 0:
         raise ValueError("store is empty")

@@ -261,7 +261,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
     config = config_from_mapping(mapping)
-    dataset = generate_dataset(config, threads=args.threads)
+    dataset = generate_dataset(config)
     os.makedirs(args.out, exist_ok=True)
     written = save_dataset(dataset, args.out)
     checksums = {name: sha256_file(os.path.join(args.out, name)) for name in written}
@@ -339,7 +339,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = eval_params_from_mapping(_read_config_file(args.config)) if args.config else EvalParams()
     seed = args.seed if args.seed is not None else 0
     store_ids, probe_ids = split_query_ids(len(dataset.queries), params.test_fraction, seed)
-    store_queries = [dataset.queries[i] for i in store_ids]
+    store_queries = dataset.queries.take(store_ids)
 
     if args.model == "baseline":
         store: EmbeddingStore | TrigramHashStore = TrigramHashStore(store_queries, ids=store_ids)
@@ -468,12 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a synthetic dataset to a directory")
     common(p_gen, "generator config (key = value; see README for keys)")
-    p_gen.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for query sampling (the output does not depend on it)",
-    )
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train the attention embedder on a dataset")

@@ -10,7 +10,7 @@ entity can be regenerated in isolation and generation order never matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -113,30 +113,71 @@ class GeneratorConfig:
             raise ValueError("cannot generate queries without products")
 
 
-@dataclass(frozen=True)
-class Query:
-    """A generated query: trigram ids plus the product that generated it."""
+@dataclass(frozen=True, eq=False)
+class QueryTable:
+    """Q queries as one padded table: trigram ids, lengths and products.
 
-    trigram_ids: tuple[int, ...]
-    product_id: int
+    Row i of ``ids`` holds query i's trigram ids in its first ``lengths[i]``
+    slots and 0 after them; product ``product_ids[i]`` generated it.  The arrays
+    are read-only int64 copies, validated once here; ``id_bound`` (largest id
+    + 1) lets callers check in O(1) that the table fits a vocabulary.
+    """
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    product_ids: np.ndarray
+    id_bound: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trigram_ids", tuple(int(t) for t in self.trigram_ids))
-        if len(self.trigram_ids) < 1:
+        for name in ("ids", "lengths", "product_ids"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        ids, lengths = self.ids, self.lengths
+        if not (ids.ndim == 2 and lengths.shape == self.product_ids.shape == ids.shape[:1]):
+            raise ValueError("ids, lengths and product_ids must have shapes (Q, width), (Q,), (Q,)")
+        if np.any(lengths < 1):
             raise ValueError("a query must contain at least one trigram")
-        if any(t < 0 for t in self.trigram_ids):
+        if np.any(lengths > self.width):
+            raise ValueError(f"query length {lengths.max()} exceeds max_len {self.width}")
+        if np.any(ids < 0):
             raise ValueError("trigram ids must be non-negative")
-        if self.product_id < 0:
+        if np.any(ids[np.arange(self.width) >= lengths[:, None]]):
+            raise ValueError("slots past a query's length must hold 0")
+        if np.any(self.product_ids < 0):
             raise ValueError("product_id must be non-negative")
+        object.__setattr__(self, "id_bound", int(ids.max(initial=-1)) + 1)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], product_ids: Sequence[int], width: int):
+        """Table of variable-length id rows, padded with 0 to ``width``."""
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        if np.any(lengths > width):
+            raise ValueError(f"query length {lengths.max()} exceeds max_len {width}")
+        ids = np.zeros((lengths.size, width), dtype=np.int64)
+        ids[np.arange(width) < lengths[:, None]] = [t for r in rows for t in r]
+        return cls(ids, lengths, product_ids)
+
+    @property
+    def width(self) -> int:
+        return self.ids.shape[1]
 
     def __len__(self) -> int:
-        return len(self.trigram_ids)
+        return self.ids.shape[0]
 
-    def validate_against(self, vocab_size: int, max_len: int) -> None:
-        if len(self.trigram_ids) > max_len:
-            raise ValueError(f"query length {len(self.trigram_ids)} exceeds max_len {max_len}")
-        if any(t >= vocab_size for t in self.trigram_ids):
-            raise ValueError("trigram id out of vocabulary range")
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QueryTable) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("ids", "lengths", "product_ids")
+        )
+
+    def row(self, i: int) -> np.ndarray:
+        """The trigram ids of query i, without padding."""
+        return self.ids[i, : self.lengths[i]]
+
+    def take(self, idx: Sequence[int]) -> "QueryTable":
+        """The table of rows idx, in that order."""
+        return QueryTable(self.ids[idx], self.lengths[idx], self.product_ids[idx])
 
 
 class QueryGraph:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import STREAM_MODEL_INIT, STREAM_TRAIN, Query, QueryGraph, rng_stream
+from .core import STREAM_MODEL_INIT, STREAM_TRAIN, QueryGraph, QueryTable, rng_stream
 from .genmodel import SyntheticDataset, read_matrix_stream, write_matrix_stream
 
 # Pair scores are clamped to this magnitude before exponentiation.  Beyond
@@ -73,23 +73,23 @@ def init_model(vocab_size: int, dim: int, max_len: int, seed: int) -> AttentionM
     return AttentionModel(emb=emb, attn=np.zeros((max_len, dim)))
 
 
-def _trigram_ids(q: Query | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(q, Query):
-        return q.trigram_ids
-    return tuple(int(t) for t in q)
+def _check_ids(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
+    """The ids of one raw query, validated as a one-row table that must fit the model."""
+    row = list(q)
+    table = QueryTable.from_rows([row], [0], max(len(row), 1))
+    _check_table(model, table)
+    return table.row(0)
 
 
-def _check_ids(model: AttentionModel, ids: tuple[int, ...]) -> None:
-    if not ids:
-        raise ValueError("cannot embed an empty query")
-    if len(ids) > model.max_len:
-        raise ValueError(f"query length {len(ids)} exceeds model max_len {model.max_len}")
-    for t in ids:
-        if not (0 <= t < model.vocab_size):
-            raise ValueError(f"trigram id {t} outside [0, {model.vocab_size})")
+def _check_table(model: AttentionModel, queries: QueryTable) -> None:
+    """O(1): every row of a (self-validated) table fits the model."""
+    if queries.width > model.max_len:
+        raise ValueError(f"query width {queries.width} exceeds model max_len {model.max_len}")
+    if queries.id_bound > model.vocab_size:
+        raise ValueError(f"trigram id {queries.id_bound - 1} outside [0, {model.vocab_size})")
 
 
-def _forward(model: AttentionModel, ids: tuple[int, ...]):
+def _forward(model: AttentionModel, ids: Sequence[int]):
     """Returns (z, weights, V) for one query; V stacks the trigram vectors."""
     idx = np.asarray(ids, dtype=np.intp)
     V = model.emb[idx]
@@ -100,16 +100,19 @@ def _forward(model: AttentionModel, ids: tuple[int, ...]):
     return w @ V, w, V
 
 
-def attention_weights(model: AttentionModel, q: Query | Sequence[int]) -> np.ndarray:
-    ids = _trigram_ids(q)
-    _check_ids(model, ids)
-    return _forward(model, ids)[1]
+def attention_weights(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
+    return _forward(model, _check_ids(model, q))[1]
 
 
-def embed_query(model: AttentionModel, q: Query | Sequence[int]) -> np.ndarray:
-    ids = _trigram_ids(q)
-    _check_ids(model, ids)
-    return _forward(model, ids)[0]
+def embed_query(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
+    return _forward(model, _check_ids(model, q))[0]
+
+
+def embed_table(model: AttentionModel, queries: QueryTable) -> np.ndarray:
+    """(Q, dim) embeddings of every row of the table."""
+    _check_table(model, queries)
+    rows = [_forward(model, queries.row(i))[0] for i in range(len(queries))]
+    return np.array(rows, dtype=np.float64).reshape(len(queries), model.dim)
 
 
 def log_sigmoid(x: float) -> float:
@@ -148,18 +151,21 @@ class ModelGradient:
     attn: np.ndarray
 
 
-def loss(model: AttentionModel, batch: TrainingBatch, queries: Sequence[Query]) -> float:
+def loss(model: AttentionModel, batch: TrainingBatch, queries: QueryTable) -> float:
     """Mean -log sigma(<z_a, z_pos>) plus mean -log sigma(-<z_a, z_neg>)."""
     if not batch.positives or not batch.negatives:
         raise ValueError("loss needs at least one positive and one negative")
-    z_a = embed_query(model, queries[batch.anchor])
-    pos = -np.mean([log_sigmoid(z_a @ embed_query(model, queries[p])) for p in batch.positives])
-    neg = -np.mean([log_sigmoid(-(z_a @ embed_query(model, queries[n]))) for n in batch.negatives])
+    _check_table(model, queries)
+    involved = {batch.anchor, *batch.positives, *batch.negatives}
+    z = {qid: _forward(model, queries.row(qid))[0] for qid in involved}
+    z_a = z[batch.anchor]
+    pos = -np.mean([log_sigmoid(z_a @ z[p]) for p in batch.positives])
+    neg = -np.mean([log_sigmoid(-(z_a @ z[n])) for n in batch.negatives])
     return float(pos + neg)
 
 
 def loss_and_gradient(
-    model: AttentionModel, batch: TrainingBatch, queries: Sequence[Query]
+    model: AttentionModel, batch: TrainingBatch, queries: QueryTable
 ) -> tuple[float, ModelGradient]:
     """Loss plus its exact gradient in both parameter blocks.
 
@@ -173,12 +179,9 @@ def loss_and_gradient(
     if not batch.positives or not batch.negatives:
         raise ValueError("loss needs at least one positive and one negative")
 
+    _check_table(model, queries)
     involved = {batch.anchor, *batch.positives, *batch.negatives}
-    fwd: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for qid in involved:
-        ids = _trigram_ids(queries[qid])
-        _check_ids(model, ids)
-        fwd[qid] = _forward(model, ids)
+    fwd = {qid: _forward(model, queries.row(qid)) for qid in involved}
 
     z_a = fwd[batch.anchor][0]
     upstream: dict[int, np.ndarray] = {qid: np.zeros(model.dim) for qid in involved}
@@ -200,19 +203,13 @@ def loss_and_gradient(
     grad = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
     for qid, u in upstream.items():
         z, w, V = fwd[qid]
-        ids = _trigram_ids(queries[qid])
+        ids = queries.row(qid)
         c = V @ u
         b = w * (c - float(w @ c))
         n = len(ids)
         grad.attn[:n] += b[:, None] * V
-        np.add.at(grad.emb, np.asarray(ids, dtype=np.intp), w[:, None] * u + b[:, None] * model.attn[:n])
+        np.add.at(grad.emb, ids, w[:, None] * u + b[:, None] * model.attn[:n])
     return float(total), grad
-
-
-def loss_gradient(
-    model: AttentionModel, batch: TrainingBatch, queries: Sequence[Query]
-) -> ModelGradient:
-    return loss_and_gradient(model, batch, queries)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +335,7 @@ def train(
     model = model.copy()
     graph = dataset.graph
     queries = dataset.queries
+    _check_table(model, queries)
     rng = rng_stream(config.seed, STREAM_TRAIN)
     trace: list[tuple[int, int, float]] = []
 

@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baseline import TrigramHashStore
-from .core import Query
-from .embedder import AttentionModel, embed_query
+from .baseline import QueryStore, TrigramHashStore
+from .core import QueryTable
+from .embedder import AttentionModel, embed_query, embed_table
 
 PurchaseMap = Mapping[int, Sequence[tuple[int, int]]]
 
@@ -73,56 +73,37 @@ def f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-class EmbeddingStore:
+class EmbeddingStore(QueryStore):
     """Retrieval index over attention embeddings; similarity is the dot product."""
 
-    def __init__(self, model: AttentionModel, queries: Sequence[Query],
+    def __init__(self, model: AttentionModel, queries: QueryTable,
                  ids: Sequence[int] | None = None) -> None:
-        if ids is None:
-            ids = range(len(queries))
+        super().__init__(queries, ids)
         self.model = model
-        self.ids = np.asarray(list(ids), dtype=np.int64)
-        if self.ids.size != len(queries):
-            raise ValueError("ids and queries must have equal length")
-        self.matrix = np.zeros((len(queries), model.dim), dtype=np.float64)
-        for row, q in enumerate(queries):
-            self.matrix[row] = embed_query(model, q)
-        self._id_set = set(int(i) for i in self.ids)
+        self.matrix = embed_table(model, queries)
 
-    def __len__(self) -> int:
-        return self.ids.size
-
-    def __contains__(self, query_id: int) -> bool:
-        return int(query_id) in self._id_set
-
-    def rank(self, probe: Query | np.ndarray, exclude_id: int | None = None) -> np.ndarray:
-        """All store ids ordered by (descending similarity, ascending id)."""
-        z = embed_query(self.model, probe) if isinstance(probe, Query) else np.asarray(probe)
-        scores = self.matrix @ z
-        order = np.lexsort((self.ids, -scores))
-        ranked = self.ids[order]
-        if exclude_id is not None:
-            ranked = ranked[ranked != exclude_id]
-        return ranked
+    def rank(self, probe: Sequence[int], exclude_id: int | None = None) -> np.ndarray:
+        """All store ids ordered by the probe's (descending similarity, ascending id)."""
+        return self._ranked(-(self.matrix @ embed_query(self.model, probe)), exclude_id)
 
 
 def reformulate(
     store: EmbeddingStore | TrigramHashStore,
-    q: Query | int,
+    q: int | Sequence[int],
     count: int = DEFAULT_REFORMULATIONS,
-    queries: Sequence[Query] | None = None,
+    queries: QueryTable | None = None,
 ) -> list[int]:
     """The count nearest stored queries to q, never including q itself.
 
-    Pass q as a store id (with the full query list in ``queries``) when the
-    probe is a store member, so it can be excluded from its own results;
-    pass a Query object for held-out probes.
+    Pass q as a query id (with the full query table in ``queries``) when the
+    probe may be a store member, so it can be excluded from its own results;
+    pass a trigram id row for held-out probes.
     """
-    if isinstance(q, int):
+    if isinstance(q, (int, np.integer)):
         if queries is None:
-            raise ValueError("reformulating by id requires the query list")
-        probe: Query = queries[q]
-        exclude: int | None = q if q in store else None
+            raise ValueError("reformulating by id requires the query table")
+        probe: Sequence[int] = queries.row(q)
+        exclude: int | None = int(q) if q in store else None
     else:
         probe, exclude = q, None
     available = len(store) - (1 if exclude is not None else 0)
@@ -245,7 +226,7 @@ class EvalReport:
 
 def evaluate(
     store: EmbeddingStore | TrigramHashStore,
-    queries: Sequence[Query],
+    queries: QueryTable,
     purchase_map: PurchaseMap,
     probe_ids: Sequence[int],
     k: int = DEFAULT_K,

@@ -35,8 +35,8 @@ from .core import (
     STREAM_QUERIES,
     STREAM_VOCAB,
     GeneratorConfig,
-    Query,
     QueryGraph,
+    QueryTable,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
@@ -197,23 +197,26 @@ class SyntheticDataset:
     config: GeneratorConfig
     vocab: np.ndarray
     products: np.ndarray
-    queries: list[Query]
+    queries: QueryTable
     graph: QueryGraph
 
     def __post_init__(self) -> None:
         c = self.config
+        q = self.queries
         if self.vocab.shape != (c.vocab_size, c.dim):
             raise ValueError(f"vocab shape {self.vocab.shape} != ({c.vocab_size}, {c.dim})")
         if self.products.shape != (c.n_products, c.dim):
             raise ValueError(f"products shape {self.products.shape} != ({c.n_products}, {c.dim})")
-        if len(self.queries) != c.n_queries:
-            raise ValueError(f"{len(self.queries)} queries != configured {c.n_queries}")
-        if self.graph.n_queries != len(self.queries):
+        if len(q) != c.n_queries:
+            raise ValueError(f"{len(q)} queries != configured {c.n_queries}")
+        if self.graph.n_queries != len(q):
             raise ValueError("graph size does not match query count")
-        for q in self.queries:
-            q.validate_against(c.vocab_size, c.max_len)
-            if q.product_id >= c.n_products:
-                raise ValueError(f"product_id {q.product_id} out of range")
+        if q.width > c.max_len:
+            raise ValueError(f"query width {q.width} exceeds max_len {c.max_len}")
+        if q.id_bound > c.vocab_size:
+            raise ValueError("trigram id out of vocabulary range")
+        if len(q) and q.product_ids.max() >= c.n_products:
+            raise ValueError(f"product_id {q.product_ids.max()} out of range")
 
 
 def product_adjacency(products: np.ndarray, epsilon_p: float) -> np.ndarray:
@@ -245,9 +248,9 @@ def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _query_graph(queries: list[Query], edges: np.ndarray) -> QueryGraph:
+def _query_graph(queries: QueryTable, edges: np.ndarray) -> QueryGraph:
     """The query graph; each query records one purchase of its own product."""
-    purchase_map = {qi: [(q.product_id, 1)] for qi, q in enumerate(queries)}
+    purchase_map = {qi: [(pid, 1)] for qi, pid in enumerate(queries.product_ids.tolist())}
     return QueryGraph(len(queries), edges, purchase_map)
 
 
@@ -285,7 +288,7 @@ def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticData
             cdf_cache[key] = cdf
         return cdf
 
-    def make_query(qi: int) -> Query:
+    def make_query(qi: int) -> tuple[list[int], int]:
         r = rng_stream(config.seed, STREAM_QUERIES + qi)
         pid = int(r.integers(config.n_products))
         length = _draw_length(r, length_cdf)
@@ -293,16 +296,16 @@ def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticData
             _draw_trigram(r, config.alphas[pos], tilted_cdf(pid, pos), config.vocab_size)
             for pos in range(length)
         ]
-        return Query(trigram_ids=tuple(ids), product_id=pid)
+        return ids, pid
 
     if threads > 1 and config.n_queries > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            queries = list(pool.map(make_query, range(config.n_queries)))
+            made = list(pool.map(make_query, range(config.n_queries)))
     else:
-        queries = [make_query(qi) for qi in range(config.n_queries)]
+        made = [make_query(qi) for qi in range(config.n_queries)]
 
-    product_ids = np.array([q.product_id for q in queries], dtype=np.int64)
-    edges = _query_edges(product_ids, product_adjacency(products, config.epsilon_p))
+    queries = QueryTable.from_rows([r for r, _ in made], [p for _, p in made], config.max_len)
+    edges = _query_edges(queries.product_ids, product_adjacency(products, config.epsilon_p))
     return SyntheticDataset(config, vocab, products, queries, _query_graph(queries, edges))
 
 
@@ -413,10 +416,10 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
         fh.write(_config_to_text(dataset.config))
     write_matrix(os.path.join(out_dir, VOCAB_FILENAME), dataset.vocab)
     write_matrix(os.path.join(out_dir, PRODUCTS_FILENAME), dataset.products)
+    q = dataset.queries
     with open(os.path.join(out_dir, QUERIES_FILENAME), "w", newline="\n") as fh:
-        for q in dataset.queries:
-            fh.write("\t".join([str(q.product_id), *(str(t) for t in q.trigram_ids)]))
-            fh.write("\n")
+        for pid, ids, n in zip(q.product_ids.tolist(), q.ids.tolist(), q.lengths.tolist()):
+            fh.write("\t".join(map(str, [pid, *ids[:n]])) + "\n")
     edges = dataset.graph.edges()
     with open(os.path.join(out_dir, EDGES_FILENAME), "w", newline="\n") as fh:
         for lo in range(0, len(edges), _EDGE_WRITE_BLOCK):
@@ -431,16 +434,15 @@ def load_dataset(in_dir: str) -> SyntheticDataset:
     vocab = read_matrix(os.path.join(in_dir, VOCAB_FILENAME))
     products = read_matrix(os.path.join(in_dir, PRODUCTS_FILENAME))
 
-    queries: list[Query] = []
     with open(os.path.join(in_dir, QUERIES_FILENAME)) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            queries.append(
-                Query(trigram_ids=tuple(int(t) for t in fields[1:]), product_id=int(fields[0]))
-            )
+        lines = [[int(t) for t in line.split("\t")] for line in map(str.strip, fh) if line]
+    if len(lines) != config.n_queries:  # checked before the graph, whose ids it bounds
+        raise ValueError(f"{len(lines)} queries != configured {config.n_queries}")
+    rows, product_ids = [line[1:] for line in lines], [line[0] for line in lines]
+    try:
+        queries = QueryTable.from_rows(rows, product_ids, config.max_len)
+    except OverflowError as exc:  # an id past int64 is outside every range
+        raise ValueError(f"{QUERIES_FILENAME}: {exc}") from exc
 
     with warnings.catch_warnings():
         # an edge-free graph is saved as an empty edges.tsv

@@ -22,7 +22,6 @@ from scipy.optimize import brentq
 from .core import (
     STREAM_VALIDATE,
     GeneratorConfig,
-    Query,
     rng_stream,
     sample_unit_sphere,
 )
@@ -213,6 +212,9 @@ def estimate_pmi(
     if n_joint < 1000:
         raise ValueError("need at least 1000 joint samples")
     c = dataset.config
+    if (c.vocab_size + 1) ** (2 * c.max_len) >= 2**63:  # int64 pair keys would wrap
+        raise ValueError(f"(vocab_size+1)**(2*max_len) = {c.vocab_size + 1}**{2 * c.max_len}"
+                         " overflows the int64 pair keys (must be < 2**63)")
     adj = product_adjacency(dataset.products, c.epsilon_p)
     pair_a, pair_b = np.nonzero(adj)  # ordered pairs, diagonal included
     cdfs = _position_cdfs(dataset)
@@ -428,18 +430,18 @@ def blue_report(
             "attention rows are all zero (untrained model); "
             "pass allow_untrained=True to report anyway"
         )
-    lengths = np.array([len(q) for q in dataset.queries])
+    lengths = dataset.queries.lengths
     if lengths.size == 0:
         raise ValueError("dataset has no queries")
     if report_length is None:
         report_length = int(np.bincount(lengths).argmax())
-    used = [q for q in dataset.queries if len(q) == report_length]
-    if not used:
+    used = np.flatnonzero(lengths == report_length)
+    if not used.size:
         raise ValueError(f"no queries of length {report_length}")
 
     att = np.zeros(report_length)
-    for q in used:
-        att += attention_weights(model, q)
+    for i in used:
+        att += attention_weights(model, dataset.queries.row(i))
     att /= len(used)
 
     positions = tuple(range(1, report_length + 1))

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from queryemb import theory
 from queryemb.baseline import TrigramHashStore, bray_curtis, hash_query, knn, splitmix64
 from queryemb.cli import main, sha256_file, split_query_ids
-from queryemb.core import GeneratorConfig, Query, rng_stream
+from queryemb.core import GeneratorConfig, QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, TrainingBatch, loss, loss_and_gradient
 from queryemb.evaluation import (
     EmbeddingStore,
@@ -47,13 +47,10 @@ def _random_case(seed, m=20, d=4, n_max=5, n_queries=12):
     model = AttentionModel(
         rng.standard_normal((m, d)) / np.sqrt(d), rng.standard_normal((n_max, d)) * 0.3
     )
-    queries = [
-        Query(
-            trigram_ids=tuple(rng.integers(0, m, size=rng.integers(1, n_max + 1)).tolist()),
-            product_id=0,
-        )
-        for _ in range(n_queries)
+    rows = [
+        rng.integers(0, m, size=rng.integers(1, n_max + 1)).tolist() for _ in range(n_queries)
     ]
+    queries = QueryTable.from_rows(rows, [0] * n_queries, n_max)
     ids = rng.permutation(n_queries)
     batch = TrainingBatch(
         anchor=int(ids[0]), positives=tuple(ids[1:4].tolist()), negatives=tuple(ids[4:9].tolist())
@@ -263,7 +260,7 @@ def test_07_attention_tracks_blue(desk_run, desk_seconds):
 def test_08_attention_beats_trigram_hash(desk_run):
     ds = desk_run.dataset
     store_ids, probe_ids = split_query_ids(len(ds.queries), 0.2, theory.DESK_SEED)
-    store_queries = [ds.queries[i] for i in store_ids]
+    store_queries = ds.queries.take(store_ids)
     att = evaluate(
         EmbeddingStore(desk_run.model, store_queries, ids=store_ids),
         ds.queries, ds.graph.purchase_map, probe_ids, k=20, n_reformulations=5,
@@ -298,45 +295,36 @@ def test_09_metric_examples():
     # trigram-hash baseline
     check("splitmix64(0)", splitmix64(0), 0xE220A8397B1DCDAF)
     check("splitmix64(1)", splitmix64(1), 0x910A2DEC89025CC1)
-    q3 = Query(trigram_ids=(5, 9, 5), product_id=0)
-    check("hash count conservation", float(hash_query(q3).buckets.sum()), 3.0)
-    check("hash determinism", np.array_equal(hash_query(q3).buckets, hash_query(q3).buckets), True)
-    check(
-        "hash bag semantics",
-        np.array_equal(
-            hash_query(q3).buckets,
-            hash_query(Query(trigram_ids=(9, 5, 5), product_id=0)).buckets,
-        ),
-        True,
-    )
+    q3 = [5, 9, 5]
+    check("hash count conservation", float(hash_query(q3).sum()), 3.0)
+    check("hash determinism", np.array_equal(hash_query(q3), hash_query(q3)), True)
+    check("hash bag semantics", np.array_equal(hash_query(q3), hash_query([9, 5, 5])), True)
     check("bray_curtis identical", bray_curtis([1.0, 2.0], [1.0, 2.0]), 0.0)
     check("bray_curtis disjoint", bray_curtis([1.0, 0.0], [0.0, 2.0]), 1.0)
     check("bray_curtis hand case", bray_curtis([1.0, 0.0, 2.0], [1.0, 1.0, 0.0]), 3 / 5)
 
     rng = rng_stream(900)
-    queries = [
-        Query(trigram_ids=tuple(rng.integers(0, 40, size=rng.integers(1, 6)).tolist()),
-              product_id=0)
-        for _ in range(50)
-    ]
-    store = TrigramHashStore(queries)
+    queries = [rng.integers(0, 40, size=rng.integers(1, 6)).tolist() for _ in range(50)]
+    store = TrigramHashStore(QueryTable.from_rows(queries, [0] * 50, 5))
     check("knn self nearest", knn(store, queries[13], 1), [13])
-    hashed = [hash_query(q, query_id=i) for i, q in enumerate(queries)]
+    hashed = [hash_query(q) for q in queries]
     order = sorted(range(50), key=lambda i: (bray_curtis(hashed[i], hash_query(queries[4])), i))
     check("knn full sort oracle", knn(store, queries[4], 50), order)
 
     # retrieval metrics
-    dup = Query(trigram_ids=(1, 2), product_id=0)
-    others = [Query(trigram_ids=tuple(rng.integers(3, 40, size=4).tolist()), product_id=0)
-              for _ in range(10)]
-    dup_store = TrigramHashStore([dup] * 5 + others)
+    def table(rows):
+        return QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows), default=1))
+
+    dup = [1, 2]
+    others = [rng.integers(3, 40, size=4).tolist() for _ in range(10)]
+    dup_store = TrigramHashStore(table([dup] * 5 + others))
     check("reformulate duplicates", sorted(reformulate(dup_store, dup)), [0, 1, 2, 3, 4])
     try:
-        reformulate(TrigramHashStore(others[:3]), dup)
+        reformulate(TrigramHashStore(table(others[:3])), dup)
         failures.append("reformulate count>store: no error raised")
     except ValueError:
         pass
-    scan_store = TrigramHashStore(others[:30] if len(others) >= 30 else others * 3)
+    scan_store = TrigramHashStore(table(others[:30] if len(others) >= 30 else others * 3))
     probe = others[0]
     dists = sorted(
         range(len(scan_store)),

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from queryemb.baseline import (
     HASH_DIM,
-    HashedQuery,
     TrigramHashStore,
     bray_curtis,
     bucket_of,
@@ -12,11 +11,15 @@ from queryemb.baseline import (
     knn,
     splitmix64,
 )
-from queryemb.core import Query, rng_stream
+from queryemb.core import QueryTable, rng_stream
 
 
 def _q(*ids):
-    return Query(trigram_ids=tuple(ids), product_id=0)
+    return list(ids)
+
+
+def _table(queries):
+    return QueryTable.from_rows(queries, [0] * len(queries), max(map(len, queries), default=1))
 
 
 class TestSplitmix64:
@@ -56,27 +59,27 @@ class TestSplitmix64:
 class TestHashQuery:
     def test_count_conservation(self):
         h = hash_query(_q(3, 14, 159))
-        assert h.buckets.sum() == 3.0
-        assert h.buckets.shape == (HASH_DIM,)
+        assert h.sum() == 3.0
+        assert h.shape == (HASH_DIM,)
 
     def test_identical_queries_identical_vectors(self):
         a = hash_query(_q(5, 6, 7))
         b = hash_query(_q(5, 6, 7))
-        assert np.array_equal(a.buckets, b.buckets)
+        assert np.array_equal(a, b)
 
     def test_bag_semantics_under_permutation(self):
         a = hash_query(_q(9, 2, 41, 2))
         b = hash_query(_q(2, 41, 9, 2))
-        assert np.array_equal(a.buckets, b.buckets)
+        assert np.array_equal(a, b)
 
     def test_repeated_trigram_counts_twice(self):
         h = hash_query(_q(11, 11))
-        assert h.buckets[bucket_of(11)] == 2.0
-        assert h.buckets.sum() == 2.0
+        assert h[bucket_of(11)] == 2.0
+        assert h.sum() == 2.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            HashedQuery(buckets=np.array([1.0, -1.0]), query_id=0)
+            bray_curtis(np.array([1.0, -1.0]), hash_query(_q(1), n_buckets=2))
 
 
 class TestBrayCurtis:
@@ -117,7 +120,7 @@ class TestKnn:
         queries = [
             _q(*rng.integers(0, vocab, size=rng.integers(1, 6)).tolist()) for _ in range(n)
         ]
-        return queries, TrigramHashStore(queries)
+        return queries, TrigramHashStore(_table(queries))
 
     def test_probe_in_store_is_own_nearest(self):
         queries, store = self._random_store(41)
@@ -149,7 +152,7 @@ class TestKnn:
         # two stored queries identical to the probe -> both at distance 0,
         # lower id first
         queries = [_q(8, 9), _q(1), _q(8, 9)]
-        store = TrigramHashStore(queries)
+        store = TrigramHashStore(_table(queries))
         assert knn(store, _q(8, 9), 2) == [0, 2]
 
     def test_insertion_order_invariance(self):
@@ -157,8 +160,8 @@ class TestKnn:
         queries = [_q(*rng.integers(0, 99, size=3).tolist()) for _ in range(15)]
         ids = list(range(15))
         perm = rng.permutation(15).tolist()
-        store_a = TrigramHashStore(queries, ids)
-        store_b = TrigramHashStore([queries[i] for i in perm], [ids[i] for i in perm])
+        store_a = TrigramHashStore(_table(queries), ids)
+        store_b = TrigramHashStore(_table([queries[i] for i in perm]), [ids[i] for i in perm])
         probe = _q(4, 4, 17)
         assert knn(store_a, probe, 15) == knn(store_b, probe, 15)
 
@@ -168,7 +171,7 @@ class TestKnn:
             knn(store, queries[0], 6)
 
     def test_empty_store(self):
-        store = TrigramHashStore([])
+        store = TrigramHashStore(_table([]))
         with pytest.raises(ValueError, match="empty"):
             knn(store, _q(1), 1)
 
@@ -180,7 +183,7 @@ class TestKnn:
 
     def test_custom_bucket_width(self):
         queries = [_q(1, 2), _q(3)]
-        store = TrigramHashStore(queries, n_buckets=7)
+        store = TrigramHashStore(_table(queries), n_buckets=7)
         assert store.matrix.shape == (2, 7)
         with pytest.raises(ValueError, match="width"):
             store.distances(hash_query(_q(1), n_buckets=300))

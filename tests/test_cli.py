@@ -275,6 +275,7 @@ def test_options_that_did_nothing_are_rejected(tmp_path, capsys):
         ["validate", "blue", "--out", out, "--threads", "2"],
         ["train", "data", "--config", "t.cfg", "--out", out, "--threads", "2"],
         ["eval", "data", "--model", "baseline", "--out", out, "--threads", "2"],
+        ["generate", "--config", "g.cfg", "--out", out, "--threads", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from queryemb.core import (
     GeneratorConfig,
-    Query,
     QueryGraph,
+    QueryTable,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
@@ -145,23 +145,66 @@ class TestGeneratorConfig:
 
 
 class TestQuery:
+    """The padded query table that every layer shares."""
+
     def test_len_and_fields(self):
-        q = Query(trigram_ids=(3, 1, 4), product_id=2)
-        assert len(q) == 3
-        assert q.trigram_ids == (3, 1, 4)
+        t = QueryTable.from_rows([[3, 1, 4], [2]], [2, 0], 3)
+        assert len(t) == 2 and t.width == 3
+        assert t.ids.tolist() == [[3, 1, 4], [2, 0, 0]]
+        assert t.lengths.tolist() == [3, 1]
+        assert t.product_ids.tolist() == [2, 0]
+        assert t.row(0).tolist() == [3, 1, 4] and t.row(1).tolist() == [2]
+        assert t.ids.dtype == t.lengths.dtype == t.product_ids.dtype == np.int64
+        assert t.id_bound == 5
+        assert QueryTable.from_rows([[1]], [0], width=4).ids.tolist() == [[1, 0, 0, 0]]
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            Query(trigram_ids=(), product_id=0)
+            QueryTable.from_rows([[1], []], [0, 0], 1)
+        with pytest.raises(ValueError, match="at least one"):
+            QueryTable(ids=[[0]], lengths=[0], product_ids=[0])
 
     def test_validate_against_bounds(self):
-        q = Query(trigram_ids=(9,), product_id=0)
-        q.validate_against(vocab_size=10, max_len=1)
-        with pytest.raises(ValueError, match="vocabulary"):
-            q.validate_against(vocab_size=9, max_len=1)
-        long_q = Query(trigram_ids=(0, 1), product_id=0)
-        with pytest.raises(ValueError, match="max_len"):
-            long_q.validate_against(vocab_size=10, max_len=1)
+        with pytest.raises(ValueError, match="max_len 1"):
+            QueryTable.from_rows([[0, 1]], [0], width=1)
+        with pytest.raises(ValueError, match="max_len 2"):
+            QueryTable(ids=[[0, 1]], lengths=[3], product_ids=[0])
+        with pytest.raises(ValueError, match="trigram ids must be non-negative"):
+            QueryTable.from_rows([[0, -1]], [0], 2)
+        with pytest.raises(ValueError, match="product_id must be non-negative"):
+            QueryTable.from_rows([[0]], [-1], 1)
+        with pytest.raises(ValueError, match="slots past"):
+            QueryTable(ids=[[1, 7]], lengths=[1], product_ids=[0])
+        with pytest.raises(ValueError, match="shapes"):
+            QueryTable(ids=[[1, 7]], lengths=[2, 2], product_ids=[0])
+        with pytest.raises(ValueError, match="shapes"):
+            QueryTable(ids=[1, 7], lengths=[2], product_ids=[0])
+
+    def test_arrays_are_read_only_copies(self):
+        ids = np.array([[4, 5]])
+        t = QueryTable(ids=ids, lengths=[2], product_ids=[1])
+        ids[0, 0] = 9
+        assert t.ids[0, 0] == 4
+        for arr in (t.ids, t.lengths, t.product_ids):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            t.row(0)[0] = 0
+        with pytest.raises(AttributeError):
+            t.ids = np.array([[0, 0]])
+
+    def test_take_and_equality(self):
+        t = QueryTable.from_rows([[3, 1], [2], [7, 7]], [0, 1, 2], 2)
+        swapped = t.take([2, 0])
+        assert swapped.ids.tolist() == [[7, 7], [3, 1]]
+        assert swapped.product_ids.tolist() == [2, 0]
+        assert (t == t.take([0, 1, 2])) is True
+        assert (t == swapped) is False
+        assert t != "not a table"
+        assert len(t.take([])) == 0
+        empty = QueryTable.from_rows([], [], width=4)
+        assert len(empty) == 0 and empty.width == 4 and empty.id_bound == 0
+        assert empty != QueryTable.from_rows([], [], width=3)
 
 
 class TestQueryGraph:

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
-from queryemb.core import Query, QueryGraph, rng_stream
+from queryemb.core import QueryGraph, QueryTable, rng_stream
 from queryemb.embedder import (
     AttentionModel,
     TrainConfig,
@@ -18,7 +18,6 @@ from queryemb.embedder import (
     load_checkpoint,
     loss,
     loss_and_gradient,
-    loss_gradient,
     sample_negatives,
     sample_positives,
     save_checkpoint,
@@ -32,7 +31,7 @@ from queryemb.theory import desk_train_config
 
 def _singleton_queries(emb_rows):
     """One query per trigram id, so query id i embeds to roughly emb[i]."""
-    return [Query(trigram_ids=(i,), product_id=0) for i in range(len(emb_rows))]
+    return QueryTable.from_rows([[i] for i in range(len(emb_rows))], [0] * len(emb_rows), 1)
 
 
 def _graph(n, edges):
@@ -155,13 +154,10 @@ def _random_case(seed, m=20, d=4, n_max=5, n_queries=12):
     model = AttentionModel(
         rng.standard_normal((m, d)) / np.sqrt(d), rng.standard_normal((n_max, d)) * 0.3
     )
-    queries = [
-        Query(
-            trigram_ids=tuple(rng.integers(0, m, size=rng.integers(1, n_max + 1)).tolist()),
-            product_id=0,
-        )
-        for _ in range(n_queries)
+    rows = [
+        rng.integers(0, m, size=rng.integers(1, n_max + 1)).tolist() for _ in range(n_queries)
     ]
+    queries = QueryTable.from_rows(rows, [0] * n_queries, n_max)
     ids = rng.permutation(n_queries)
     batch = TrainingBatch(
         anchor=int(ids[0]), positives=tuple(ids[1:4].tolist()), negatives=tuple(ids[4:9].tolist())
@@ -188,7 +184,7 @@ class TestLossGradient:
             model, queries, batch = _random_case(200 + case_seed)
             value, grad = loss_and_gradient(model, batch, queries)
             assert_allclose(value, loss(model, batch, queries), rtol=1e-12)
-            touched = sorted({t for q in queries for t in q.trigram_ids})
+            touched = sorted({t for i in range(len(queries)) for t in queries.row(i).tolist()})
             for _ in range(10):
                 if rng.random() < 0.5:
                     slot, i = "emb", int(rng.choice(touched))
@@ -204,21 +200,21 @@ class TestLossGradient:
     def test_untouched_parameters_get_zero_gradient(self):
         model, queries, batch = _random_case(300)
         involved = {batch.anchor, *batch.positives, *batch.negatives}
-        used = {t for qid in involved for t in queries[qid].trigram_ids}
-        grad = loss_gradient(model, batch, queries)
+        used = {t for qid in involved for t in queries.row(qid).tolist()}
+        grad = loss_and_gradient(model, batch, queries)[1]
         for t in range(model.vocab_size):
             if t not in used:
                 assert np.array_equal(grad.emb[t], np.zeros(model.dim))
-        longest = max(len(queries[qid].trigram_ids) for qid in involved)
+        longest = max(queries.lengths[qid] for qid in involved)
         assert np.array_equal(grad.attn[longest:], np.zeros_like(grad.attn[longest:]))
 
     def test_zero_model_is_stationary(self):
         # all-zero embeddings: every pair score is 0 and the pushes from the
         # positive and negative terms cancel exactly
         model = AttentionModel(np.zeros((6, 3)), np.zeros((2, 3)))
-        queries = [Query(trigram_ids=(i,), product_id=0) for i in range(6)]
+        queries = _singleton_queries(model.emb)
         batch = TrainingBatch(anchor=0, positives=(1, 2), negatives=(3, 4, 5))
-        grad = loss_gradient(model, batch, queries)
+        grad = loss_and_gradient(model, batch, queries)[1]
         assert np.array_equal(grad.emb, np.zeros_like(grad.emb))
         assert np.array_equal(grad.attn, np.zeros_like(grad.attn))
         rng = rng_stream(9)
@@ -228,6 +224,20 @@ class TestLossGradient:
             up = loss(AttentionModel(model.emb + h * d_emb, model.attn), batch, queries)
             down = loss(AttentionModel(model.emb - h * d_emb, model.attn), batch, queries)
             assert abs(up - down) / (2 * h) < 1e-6
+
+    def test_table_that_does_not_fit_the_model_rejected(self):
+        # the check covers the whole table, not only the rows in the batch
+        model = init_model(5, 2, 2, seed=0)
+        batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
+        for rows, message in (
+            ([[0], [1], [2], [5]], r"trigram id 5 outside \[0, 5\)"),
+            ([[0], [1], [2], [2, 3, 4]], "query width 3 exceeds model max_len 2"),
+        ):
+            queries = QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows)))
+            with pytest.raises(ValueError, match=message):
+                loss_and_gradient(model, batch, queries)
+            with pytest.raises(ValueError, match=message):
+                loss(model, batch, queries)
 
     def test_descent_along_gradient(self):
         model, queries, batch = _random_case(400)
@@ -395,7 +405,7 @@ class TestTrain:
                 continue
             neg = sample_negatives(ds.graph, a, 2 * len(pos), rng)
             batch = TrainingBatch(anchor=a, positives=tuple(pos), negatives=tuple(neg))
-            grad = loss_gradient(model0, batch, ds.queries)
+            grad = loss_and_gradient(model0, batch, ds.queries)[1]
             acc_emb += grad.emb
             acc_attn += grad.attn
             count += 1

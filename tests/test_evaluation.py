@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from queryemb.baseline import TrigramHashStore, bray_curtis, hash_query
-from queryemb.core import GeneratorConfig, Query, rng_stream
+from queryemb.core import GeneratorConfig, QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query, init_model
 from queryemb.evaluation import (
     EmbeddingStore,
@@ -25,7 +25,11 @@ from queryemb.genmodel import generate_dataset
 
 
 def _q(*ids):
-    return Query(trigram_ids=tuple(ids), product_id=0)
+    return list(ids)
+
+
+def _table(rows):
+    return QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows), default=1))
 
 
 class TestTopProducts:
@@ -138,7 +142,7 @@ def _orthogonal_model(n):
 class TestReformulate:
     def test_store_of_duplicates_returns_them(self):
         # ids 1..5 duplicate the probe exactly; the rest are orthogonal
-        queries = [_q(0)] + [_q(0)] * 5 + [_q(6), _q(7)]
+        queries = _table([_q(0)] + [_q(0)] * 5 + [_q(6), _q(7)])
         model = _orthogonal_model(8)
         store = EmbeddingStore(model, queries)
         assert reformulate(store, 0, 5, queries=queries) == [1, 2, 3, 4, 5]
@@ -146,7 +150,7 @@ class TestReformulate:
         assert reformulate(hstore, 0, 5, queries=queries) == [1, 2, 3, 4, 5]
 
     def test_count_beyond_store_errors(self):
-        queries = [_q(0), _q(1), _q(2)]
+        queries = _table([_q(0), _q(1), _q(2)])
         store = EmbeddingStore(_orthogonal_model(3), queries)
         with pytest.raises(ValueError, match="candidates"):
             reformulate(store, 0, 3, queries=queries)
@@ -154,15 +158,16 @@ class TestReformulate:
     def test_matches_exhaustive_scan_oracle(self):
         rng = rng_stream(52)
         model = init_model(60, 8, 3, seed=53)
-        queries = [
+        rows = [
             _q(*rng.integers(0, 60, size=rng.integers(1, 4)).tolist()) for _ in range(30)
         ]
+        queries = _table(rows)
         store = EmbeddingStore(model, queries)
         for probe_id in (0, 11, 29):
-            z = embed_query(model, queries[probe_id])
+            z = embed_query(model, rows[probe_id])
             scored = [
                 (-float(embed_query(model, q) @ z), i)
-                for i, q in enumerate(queries)
+                for i, q in enumerate(rows)
                 if i != probe_id
             ]
             oracle = [i for _, i in sorted(scored)][:5]
@@ -170,35 +175,43 @@ class TestReformulate:
 
     def test_hash_store_scan_oracle(self):
         rng = rng_stream(54)
-        queries = [
+        rows = [
             _q(*rng.integers(0, 500, size=rng.integers(1, 4)).tolist()) for _ in range(30)
         ]
+        queries = _table(rows)
         store = TrigramHashStore(queries)
         probe_id = 4
-        pv = hash_query(queries[probe_id])
+        pv = hash_query(rows[probe_id])
         scored = [
             (bray_curtis(hash_query(q), pv), i)
-            for i, q in enumerate(queries)
+            for i, q in enumerate(rows)
             if i != probe_id
         ]
         oracle = [i for _, i in sorted(scored)][:5]
         assert reformulate(store, probe_id, 5, queries=queries) == oracle
 
     def test_held_out_probe_not_excluded(self):
-        queries = [_q(0), _q(1), _q(2), _q(3), _q(4), _q(5)]
+        queries = _table([_q(0), _q(1), _q(2), _q(3), _q(4), _q(5)])
         store = EmbeddingStore(_orthogonal_model(6), queries)
         probe = _q(2)
         out = reformulate(store, probe, 5)
         assert out[0] == 2  # the identical stored query ranks first
 
     def test_id_probe_requires_query_list(self):
-        queries = [_q(0), _q(1)]
+        queries = _table([_q(0), _q(1)])
         store = EmbeddingStore(_orthogonal_model(2), queries)
-        with pytest.raises(ValueError, match="query list"):
+        with pytest.raises(ValueError, match="query table"):
             reformulate(store, 0, 1)
 
+    def test_table_that_does_not_fit_the_model_rejected(self):
+        model = _orthogonal_model(3)  # vocabulary 3, max_len 3
+        with pytest.raises(ValueError, match=r"trigram id 3 outside \[0, 3\)"):
+            EmbeddingStore(model, _table([_q(0), _q(3)]))
+        with pytest.raises(ValueError, match="max_len 3"):
+            EmbeddingStore(model, _table([_q(0, 1, 2, 0)]))
+
     def test_dot_product_ties_broken_by_id(self):
-        queries = [_q(0), _q(1), _q(2), _q(3)]
+        queries = _table([_q(0), _q(1), _q(2), _q(3)])
         emb = np.array(
             [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
         )

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, poisson
 
-from queryemb.core import GeneratorConfig, Query, rng_stream, sample_unit_sphere
+from queryemb.core import GeneratorConfig, rng_stream, sample_unit_sphere
 from queryemb.genmodel import (
     alphas_for_linear_variance,
     config_from_mapping,
@@ -252,8 +252,8 @@ class TestGenerateDataset:
     def test_same_product_queries_are_adjacent(self):
         ds = generate_dataset(_config(n_products=2, n_queries=30, epsilon_p=1e-9))
         by_product = {}
-        for qi, q in enumerate(ds.queries):
-            by_product.setdefault(q.product_id, []).append(qi)
+        for qi, pid in enumerate(ds.queries.product_ids.tolist()):
+            by_product.setdefault(pid, []).append(qi)
         for members in by_product.values():
             for i in members:
                 for j in members:
@@ -264,14 +264,14 @@ class TestGenerateDataset:
         ds = generate_dataset(_config(epsilon_p=0.0, n_products=4, n_queries=40))
         for u in range(40):
             for v in range(u + 1, 40):
-                same = ds.queries[u].product_id == ds.queries[v].product_id
+                same = ds.queries.product_ids[u] == ds.queries.product_ids[v]
                 assert ds.graph.has_edge(u, v) == same
 
     def test_intermediate_epsilon_matches_brute_force_rule(self):
         eps = 1.0
         ds = generate_dataset(_config(epsilon_p=eps, n_products=8, n_queries=60))
         p = ds.products
-        pid = [q.product_id for q in ds.queries]
+        pid = ds.queries.product_ids.tolist()
         n = len(pid)
         want = [
             [u, v]
@@ -295,8 +295,8 @@ class TestGenerateDataset:
 
     def test_purchase_map_assigns_generating_product(self):
         ds = generate_dataset(_config())
-        for qi, q in enumerate(ds.queries):
-            assert ds.graph.purchase_map[qi] == [(q.product_id, 1)]
+        for qi, pid in enumerate(ds.queries.product_ids.tolist()):
+            assert ds.graph.purchase_map[qi] == [(pid, 1)]
 
     def test_determinism_across_runs(self):
         a = generate_dataset(_config())
@@ -422,6 +422,42 @@ class TestDatasetSerialization:
         assert len(back.queries) == 0
         assert back.graph.n_edges == 0
         assert os.path.getsize(os.path.join(out, "edges.tsv")) == 0
+
+    @pytest.mark.parametrize(
+        "first_line, message",
+        [
+            ("3", "at least one trigram"),
+            ("3\t4\t-1", "non-negative"),
+            ("3\t50", "vocabulary"),
+            ("3\t1\t2\t3\t4", "exceeds max_len 3"),
+            ("5\t1", "product_id 5 out of range"),
+            ("3\t1.5", "invalid literal"),
+            ("3\tx", "invalid literal"),
+            ("3\t1\t" + "9" * 20, "queries.tsv"),
+            ("9" * 20 + "\t1", "queries.tsv"),
+        ],
+    )
+    def test_bad_query_line_rejected(self, tmp_path, first_line, message):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        path = os.path.join(out, "queries.tsv")
+        lines = open(path).read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join([first_line, *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(out)
+
+    @pytest.mark.parametrize("keep", [slice(1, None), slice(None), slice(0, 1)])
+    def test_wrong_query_count_rejected(self, tmp_path, keep):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        path = os.path.join(out, "queries.tsv")
+        lines = open(path).read().splitlines()
+        lines = lines[keep] if keep != slice(None) else lines + lines[:1]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="queries != configured 40"):
+            load_dataset(out)
 
     def test_duplicate_edge_line_rejected(self, tmp_path):
         ds = generate_dataset(_config())

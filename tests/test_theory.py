@@ -151,6 +151,16 @@ class TestEstimatePmi:
         with pytest.raises(ValueError, match="1000"):
             estimate_pmi(ds, n_joint=999)
 
+    def test_pair_keys_that_would_overflow_int64_rejected(self):
+        # 31**14 > 2**63: the int64 pair keys lo * 31**7 + hi would wrap
+        cfg = tiny_universe_config(0)
+        big = GeneratorConfig(
+            dim=cfg.dim, vocab_size=30, max_len=7, lam=1.0, alphas=(0.9,) * 7,
+            betas=(1.0,) * 7, epsilon_p=cfg.epsilon_p, n_products=20, n_queries=0, seed=0,
+        )
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            estimate_pmi(generate_dataset(big), n_joint=1000, n_marginal=1000)
+
     def test_deterministic_per_seed(self):
         ds = generate_dataset(tiny_universe_config(3))
         a = estimate_pmi(ds, 40_000, 40_000, seed=9, min_count=8)
