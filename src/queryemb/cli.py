@@ -53,6 +53,8 @@ CHECKPOINT_FILENAME = "checkpoint.bin"
 LOSS_TRACE_FILENAME = "loss_trace.csv"
 REPORT_FILENAME = "report.txt"
 SUMMARY_FILENAME = "summary.txt"
+# train manifest input: sha256 over the checksum lines of the dataset's manifest
+DATASET_DIGEST_KEY = "dataset_digest"
 
 VALIDATE_SUITES = ("mean", "variance", "partition", "pmi", "blue", "figure1")
 
@@ -150,6 +152,20 @@ def verify_checksums(artifact_dir: str) -> list[str]:
         elif sha256_file(path) != expected:
             problems.append(f"{name}: checksum mismatch (file changed since the manifest)")
     return problems
+
+
+def dataset_digest(dataset_dir: str) -> str | None:
+    """sha256 over the checksum lines of a dataset's manifest; None without a manifest.
+
+    The checksums are a function of the config and seed, unlike the
+    manifest's duration_seconds, so the digest names the dataset's content.
+    """
+    manifest_path = os.path.join(dataset_dir, MANIFEST_FILENAME)
+    if not os.path.exists(manifest_path):
+        return None
+    checksums = read_manifest(manifest_path).checksums
+    lines = "".join(f"checksum.{name} = {checksums[name]}\n" for name in sorted(checksums))
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def _verified(kind: str, artifact_dir: str) -> bool:
@@ -297,6 +313,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         dataset.config.vocab_size, dataset.config.dim, dataset.config.max_len, train_config.seed
     )
     trained, trace = train(model, dataset, train_config)
+    inputs = {"dataset": os.path.abspath(args.dataset), "config": os.path.abspath(args.config)}
+    digest = dataset_digest(args.dataset)
+    if digest is not None:
+        inputs[DATASET_DIGEST_KEY] = digest
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, CHECKPOINT_FILENAME)
     trace_path = os.path.join(args.out, LOSS_TRACE_FILENAME)
@@ -312,7 +332,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             command="train",
             seed=train_config.seed,
             config=_config_strings(train_config),
-            inputs={"dataset": os.path.abspath(args.dataset), "config": os.path.abspath(args.config)},
+            inputs=inputs,
             outputs={"checkpoint": os.path.abspath(ckpt_path)},
             duration_seconds=time.time() - t0,
             checksums=checksums,
@@ -331,9 +351,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.time()
     if not _verified("dataset", args.dataset):
         return 2
-    if args.model != "baseline" and not _verified(
-        "checkpoint", os.path.dirname(os.path.abspath(args.model))
-    ):
+    checkpoint_dir = os.path.dirname(os.path.abspath(args.model))
+    if args.model != "baseline" and not _verified("checkpoint", checkpoint_dir):
         return 2
     dataset = load_dataset(args.dataset)
     params = eval_params_from_mapping(_read_config_file(args.config)) if args.config else EvalParams()
@@ -353,6 +372,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"vocab {model.vocab_size} vs {dataset.config.vocab_size}, "
                 f"max_len {model.max_len} vs {dataset.config.max_len}"
             )
+        manifest_path = os.path.join(checkpoint_dir, MANIFEST_FILENAME)
+        if os.path.exists(manifest_path):
+            trained_on = read_manifest(manifest_path).inputs.get(DATASET_DIGEST_KEY)
+            digest = dataset_digest(args.dataset)
+            if trained_on is not None and trained_on != digest:
+                raise ValueError(
+                    "checkpoint was trained on a different dataset: its manifest records "
+                    f"dataset digest {trained_on}, {args.dataset} has {digest or 'no manifest'}"
+                )
         store = EmbeddingStore(model, store_queries, ids=store_ids)
         name = "attention"
         model_input = os.path.abspath(args.model)

@@ -4,15 +4,18 @@ A query embedding is a softmax-weighted average of trigram vectors: position
 i contributes the score <attn[i], emb[t_i]>, the scores are softmaxed into
 weights, and the embedding is the weighted mean of the trigram vectors.
 Training pulls graph-adjacent query embeddings together and pushes
-non-adjacent ones apart through a sigmoid cross-entropy loss; gradients are
-hand-derived and checked against finite differences in the test suite.
+non-adjacent ones apart through a sigmoid cross-entropy loss.  Each training
+group (the anchors of one update with their sampled positives and
+negatives) is one batched pass over the padded query rows; gradients are
+hand-derived and checked against finite differences and against a
+per-anchor scalar reference in the test suite.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,14 +76,6 @@ def init_model(vocab_size: int, dim: int, max_len: int, seed: int) -> AttentionM
     return AttentionModel(emb=emb, attn=np.zeros((max_len, dim)))
 
 
-def _check_ids(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    """The ids of one raw query, validated as a one-row table that must fit the model."""
-    row = list(q)
-    table = QueryTable.from_rows([row], [0], max(len(row), 1))
-    _check_table(model, table)
-    return table.row(0)
-
-
 def _check_table(model: AttentionModel, queries: QueryTable) -> None:
     """O(1): every row of a (self-validated) table fits the model."""
     if queries.width > model.max_len:
@@ -89,45 +84,45 @@ def _check_table(model: AttentionModel, queries: QueryTable) -> None:
         raise ValueError(f"trigram id {queries.id_bound - 1} outside [0, {model.vocab_size})")
 
 
-def _forward(model: AttentionModel, ids: Sequence[int]):
-    """Returns (z, weights, V) for one query; V stacks the trigram vectors."""
-    idx = np.asarray(ids, dtype=np.intp)
-    V = model.emb[idx]
-    scores = np.einsum("ij,ij->i", model.attn[: len(ids)], V)
-    scores = scores - scores.max()
+def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
+    """Returns (z, weights, V) for a batch of padded rows.
+
+    ids is (B, L) with pad slots past lengths[b]; V = emb[ids] is (B, L, dim),
+    weights is the (B, L) softmax over each row's valid slots (exactly 0 on
+    pad slots) and z the (B, dim) weighted sums.
+    """
+    width = ids.shape[1]
+    V = model.emb[ids]
+    scores = np.einsum("bld,ld->bl", V, model.attn[:width])
+    valid = np.arange(width) < lengths[:, None]
+    scores[~valid] = -np.inf
+    scores -= scores.max(axis=1, keepdims=True)
     w = np.exp(scores)
-    w /= w.sum()
-    return w @ V, w, V
+    w /= w.sum(axis=1, keepdims=True)
+    return np.einsum("bl,bld->bd", w, V), w, V
+
+
+def _forward_one(model: AttentionModel, q: Sequence[int]):
+    """(z, weights) of one raw query, validated as a one-row table that must fit the model."""
+    row = list(q)
+    table = QueryTable.from_rows([row], [0], max(len(row), 1))
+    _check_table(model, table)
+    z, w, _ = _forward_rows(model, table.ids, table.lengths)
+    return z[0], w[0]
 
 
 def attention_weights(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    return _forward(model, _check_ids(model, q))[1]
+    return _forward_one(model, q)[1]
 
 
 def embed_query(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    return _forward(model, _check_ids(model, q))[0]
+    return _forward_one(model, q)[0]
 
 
 def embed_table(model: AttentionModel, queries: QueryTable) -> np.ndarray:
     """(Q, dim) embeddings of every row of the table."""
     _check_table(model, queries)
-    rows = [_forward(model, queries.row(i))[0] for i in range(len(queries))]
-    return np.array(rows, dtype=np.float64).reshape(len(queries), model.dim)
-
-
-def log_sigmoid(x: float) -> float:
-    """log(1/(1+e^-x)) with the stable branch, input clamped to |x| <= SCORE_CLAMP."""
-    x = float(np.clip(x, -SCORE_CLAMP, SCORE_CLAMP))
-    if x >= 0.0:
-        return -np.log1p(np.exp(-x))
-    return x - np.log1p(np.exp(x))
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
+    return _forward_rows(model, queries.ids, queries.lengths)[0]
 
 
 @dataclass(frozen=True)
@@ -151,65 +146,85 @@ class ModelGradient:
     attn: np.ndarray
 
 
-def loss(model: AttentionModel, batch: TrainingBatch, queries: QueryTable) -> float:
-    """Mean -log sigma(<z_a, z_pos>) plus mean -log sigma(-<z_a, z_neg>)."""
-    if not batch.positives or not batch.negatives:
+def _group_pairs(group: Sequence[TrainingBatch]):
+    """Pair arrays (anchor, other, weight, positive) of a training group.
+
+    One entry per (anchor, positive) and (anchor, negative) pair; weight is
+    1/(|group| |P_a|) for a positive and 1/(|group| |N_a|) for a negative,
+    so weighted sums are means over the group of each anchor's loss.
+    """
+    if not group:
+        raise ValueError("a training group needs at least one anchor")
+    n_pos = np.array([len(b.positives) for b in group])
+    n_neg = np.array([len(b.negatives) for b in group])
+    if not (n_pos.all() and n_neg.all()):
         raise ValueError("loss needs at least one positive and one negative")
-    _check_table(model, queries)
-    involved = {batch.anchor, *batch.positives, *batch.negatives}
-    z = {qid: _forward(model, queries.row(qid))[0] for qid in involved}
-    z_a = z[batch.anchor]
-    pos = -np.mean([log_sigmoid(z_a @ z[p]) for p in batch.positives])
-    neg = -np.mean([log_sigmoid(-(z_a @ z[n])) for n in batch.negatives])
-    return float(pos + neg)
+    sizes = n_pos + n_neg
+    anchor = np.repeat([b.anchor for b in group], sizes)
+    other = np.array([q for b in group for q in (*b.positives, *b.negatives)])
+    slot = np.arange(anchor.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    positive = slot < np.repeat(n_pos, sizes)
+    weight = 1.0 / np.where(positive, np.repeat(n_pos, sizes), np.repeat(n_neg, sizes))
+    return anchor, other, weight / len(group), positive
+
+
+def loss(model: AttentionModel, group: Sequence[TrainingBatch], queries: QueryTable) -> float:
+    """Mean over the group's anchors of mean -log sigma(<z_a, z_pos>) plus
+    mean -log sigma(-<z_a, z_neg>); the value loss_and_gradient returns."""
+    return loss_and_gradient(model, group, queries)[0]
 
 
 def loss_and_gradient(
-    model: AttentionModel, batch: TrainingBatch, queries: QueryTable
+    model: AttentionModel, group: Sequence[TrainingBatch], queries: QueryTable
 ) -> tuple[float, ModelGradient]:
-    """Loss plus its exact gradient in both parameter blocks.
+    """Mean loss of one training group plus its exact gradient in both parameter blocks.
 
-    Backprop through one query with upstream u = dL/dz:
+    Every distinct query of the group is forwarded once.  A positive pair
+    with score x contributes (sigma(x) - 1) * weight to d x, a negative
+    sigma(x) * weight; scores past the clamp are flat and contribute zero.
+    The pair terms are summed into each query's upstream u = dL/dz, and one
+    backprop per query follows:
         c_i = <u, V_i>,  b_i = w_i (c_i - sum_j w_j c_j)
-        d attn_i = b_i V_i,   d emb_{t_i} += w_i u + b_i attn_i.
-    Pair terms: a positive with score x contributes (sigma(x) - 1) / |P|
-    to d x, a negative sigma(x) / |N|; scores past the clamp are flat and
-    contribute zero.
+        d attn_i = b_i V_i,   d emb_{t_i} += w_i u + b_i attn_i
+    over the valid slots i of the query.
     """
-    if not batch.positives or not batch.negatives:
-        raise ValueError("loss needs at least one positive and one negative")
-
     _check_table(model, queries)
-    involved = {batch.anchor, *batch.positives, *batch.negatives}
-    fwd = {qid: _forward(model, queries.row(qid)) for qid in involved}
+    anchor, other, weight, positive = _group_pairs(group)
+    uniq, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
+    if uniq[0] < 0 or uniq[-1] >= len(queries):
+        raise ValueError(f"query ids must lie in [0, {len(queries)})")
+    a, o = inverse[: anchor.size], inverse[anchor.size :]
+    ids, lengths = queries.ids[uniq], queries.lengths[uniq]
+    z, w, V = _forward_rows(model, ids, lengths)
+    x = np.einsum("pd,pd->p", z[a], z[o])
+    # -log sigma(t) with t = +-x clamped to |t| <= SCORE_CLAMP, in the stable form
+    t = np.clip(np.where(positive, x, -x), -SCORE_CLAMP, SCORE_CLAMP)
+    value = float(weight @ (np.log1p(np.exp(-np.abs(t))) - np.minimum(t, 0.0)))
+    e = np.exp(-np.abs(x))
+    sig = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    g = np.where(np.abs(x) < SCORE_CLAMP, (sig - positive) * weight, 0.0)
+    u = np.zeros_like(z)
+    np.add.at(u, a, g[:, None] * z[o])
+    np.add.at(u, o, g[:, None] * z[a])
 
-    z_a = fwd[batch.anchor][0]
-    upstream: dict[int, np.ndarray] = {qid: np.zeros(model.dim) for qid in involved}
-    total = 0.0
-
-    for sign, group in ((+1, batch.positives), (-1, batch.negatives)):
-        inv = 1.0 / len(group)
-        for qid in group:
-            z_o = fwd[qid][0]
-            x = float(z_a @ z_o)
-            total -= log_sigmoid(sign * x) * inv
-            if abs(x) >= SCORE_CLAMP:
-                continue  # loss is flat past the clamp
-            # d/dx of -log sigma(x) is sigma(x) - 1; of -log sigma(-x) is sigma(x)
-            g = (_sigmoid(x) - (1.0 if sign > 0 else 0.0)) * inv
-            upstream[batch.anchor] += g * z_o
-            upstream[qid] += g * z_a
-
+    width = V.shape[1]
+    c = np.einsum("bld,bd->bl", V, u)
+    b = w * (c - np.einsum("bl,bl->b", w, c)[:, None])
     grad = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
-    for qid, u in upstream.items():
-        z, w, V = fwd[qid]
-        ids = queries.row(qid)
-        c = V @ u
-        b = w * (c - float(w @ c))
-        n = len(ids)
-        grad.attn[:n] += b[:, None] * V
-        np.add.at(grad.emb, ids, w[:, None] * u + b[:, None] * model.attn[:n])
-    return float(total), grad
+    grad.attn[:width] = np.einsum("bl,bld->ld", b, V)
+    # d emb over the valid slots only (pad slots hold id 0): the w_i u term
+    # one column at a time, the b_i attn_i term as a (vocab, width) table of
+    # summed b times attn; bincount needs no (slots, dim) temporaries
+    rows, slots = np.nonzero(np.arange(width) < lengths[:, None])
+    trigram = ids[rows, slots]
+    w_valid = w[rows, slots]
+    for j in range(model.dim):
+        grad.emb[:, j] = np.bincount(trigram, weights=w_valid * u[rows, j], minlength=model.vocab_size)
+    b_table = np.bincount(
+        trigram * width + slots, weights=b[rows, slots], minlength=model.vocab_size * width
+    )
+    grad.emb += b_table.reshape(model.vocab_size, width) @ model.attn[:width]
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +333,8 @@ class TrainConfig:
 def train(
     model: AttentionModel, dataset: SyntheticDataset, config: TrainConfig
 ) -> tuple[AttentionModel, list[tuple[int, int, float]]]:
-    """SGD (or Adam) over a fixed set of per-anchor batches; returns
-    (trained copy, loss trace).
+    """SGD (or Adam) over a fixed set of training groups of up to batch_size
+    anchors each; returns (trained copy, loss trace).
 
     The anchor order and each anchor's positive/negative samples are drawn
     once up front and reused every epoch, so training minimizes a fixed
@@ -328,7 +343,8 @@ def train(
     cover identical samples, and any difference between them is optimizer
     progress rather than resampling noise.
 
-    The trace has one (epoch, batch_index, mean batch loss) row per update.
+    Each update is one loss_and_gradient call on one group.  The trace has
+    one (epoch, batch_index, mean batch loss) row per update.
     Anchors whose positive sample comes back empty are skipped.  A non-finite
     batch loss aborts with a diagnostic rather than continuing silently.
     """
@@ -370,21 +386,12 @@ def train(
     lr = config.learning_rate
     for epoch in range(config.epochs):
         for batch_idx, group in enumerate(batches):
-            acc = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
-            losses = []
-            for batch in group:
-                value, grad = loss_and_gradient(model, batch, queries)
-                losses.append(value)
-                acc.emb += grad.emb
-                acc.attn += grad.attn
-            mean_loss = float(np.mean(losses))
+            # looked up at call time, so a wrapper installed on the module sees every group
+            mean_loss, acc = loss_and_gradient(model, group, queries)
             if not np.isfinite(mean_loss):
                 raise RuntimeError(
                     f"non-finite loss {mean_loss} at epoch {epoch}, batch {batch_idx}; aborting"
                 )
-            inv = 1.0 / len(losses)
-            acc.emb *= inv
-            acc.attn *= inv
             if config.uniform_attention:
                 acc.attn[:] = 0.0
             if config.optimizer == "sgd":

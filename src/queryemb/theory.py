@@ -25,7 +25,7 @@ from .core import (
     rng_stream,
     sample_unit_sphere,
 )
-from .embedder import AttentionModel, TrainConfig, attention_weights, init_model, train
+from .embedder import AttentionModel, TrainConfig, _check_table, _forward_rows, init_model, train
 from .genmodel import (
     SyntheticDataset,
     default_benchmark_config,
@@ -439,10 +439,10 @@ def blue_report(
     if not used.size:
         raise ValueError(f"no queries of length {report_length}")
 
-    att = np.zeros(report_length)
-    for i in used:
-        att += attention_weights(model, dataset.queries.row(i))
-    att /= len(used)
+    queries = dataset.queries
+    _check_table(model, queries)
+    weights = _forward_rows(model, queries.ids[used, :report_length], queries.lengths[used])[1]
+    att = weights.mean(axis=0)
 
     positions = tuple(range(1, report_length + 1))
     variances = position_variances(

@@ -64,7 +64,7 @@ def test_01_gradient_matches_finite_differences():
     worst = 0.0
     for case in range(10):  # 10 random (model, batch) pairs, 10 coordinates each
         model, queries, batch = _random_case(100 + case)
-        _, grad = loss_and_gradient(model, batch, queries)
+        _, grad = loss_and_gradient(model, [batch], queries)
         picker = rng_stream(200 + case)
         for _ in range(10):
             slot = "emb" if picker.uniform() < 0.5 else "attn"
@@ -73,9 +73,9 @@ def test_01_gradient_matches_finite_differences():
             j = int(picker.integers(arr.shape[1]))
             orig = arr[i, j]
             arr[i, j] = orig + h
-            up = loss(model, batch, queries)
+            up = loss(model, [batch], queries)
             arr[i, j] = orig - h
-            down = loss(model, batch, queries)
+            down = loss(model, [batch], queries)
             arr[i, j] = orig
             fd = (up - down) / (2 * h)
             err = abs(getattr(grad, slot)[i, j] - fd) / max(1.0, abs(fd))

@@ -11,6 +11,7 @@ import queryemb
 from queryemb import theory
 from queryemb.cli import (
     EvalParams,
+    dataset_digest,
     eval_params_from_mapping,
     main,
     read_manifest,
@@ -236,6 +237,29 @@ class TestEval:
         rc = main(["eval", other, "--model", pipeline["ckpt"], "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "does not fit" in capsys.readouterr().err
+
+    def test_checkpoint_trained_on_other_dataset_exits_2(self, pipeline, tmp_path, capsys):
+        # same shape, other seed: only the recorded dataset digest tells them apart
+        other = str(tmp_path / "other_data")
+        assert main(["generate", "--config", pipeline["gen_cfg"], "--seed", "8", "--out", other]) == 0
+        rc = main(["eval", other, "--model", pipeline["ckpt"], "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "checkpoint was trained on a different dataset" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_checkpoint_trained_on_this_dataset_evaluates(self, pipeline, tmp_path):
+        manifest = read_manifest(os.path.join(pipeline["run"], "manifest.txt"))
+        assert manifest.inputs["dataset_digest"] == dataset_digest(pipeline["data"])
+        rc = main(["eval", pipeline["data"], "--model", pipeline["ckpt"], "--out", str(tmp_path / "x")])
+        assert rc == 0
+        # a checkpoint directory whose manifest predates the digest still evaluates
+        old = tmp_path / "old_run"
+        shutil.copytree(pipeline["run"], old)
+        lines = (old / "manifest.txt").read_text().splitlines(keepends=True)
+        (old / "manifest.txt").write_text("".join(l for l in lines if "dataset_digest" not in l))
+        rc = main(["eval", pipeline["data"], "--model", str(old / "checkpoint.bin"),
+                   "--out", str(tmp_path / "y")])
+        assert rc == 0
 
 
 class TestValidate:

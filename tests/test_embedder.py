@@ -7,13 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
-from queryemb.core import QueryGraph, QueryTable, rng_stream
+from queryemb import embedder, theory
+from queryemb.core import GeneratorConfig, QueryGraph, QueryTable, rng_stream
 from queryemb.embedder import (
+    SCORE_CLAMP,
     AttentionModel,
+    ModelGradient,
     TrainConfig,
     TrainingBatch,
     attention_weights,
     embed_query,
+    embed_table,
     init_model,
     load_checkpoint,
     loss,
@@ -116,7 +120,7 @@ class TestLoss:
         model = AttentionModel(emb, np.zeros((1, 2)))
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
-        assert_allclose(loss(model, batch, queries), 2 * np.log(2.0), rtol=1e-14)
+        assert_allclose(loss(model, [batch], queries), 2 * np.log(2.0), rtol=1e-14)
 
     def test_unit_scores_hand_value(self):
         # <z_a, z_p> = 1 and <z_a, z_n> = -1 -> 2 * -log sigma(1)
@@ -125,7 +129,7 @@ class TestLoss:
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
         expected = 2 * np.log1p(np.exp(-1.0))
-        assert_allclose(loss(model, batch, queries), expected, rtol=1e-14)
+        assert_allclose(loss(model, [batch], queries), expected, rtol=1e-14)
         assert abs(expected - 0.6265) < 1e-4
 
     def test_saturated_scores_drive_loss_to_zero(self):
@@ -133,16 +137,16 @@ class TestLoss:
         model = AttentionModel(emb, np.zeros((1, 2)))
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
-        assert loss(model, batch, queries) < 1e-12
+        assert loss(model, [batch], queries) < 1e-12
 
     def test_empty_sets_rejected(self):
         emb = np.eye(3)
         model = AttentionModel(emb, np.zeros((1, 3)))
         queries = _singleton_queries(emb)
         with pytest.raises(ValueError, match="positive"):
-            loss(model, TrainingBatch(0, (), (2,)), queries)
+            loss(model, [TrainingBatch(0, (), (2,))], queries)
         with pytest.raises(ValueError, match="positive"):
-            loss(model, TrainingBatch(0, (1,), ()), queries)
+            loss(model, [TrainingBatch(0, (1,), ())], queries)
 
     def test_anchor_overlap_rejected(self):
         with pytest.raises(ValueError, match="anchor"):
@@ -165,15 +169,83 @@ def _random_case(seed, m=20, d=4, n_max=5, n_queries=12):
     return model, queries, batch
 
 
-def _fd_coordinate(model, batch, queries, slot, i, j, h=1e-5):
+def _fd_coordinate(model, group, queries, slot, i, j, h=1e-5):
     arr = getattr(model, slot)
     orig = arr[i, j]
     arr[i, j] = orig + h
-    up = loss(model, batch, queries)
+    up = loss(model, group, queries)
     arr[i, j] = orig - h
-    down = loss(model, batch, queries)
+    down = loss(model, group, queries)
     arr[i, j] = orig
     return (up - down) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the per-anchor trainer the batched group pass replaced
+
+
+def _ref_log_sigmoid(x):
+    x = float(np.clip(x, -SCORE_CLAMP, SCORE_CLAMP))
+    if x >= 0.0:
+        return -np.log1p(np.exp(-x))
+    return x - np.log1p(np.exp(x))
+
+
+def _ref_sigmoid(x):
+    if x >= 0.0:
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
+    return e / (1.0 + e)
+
+
+def _ref_forward(model, ids):
+    V = model.emb[np.asarray(ids, dtype=np.intp)]
+    scores = np.einsum("ij,ij->i", model.attn[: len(ids)], V)
+    w = np.exp(scores - scores.max())
+    w /= w.sum()
+    return w @ V, w, V
+
+
+def _ref_anchor_loss_and_gradient(model, batch, queries):
+    """Loss and gradient of one anchor, one query and one pair at a time."""
+    involved = {batch.anchor, *batch.positives, *batch.negatives}
+    fwd = {qid: _ref_forward(model, queries.row(qid)) for qid in involved}
+    z_a = fwd[batch.anchor][0]
+    upstream = {qid: np.zeros(model.dim) for qid in involved}
+    total = 0.0
+    for sign, others in ((+1, batch.positives), (-1, batch.negatives)):
+        inv = 1.0 / len(others)
+        for qid in others:
+            z_o = fwd[qid][0]
+            x = float(z_a @ z_o)
+            total -= _ref_log_sigmoid(sign * x) * inv
+            if abs(x) >= SCORE_CLAMP:
+                continue
+            g = (_ref_sigmoid(x) - (1.0 if sign > 0 else 0.0)) * inv
+            upstream[batch.anchor] += g * z_o
+            upstream[qid] += g * z_a
+    grad = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
+    for qid, u in upstream.items():
+        _, w, V = fwd[qid]
+        ids = queries.row(qid)
+        c = V @ u
+        b = w * (c - float(w @ c))
+        grad.attn[: len(ids)] += b[:, None] * V
+        np.add.at(grad.emb, ids, w[:, None] * u + b[:, None] * model.attn[: len(ids)])
+    return total, grad
+
+
+def _ref_loss_and_gradient(model, group, queries):
+    """Mean over the group's anchors of the per-anchor loss and gradient."""
+    acc = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
+    losses = []
+    for batch in group:
+        value, grad = _ref_anchor_loss_and_gradient(model, batch, queries)
+        losses.append(value)
+        acc.emb += grad.emb
+        acc.attn += grad.attn
+    inv = 1.0 / len(losses)
+    return float(np.mean(losses)), ModelGradient(acc.emb * inv, acc.attn * inv)
 
 
 class TestLossGradient:
@@ -182,8 +254,8 @@ class TestLossGradient:
         checked = 0
         for case_seed in range(10):
             model, queries, batch = _random_case(200 + case_seed)
-            value, grad = loss_and_gradient(model, batch, queries)
-            assert_allclose(value, loss(model, batch, queries), rtol=1e-12)
+            value, grad = loss_and_gradient(model, [batch], queries)
+            assert_allclose(value, loss(model, [batch], queries), rtol=1e-12)
             touched = sorted({t for i in range(len(queries)) for t in queries.row(i).tolist()})
             for _ in range(10):
                 if rng.random() < 0.5:
@@ -191,7 +263,7 @@ class TestLossGradient:
                 else:
                     slot, i = "attn", int(rng.integers(0, model.max_len))
                 j = int(rng.integers(0, model.dim))
-                fd = _fd_coordinate(model, batch, queries, slot, i, j)
+                fd = _fd_coordinate(model, [batch], queries, slot, i, j)
                 an = getattr(grad, slot)[i, j]
                 assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd)), (slot, i, j, an, fd)
                 checked += 1
@@ -201,7 +273,7 @@ class TestLossGradient:
         model, queries, batch = _random_case(300)
         involved = {batch.anchor, *batch.positives, *batch.negatives}
         used = {t for qid in involved for t in queries.row(qid).tolist()}
-        grad = loss_and_gradient(model, batch, queries)[1]
+        grad = loss_and_gradient(model, [batch], queries)[1]
         for t in range(model.vocab_size):
             if t not in used:
                 assert np.array_equal(grad.emb[t], np.zeros(model.dim))
@@ -214,15 +286,15 @@ class TestLossGradient:
         model = AttentionModel(np.zeros((6, 3)), np.zeros((2, 3)))
         queries = _singleton_queries(model.emb)
         batch = TrainingBatch(anchor=0, positives=(1, 2), negatives=(3, 4, 5))
-        grad = loss_and_gradient(model, batch, queries)[1]
+        grad = loss_and_gradient(model, [batch], queries)[1]
         assert np.array_equal(grad.emb, np.zeros_like(grad.emb))
         assert np.array_equal(grad.attn, np.zeros_like(grad.attn))
         rng = rng_stream(9)
         h = 1e-5
         for _ in range(5):
             d_emb = rng.standard_normal(model.emb.shape)
-            up = loss(AttentionModel(model.emb + h * d_emb, model.attn), batch, queries)
-            down = loss(AttentionModel(model.emb - h * d_emb, model.attn), batch, queries)
+            up = loss(AttentionModel(model.emb + h * d_emb, model.attn), [batch], queries)
+            down = loss(AttentionModel(model.emb - h * d_emb, model.attn), [batch], queries)
             assert abs(up - down) / (2 * h) < 1e-6
 
     def test_table_that_does_not_fit_the_model_rejected(self):
@@ -235,16 +307,166 @@ class TestLossGradient:
         ):
             queries = QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows)))
             with pytest.raises(ValueError, match=message):
-                loss_and_gradient(model, batch, queries)
+                loss_and_gradient(model, [batch], queries)
             with pytest.raises(ValueError, match=message):
-                loss(model, batch, queries)
+                loss(model, [batch], queries)
 
     def test_descent_along_gradient(self):
         model, queries, batch = _random_case(400)
-        value, grad = loss_and_gradient(model, batch, queries)
+        value, grad = loss_and_gradient(model, [batch], queries)
         step = 1e-3
         stepped = AttentionModel(model.emb - step * grad.emb, model.attn - step * grad.attn)
-        assert loss(stepped, batch, queries) < value
+        assert loss(stepped, [batch], queries) < value
+
+
+def _mixed_dataset(seed=41):
+    """Small generated dataset whose queries have lengths 1 to 5."""
+    cfg = GeneratorConfig(
+        dim=4,
+        vocab_size=40,
+        max_len=5,
+        lam=2.5,
+        alphas=(0.9,) * 5,
+        betas=(1.0,) * 5,
+        epsilon_p=0.5,
+        n_products=4,
+        n_queries=60,
+        seed=seed,
+    )
+    return generate_dataset(cfg)
+
+
+def _random_model(seed, vocab_size=40, dim=4, max_len=5):
+    rng = rng_stream(seed)
+    return AttentionModel(
+        rng.standard_normal((vocab_size, dim)) * 0.5, rng.standard_normal((max_len, dim)) * 0.5
+    )
+
+
+def _sampled_groups(dataset, n_groups, group_size, seed):
+    """Groups drawn the way train draws them: uniform positives, non-neighbour negatives."""
+    rng = rng_stream(seed)
+    order = rng.permutation(len(dataset.queries))[: n_groups * group_size]
+    groups = []
+    for start in range(0, order.size, group_size):
+        group = []
+        for a in order[start : start + group_size]:
+            pos = sample_positives(dataset.graph, int(a), "uniform", rng, n_samples=4)
+            if pos:
+                neg = sample_negatives(dataset.graph, int(a), 2 * len(pos), rng)
+                group.append(TrainingBatch(int(a), tuple(pos), tuple(neg)))
+        groups.append(group)
+    return groups
+
+
+# query 1 is a repeated positive of anchor 0, query 2 sits in all three
+# anchors' pair lists, and anchor 3 is anchor 0's negative and vice versa
+_HANDMADE_GROUP = [
+    TrainingBatch(0, (1, 1, 2), (3, 4, 5)),
+    TrainingBatch(3, (2, 6), (0, 7)),
+    TrainingBatch(8, (9,), (1, 2, 10, 10)),
+]
+
+
+def _pair_scores(model, group, queries):
+    def z(q):
+        return _ref_forward(model, queries.row(q))[0]
+
+    return np.array([z(b.anchor) @ z(q) for b in group for q in (*b.positives, *b.negatives)])
+
+
+class TestGroupPass:
+    """The batched group pass against the per-anchor scalar reference."""
+
+    def test_matches_scalar_reference(self):
+        ds = _mixed_dataset()
+        queries = ds.queries
+        groups = [_HANDMADE_GROUP, *_sampled_groups(ds, 4, 6, seed=43)]
+        involved = sorted(
+            {q for g in groups for b in g for q in (b.anchor, *b.positives, *b.negatives)}
+        )
+        assert len(set(queries.lengths[involved].tolist())) >= 3
+        assert any(len(set(b.positives)) < len(b.positives) for g in groups[1:] for b in g)
+
+        base = _random_model(42)
+        # scaling emb by k and attn by 1/k keeps the softmax weights and
+        # multiplies every pair score by k^2: push the largest one past the clamp
+        k = np.sqrt(1.05 * SCORE_CLAMP / np.abs(_pair_scores(base, _HANDMADE_GROUP, queries)).max())
+        clamped = AttentionModel(base.emb * k, base.attn / k)
+        x = np.abs(_pair_scores(clamped, _HANDMADE_GROUP, queries))
+        assert (x >= SCORE_CLAMP).any() and (x < SCORE_CLAMP).any()
+
+        for model in (base, clamped):
+            for group in groups:
+                value, grad = loss_and_gradient(model, group, queries)
+                ref_value, ref_grad = _ref_loss_and_gradient(model, group, queries)
+                assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+                assert_allclose(loss(model, group, queries), ref_value, rtol=1e-12, atol=0)
+                assert_allclose(grad.emb, ref_grad.emb, rtol=0, atol=1e-12)
+                assert_allclose(grad.attn, ref_grad.attn, rtol=0, atol=1e-12)
+
+    def test_group_matches_finite_differences(self):
+        ds = _mixed_dataset()
+        model = _random_model(44)
+        group = _sampled_groups(ds, 1, 5, seed=45)[0]
+        assert len(group) >= 3
+        value, grad = loss_and_gradient(model, group, ds.queries)
+        assert_allclose(value, loss(model, group, ds.queries), rtol=1e-12)
+        involved = {q for b in group for q in (b.anchor, *b.positives, *b.negatives)}
+        touched = sorted({t for q in involved for t in ds.queries.row(q).tolist()})
+        rng = rng_stream(46)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                slot, i = "emb", int(rng.choice(touched))
+            else:
+                slot, i = "attn", int(rng.integers(0, model.max_len))
+            j = int(rng.integers(0, model.dim))
+            fd = _fd_coordinate(model, group, ds.queries, slot, i, j)
+            an = getattr(grad, slot)[i, j]
+            assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd)), (slot, i, j, an, fd)
+
+    def test_trigram_in_no_row_gets_exactly_zero_gradient(self):
+        # pad slots hold id 0, so a scatter that reached them would touch emb[0]
+        rng = rng_stream(47)
+        rows = [rng.integers(1, 12, size=n).tolist() for n in (1, 2, 4, 3, 1, 2, 4, 3, 2, 1, 4)]
+        queries = QueryTable.from_rows(rows, [0] * len(rows), 4)
+        assert (queries.ids == 0).any()
+        model = AttentionModel(rng.standard_normal((12, 3)), rng.standard_normal((4, 3)))
+        grad = loss_and_gradient(model, _HANDMADE_GROUP, queries)[1]
+        assert np.array_equal(grad.emb[0], np.zeros(3))
+        assert np.abs(grad.emb[1:]).sum() > 0
+
+    def test_empty_group_rejected(self):
+        model = _random_model(48)
+        with pytest.raises(ValueError, match="at least one anchor"):
+            loss_and_gradient(model, [], _mixed_dataset().queries)
+
+    @pytest.mark.parametrize("bad", [-1, 60])
+    def test_query_id_outside_the_table_rejected(self, bad):
+        # a negative id would otherwise index the table from its end
+        ds = _mixed_dataset()
+        model = _random_model(51)
+        for batch in (TrainingBatch(bad, (1,), (2,)), TrainingBatch(0, (bad,), (2,))):
+            with pytest.raises(ValueError, match=r"query ids must lie in \[0, 60\)"):
+                loss_and_gradient(model, [batch], ds.queries)
+
+    def test_embed_table_matches_embed_query(self):
+        ds = _mixed_dataset()
+        model = _random_model(49)
+        table = embed_table(model, ds.queries)
+        assert table.shape == (len(ds.queries), model.dim)
+        for i in range(len(ds.queries)):
+            assert_allclose(table[i], embed_query(model, ds.queries.row(i)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("report_length", [None, 2])
+    def test_blue_report_attention_is_per_row_mean(self, report_length):
+        ds = _mixed_dataset()
+        model = _random_model(50)
+        report = theory.blue_report(model, ds, n_variance_samples=1000, report_length=report_length)
+        used = np.flatnonzero(ds.queries.lengths == report.report_length)
+        assert report.n_queries_used == used.size > 1
+        expected = np.mean([attention_weights(model, ds.queries.row(i)) for i in used], axis=0)
+        assert_allclose(report.attention, expected, rtol=0, atol=1e-12)
 
 
 class TestSamplePositives:
@@ -341,8 +563,6 @@ class TestSampleNegatives:
 
 
 def _tiny_dataset(seed=21, n_products=3, n_queries=24):
-    from queryemb.core import GeneratorConfig
-
     cfg = GeneratorConfig(
         dim=4,
         vocab_size=30,
@@ -405,7 +625,7 @@ class TestTrain:
                 continue
             neg = sample_negatives(ds.graph, a, 2 * len(pos), rng)
             batch = TrainingBatch(anchor=a, positives=tuple(pos), negatives=tuple(neg))
-            grad = loss_and_gradient(model0, batch, ds.queries)[1]
+            grad = loss_and_gradient(model0, [batch], ds.queries)[1]
             acc_emb += grad.emb
             acc_attn += grad.attn
             count += 1
@@ -450,6 +670,31 @@ class TestTrain:
             TrainConfig(learning_rate=0.1, epochs=1, optimizer="lbfgs")
         with pytest.raises(ValueError, match="lr_decay"):
             TrainConfig(learning_rate=0.1, epochs=1, lr_decay=0.0)
+
+
+class TestTrainLooksUpTheGroupPass:
+    def test_every_group_goes_through_the_module_attribute(self, monkeypatch):
+        # a wrapper installed on embedder.loss_and_gradient (as a tracer does)
+        # must see one call per group and epoch
+        ds = _tiny_dataset()
+        calls = []
+        original = embedder.loss_and_gradient
+
+        def counting(model, group, queries):
+            calls.append(len(group))
+            return original(model, group, queries)
+
+        monkeypatch.setattr(embedder, "loss_and_gradient", counting)
+        cfg = TrainConfig(
+            learning_rate=0.1, epochs=2, seed=5, positive_mode="uniform",
+            n_positives=2, n_negatives=2, batch_size=5,
+        )
+        _, trace = train(init_model(30, 4, 3, seed=22), ds, cfg)
+        n_groups = len({b for e, b, _ in trace if e == 0})
+        assert n_groups == 5  # 24 anchors in groups of 5
+        assert len(calls) == n_groups * cfg.epochs
+        n_anchors = sum(ds.graph.degree(q) > 0 for q in range(len(ds.queries)))
+        assert sum(calls) == n_anchors * cfg.epochs
 
 
 class TestDeskBenchmarkTraining:
