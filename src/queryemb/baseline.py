@@ -17,21 +17,36 @@ from .core import QueryTable
 HASH_DIM = 300
 
 _M64 = (1 << 64) - 1
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64_array(x) -> np.ndarray:
+    """The splitmix64 output function applied to x + gamma, elementwise.
+
+    Takes an integer array (or sequence) and returns a 1-d or wider uint64
+    array.  uint64 arithmetic wraps modulo 2**64, exactly like the published
+    algorithm's ``& (2**64 - 1)`` after each step; the array always has at
+    least one dimension because numpy scalars warn on the wrap.
+    """
+    z = np.array(x, dtype=np.uint64, ndmin=1) + _SPLITMIX_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
 
 
 def splitmix64(x: int) -> int:
-    """The splitmix64 output function applied to x + gamma.
+    """splitmix64 of one integer, taken modulo 2**64.
 
     Equivalent to the first output of a splitmix64 stream seeded with x,
     e.g. splitmix64(0) == 0xE220A8397B1DCDAF.
     """
-    z = (int(x) + _SPLITMIX_GAMMA) & _M64
-    z = ((z ^ (z >> 30)) * _MIX_1) & _M64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _M64
-    return (z ^ (z >> 31)) & _M64
+    return int(splitmix64_array([int(x) & _M64])[0])
+
+
+def _buckets(ids, n_buckets: int) -> np.ndarray:
+    return (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
 
 
 def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
@@ -40,7 +55,8 @@ def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
 
 def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
     """Bucketed trigram counts of one query; the total count equals its length."""
-    counts = np.bincount([bucket_of(t, n_buckets) for t in ids], minlength=n_buckets)
+    counts = np.bincount(_buckets(np.asarray(ids, dtype=np.int64), n_buckets),
+                         minlength=n_buckets)
     return counts.astype(np.float64)
 
 
@@ -89,16 +105,32 @@ class TrigramHashStore(QueryStore):
                  n_buckets: int = HASH_DIM) -> None:
         super().__init__(queries, ids)
         self.n_buckets = n_buckets
-        self.matrix = np.zeros((len(queries), n_buckets), dtype=np.float64)
-        for row in range(len(queries)):
-            self.matrix[row] = hash_query(queries.row(row), n_buckets)
+        n, width = queries.ids.shape
+        valid = np.arange(width) < queries.lengths[:, None]
+        # column-major (bucket-by-bucket), so distances gathers whole columns
+        cells = _buckets(queries.ids, n_buckets) * n + np.arange(n)[:, None]
+        self.matrix = np.bincount(cells[valid], minlength=n * n_buckets).reshape(
+            n_buckets, n).T.astype(np.float64)
+        self.totals = queries.lengths.astype(np.float64)  # row sums of matrix
 
     def distances(self, pv: np.ndarray) -> np.ndarray:
-        """Bray-Curtis distance from the probe's count vector to every stored row."""
-        if pv.shape[0] != self.n_buckets:
+        """Bray-Curtis distance from the probe's count vector to every stored row.
+
+        sum |a - b| = S_a + S_b - 2 sum min(a, b) for non-negative counts, and
+        min(a_j, b_j) is 0 where the probe has no count, so only the probe's
+        (at most its length) buckets are read.  For the integer counts that
+        hash_query gives, every term is an integer that float64 holds
+        exactly, so the result equals the dense
+        ``abs(M - pv).sum(1) / (M + pv).sum(1)`` bit for bit.
+        """
+        pv = _counts(pv)
+        if pv.shape != (self.n_buckets,):
             raise ValueError("probe bucket width does not match store")
+        cols = np.flatnonzero(pv)
+        shared = np.minimum(self.matrix[:, cols], pv[cols]).sum(axis=1)
         # every stored row counts >= 1 trigram, so no denominator is 0
-        return np.abs(self.matrix - pv).sum(axis=1) / (self.matrix + pv).sum(axis=1)
+        total = self.totals + pv.sum()
+        return (total - 2.0 * shared) / total
 
     def rank(self, probe: Sequence[int], exclude_id: int | None = None) -> np.ndarray:
         """All store ids ordered by the probe's (distance, id), optionally dropping one id."""

@@ -102,6 +102,8 @@ def reformulate(
     if isinstance(q, (int, np.integer)):
         if queries is None:
             raise ValueError("reformulating by id requires the query table")
+        if not 0 <= q < len(queries):
+            raise ValueError(f"query id {q} outside [0, {len(queries)})")
         probe: Sequence[int] = queries.row(q)
         exclude: int | None = int(q) if q in store else None
     else:
@@ -116,20 +118,63 @@ def reformulate(
 # best-possible (oracle) scores
 
 
-def _coverage_masks(
-    probe_top: list[int], candidate_ids: Sequence[int], purchase_map: PurchaseMap, k: int
-) -> tuple[np.ndarray, int]:
-    """Per-candidate bitmask over the probe's top-k products, plus relevant count."""
-    index = {pid: j for j, pid in enumerate(probe_top)}
-    masks = np.zeros(len(candidate_ids), dtype=np.int64)
-    for row, c in enumerate(candidate_ids):
-        m = 0
-        for pid in top_products(purchase_map.get(c, []), k):
-            j = index.get(pid)
-            if j is not None:
-                m |= 1 << j
-        masks[row] = m
-    return masks, int(np.count_nonzero(masks))
+def _top_table(ids: Sequence[int], purchase_map: PurchaseMap, k: int) -> np.ndarray:
+    """Each query's top-k product ids as one row, padded with -1.
+
+    Product ids are non-negative, so a pad never matches one.  The width is
+    the longest list, at most k.
+    """
+    tops = [top_products(purchase_map.get(c, []), k) for c in ids]
+    lengths = np.array([len(t) for t in tops], dtype=np.int64)
+    table = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = [p for t in tops for p in t]
+    return table
+
+
+def _oracle_one(
+    q: int,
+    ids: np.ndarray,
+    tops: np.ndarray,
+    purchase_map: PurchaseMap,
+    k: int,
+    n_reformulations: int,
+    pool: int,
+) -> tuple[float, float]:
+    """oracle_best_for_probe against candidates ``ids`` whose top-k rows are ``tops``."""
+    probe_top = top_products(purchase_map.get(q, []), k)
+    if not probe_top:
+        raise ValueError(f"probe {q} has no purchases")
+    keep = ids != q
+    if not keep.any():
+        raise ValueError("no candidates available")
+    ids = ids[keep]
+    # one mask bit per distinct product; a product listed twice in probe_top
+    # still counts twice in len(probe_top), so full coverage is then out of
+    # reach, as full recall is in product_recall_at_k
+    slot = {pid: j for j, pid in enumerate(probe_top)}
+    hits = (tops[keep][:, :, None] == np.fromiter(slot, np.int64, len(slot))).any(axis=1)
+    bits = [1 << j for j in slot.values()]
+
+    take = min(n_reformulations, ids.size)
+    overlap = hits.sum(axis=1)
+    best_precision = min(int(np.count_nonzero(overlap)), take) / n_reformulations
+
+    # pool restriction: keep the `pool` candidates with the largest coverage
+    order = np.lexsort((ids, -overlap))[:pool]
+    masks = {sum(b for b, hit in zip(bits, hits[j]) if hit) for j in order}
+    unique_masks = [m for m in sorted(masks, reverse=True) if m]
+
+    full = (1 << len(probe_top)) - 1
+    best_cover = 0
+    for r in range(1, min(take, len(unique_masks)) + 1):
+        for combo in combinations(unique_masks, r):
+            u = 0
+            for m in combo:
+                u |= m
+            if u == full:
+                return best_precision, 1.0
+            best_cover = max(best_cover, bin(u).count("1"))
+    return best_precision, best_cover / len(probe_top)
 
 
 def oracle_best_for_probe(
@@ -146,35 +191,13 @@ def oracle_best_for_probe(
     overlap (the restriction is certified against unrestricted enumeration
     at toy scale in the tests).  Precision needs no enumeration: relevant
     candidates are interchangeable.  Recall maximizes coverage of the
-    probe's top-k products over subsets of distinct coverage patterns.
+    probe's top-k products over subsets of distinct coverage patterns,
+    held as Python-int bitmasks, so k has no cap.
     """
-    probe_top = top_products(purchase_map.get(q, []), k)
-    if not probe_top:
-        raise ValueError(f"probe {q} has no purchases")
-    candidate_ids = [c for c in candidate_ids if c != q]
-    if not candidate_ids:
-        raise ValueError("no candidates available")
-    masks, n_relevant = _coverage_masks(probe_top, candidate_ids, purchase_map, k)
-
-    take = min(n_reformulations, len(candidate_ids))
-    best_precision = min(n_relevant, take) / n_reformulations
-
-    # pool restriction: keep the `pool` candidates with the largest coverage
-    overlap = np.array([bin(m).count("1") for m in masks])
-    order = np.lexsort((np.asarray(candidate_ids), -overlap))[:pool]
-    unique_masks = [m for m in sorted(set(int(masks[j]) for j in order), reverse=True) if m]
-
-    full = (1 << len(probe_top)) - 1
-    best_cover = 0
-    for r in range(1, min(take, len(unique_masks)) + 1):
-        for combo in combinations(unique_masks, r):
-            u = 0
-            for m in combo:
-                u |= m
-            if u == full:
-                return best_precision, 1.0
-            best_cover = max(best_cover, bin(u).count("1"))
-    return best_precision, best_cover / len(probe_top)
+    return _oracle_one(
+        q, np.asarray(candidate_ids, dtype=np.int64), _top_table(candidate_ids, purchase_map, k),
+        purchase_map, k, n_reformulations, pool,
+    )
 
 
 def oracle_best(
@@ -186,10 +209,9 @@ def oracle_best(
     pool: int = DEFAULT_ORACLE_POOL,
 ) -> tuple[float, float]:
     """Mean best-possible precision and recall over the probe set."""
-    pairs = [
-        oracle_best_for_probe(q, candidate_ids, purchase_map, k, n_reformulations, pool)
-        for q in probes
-    ]
+    ids = np.asarray(candidate_ids, dtype=np.int64)
+    tops = _top_table(candidate_ids, purchase_map, k)
+    pairs = [_oracle_one(q, ids, tops, purchase_map, k, n_reformulations, pool) for q in probes]
     arr = np.asarray(pairs, dtype=np.float64)
     return float(arr[:, 0].mean()), float(arr[:, 1].mean())
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from queryemb.baseline import (
     HASH_DIM,
@@ -10,6 +10,7 @@ from queryemb.baseline import (
     hash_query,
     knn,
     splitmix64,
+    splitmix64_array,
 )
 from queryemb.core import QueryTable, rng_stream
 
@@ -45,6 +46,10 @@ class TestSplitmix64:
 
         for x in (0, 1, 2, 299, 1234567, 2**64 - 1):
             assert splitmix64(x) == ref(x)
+        xs = (0, 1, 2, 299, 1234567, 2**63 - 1)
+        out = splitmix64_array(np.array(xs, dtype=np.int64))
+        assert out.dtype == np.uint64
+        assert [int(v) for v in out] == [ref(x) for x in xs]
 
     def test_output_in_64_bits(self):
         for x in (0, 1, 2**63, 2**64 - 1):
@@ -112,6 +117,40 @@ class TestBrayCurtis:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             bray_curtis(np.ones(3), np.ones(4))
+
+
+def _random_table(seed, n=60, vocab=40, width=6):
+    """Rows with repeated trigram ids; few buckets make distinct ids collide."""
+    rng = rng_stream(seed)
+    rows = [rng.integers(0, vocab, size=rng.integers(1, width + 1)).tolist() for _ in range(n)]
+    return rows, _table(rows)
+
+
+class TestSparseStore:
+    @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
+    def test_matrix_is_stack_of_hash_query(self, n_buckets):
+        rows, table = _random_table(48)
+        store = TrigramHashStore(table, n_buckets=n_buckets)
+        want = np.stack([hash_query(r, n_buckets) for r in rows])
+        assert_array_equal(store.matrix, want)
+        assert_array_equal(store.totals, want.sum(axis=1))
+
+    @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
+    def test_distances_equal_dense_bray_curtis_bitwise(self, n_buckets):
+        rows, table = _random_table(49)
+        store = TrigramHashStore(table, n_buckets=n_buckets)
+        m = store.matrix
+        rng = rng_stream(50)
+        probes = rows[:5] + [rng.integers(0, 60, size=k).tolist() for k in (1, 3, 6, 9)]
+        for probe in probes:
+            pv = hash_query(probe, n_buckets)
+            dense = np.abs(m - pv).sum(axis=1) / (m + pv).sum(axis=1)
+            assert_array_equal(store.distances(pv), dense)
+
+    def test_negative_probe_counts_rejected(self):
+        store = TrigramHashStore(_table([_q(1, 2)]), n_buckets=7)
+        with pytest.raises(ValueError, match="non-negative"):
+            store.distances(-np.ones(7))
 
 
 class TestKnn:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from queryemb.baseline import TrigramHashStore, bray_curtis, hash_query
+from queryemb import evaluation
 from queryemb.core import GeneratorConfig, QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query, init_model
 from queryemb.evaluation import (
@@ -210,6 +211,15 @@ class TestReformulate:
         with pytest.raises(ValueError, match="max_len 3"):
             EmbeddingStore(model, _table([_q(0, 1, 2, 0)]))
 
+    def test_id_outside_the_table_rejected(self):
+        # a negative id must not index the table from its end
+        queries = _table([_q(i % 7) for i in range(10)])
+        store = TrigramHashStore(queries)
+        for bad in (-1, -10, 10):
+            with pytest.raises(ValueError, match=r"query id -?\d+ outside \[0, 10\)"):
+                reformulate(store, bad, 3, queries=queries)
+        assert len(reformulate(store, 9, 3, queries=queries)) == 3
+
     def test_dot_product_ties_broken_by_id(self):
         queries = _table([_q(0), _q(1), _q(2), _q(3)])
         emb = np.array(
@@ -245,6 +255,48 @@ def _unrestricted_oracle(probe, candidates, pm, k, size):
     return best_p, best_r
 
 
+def _reference_coverage_masks(probe_top, candidate_ids, pm, k):
+    """Per-candidate bitmask over the probe's top-k products, plus relevant count."""
+    index = {pid: j for j, pid in enumerate(probe_top)}
+    masks = np.zeros(len(candidate_ids), dtype=np.int64)
+    for row, c in enumerate(candidate_ids):
+        m = 0
+        for pid in top_products(pm.get(c, []), k):
+            j = index.get(pid)
+            if j is not None:
+                m |= 1 << j
+        masks[row] = m
+    return masks, int(np.count_nonzero(masks))
+
+
+def _reference_oracle(q, candidate_ids, pm, k, n_reformulations=5, pool=25):
+    """Per-candidate scalar oracle: top_products for every candidate of every
+    probe, int64 masks (so k < 64), the same pool restriction and enumeration."""
+    probe_top = top_products(pm.get(q, []), k)
+    if not probe_top:
+        raise ValueError(f"probe {q} has no purchases")
+    candidate_ids = [c for c in candidate_ids if c != q]
+    if not candidate_ids:
+        raise ValueError("no candidates available")
+    masks, n_relevant = _reference_coverage_masks(probe_top, candidate_ids, pm, k)
+    take = min(n_reformulations, len(candidate_ids))
+    best_precision = min(n_relevant, take) / n_reformulations
+    overlap = np.array([bin(m).count("1") for m in masks])
+    order = np.lexsort((np.asarray(candidate_ids), -overlap))[:pool]
+    unique_masks = [m for m in sorted(set(int(masks[j]) for j in order), reverse=True) if m]
+    full = (1 << len(probe_top)) - 1
+    best_cover = 0
+    for r in range(1, min(take, len(unique_masks)) + 1):
+        for combo in combinations(unique_masks, r):
+            u = 0
+            for m in combo:
+                u |= m
+            if u == full:
+                return best_precision, 1.0
+            best_cover = max(best_cover, bin(u).count("1"))
+    return best_precision, best_cover / len(probe_top)
+
+
 class TestOracleBest:
     def test_five_same_product_candidates_give_precision_one(self):
         pm = {i: [(3, 1)] for i in range(6)}
@@ -275,6 +327,80 @@ class TestOracleBest:
         p, r = oracle_best([0, 2], candidates, pm, 20)
         assert p == pytest.approx(0.5)
         assert r == pytest.approx(0.5)
+
+
+class TestOracleTableMatchesReference:
+    """The top-product-table oracle against the per-candidate reference.
+
+    Desk data gives every query one product, which saturates the oracle at
+    (1, 1); these maps give queries several products with tied counts, so
+    the masks have several bits and the pool cut-off decides.
+    """
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("pool", [4, 25])
+    def test_exactly_equal_per_probe_and_mean(self, k, pool):
+        rng = rng_stream(61)
+        pm = _toy_purchases(rng, 40, n_products=40, max_per_query=8)
+        candidates = [int(c) for c in rng.permutation(40)[:30]]  # holds some probes
+        probes = list(range(12))
+        assert any(p in candidates for p in probes)
+        want = [_reference_oracle(q, candidates, pm, k, 3, pool) for q in probes]
+        got = [oracle_best_for_probe(q, candidates, pm, k, 3, pool) for q in probes]
+        assert got == want
+        assert len(set(want)) > 1  # the maps do not saturate the oracle
+        arr = np.asarray(want)
+        assert oracle_best(probes, candidates, pm, k, 3, pool) == (
+            float(arr[:, 0].mean()), float(arr[:, 1].mean())
+        )
+
+    def test_unpurchased_candidates_and_missing_probe(self):
+        # probe 5 lists product 4 twice, so its best recall stays below 1
+        pm = {0: [(4, 2), (5, 2), (6, 1)], 1: [(5, 1)], 3: [(6, 3), (4, 3)], 4: [],
+              5: [(4, 2), (4, 2), (6, 1)]}
+        for q in (0, 5):
+            for k in (1, 2, 3):
+                for cands in ([0, 1, 2, 3, 4], [2, 4, 1], [3], [5, 3, 1]):
+                    assert oracle_best_for_probe(q, cands, pm, k, 2, 2) == _reference_oracle(
+                        q, cands, pm, k, 2, 2
+                    )
+        assert oracle_best_for_probe(5, [3], pm, 3) == (0.2, 2 / 3)
+        with pytest.raises(ValueError, match="no purchases"):
+            oracle_best_for_probe(2, [0, 1], pm, 3)
+        with pytest.raises(ValueError, match="no candidates"):
+            oracle_best_for_probe(0, [0, 0], pm, 3)
+
+    def test_k_beyond_64_bits(self):
+        # the probe's top list holds 70 products, so coverage masks need 70 bits
+        rng = rng_stream(62)
+        pm = {0: [(p, 1 + p % 3) for p in range(70)]}
+        for c in range(1, 9):
+            pids = rng.choice(90, size=int(rng.integers(10, 40)), replace=False)
+            pm[c] = [(int(p), int(rng.integers(1, 4))) for p in pids]
+        candidates = list(range(9))
+        want = _unrestricted_oracle(0, candidates, pm, 70, 3)
+        got = oracle_best_for_probe(0, candidates, pm, 70, n_reformulations=3, pool=9)
+        assert got == pytest.approx(want)
+        assert 0.0 < got[1] < 1.0
+        got = oracle_best_for_probe(0, [1, 2], pm, k=70, n_reformulations=2)
+        assert got == pytest.approx(_unrestricted_oracle(0, [1, 2], pm, 70, 2))
+
+    def test_top_products_called_once_per_candidate_and_probe(self, monkeypatch):
+        # a wrapper on evaluation.top_products (as the benchmark's tracer
+        # installs) must see the candidates' lookups once, not once per probe
+        rng = rng_stream(63)
+        pm = _toy_purchases(rng, 60, n_products=10, max_per_query=4)
+        calls = []
+        original = evaluation.top_products
+
+        def counting(purchases, k):
+            calls.append(k)
+            return original(purchases, k)
+
+        monkeypatch.setattr(evaluation, "top_products", counting)
+        probes, candidates = list(range(10)), list(range(60))
+        oracle_best(probes, candidates, pm, 5)
+        assert 0 < len(calls) <= len(candidates) + len(probes)
 
 
 def _desk_toy_dataset(seed=56):
