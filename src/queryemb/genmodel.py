@@ -90,19 +90,30 @@ def partition_function(p: np.ndarray, beta: float, vocab: np.ndarray) -> float:
 
 
 def tilted_component_probs(p: np.ndarray, beta: float, vocab: np.ndarray) -> np.ndarray:
-    """Normalized weights exp(beta <t, p>) / Z of the tilted mixture component."""
-    s = beta * (vocab @ np.asarray(p, dtype=np.float64))
-    s -= s.max()
-    w = np.exp(s)
-    return w / w.sum()
+    """Normalized weights exp(beta <t, p>) / Z of the tilted mixture component.
+
+    p is one product (dim,) or a stack of products (P, dim), giving (m,) or (P, m).
+    """
+    s = (vocab @ np.asarray(p, dtype=np.float64).T).T
+    s *= beta
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def mixture_probs(
-    p: np.ndarray, position: int, config: GeneratorConfig, vocab: np.ndarray
+    products: np.ndarray, position: int, config: GeneratorConfig, vocab: np.ndarray
 ) -> np.ndarray:
-    """Full position-wise trigram distribution (tilted + uniform mixture)."""
+    """Position-wise trigram distributions (tilted + uniform mixture), (P, m).
+
+    Row a is the distribution of the trigram at this position given products[a].
+    """
     alpha, beta = _position_params(config, position)
-    return alpha * tilted_component_probs(p, beta, vocab) + (1.0 - alpha) / config.vocab_size
+    probs = tilted_component_probs(products, beta, vocab)
+    probs *= alpha
+    probs += (1.0 - alpha) / config.vocab_size
+    return probs
 
 
 def _position_params(config: GeneratorConfig, position: int) -> tuple[float, float]:

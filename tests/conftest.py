@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The desk-benchmark training run (30 epochs on 5000 queries, then the
-attention-vs-BLUE report) takes about 15 s on a 2-core machine, and
+attention-vs-BLUE report) takes about 12-15 s on a 2-core machine, and
 several test modules (trainer contract, attention-vs-BLUE report,
 end-to-end metric ordering) all need the same trained model, so it runs
 once per session.

@@ -462,7 +462,7 @@ class TestGroupPass:
     def test_blue_report_attention_is_per_row_mean(self, report_length):
         ds = _mixed_dataset()
         model = _random_model(50)
-        report = theory.blue_report(model, ds, n_variance_samples=1000, report_length=report_length)
+        report = theory.blue_report(model, ds, report_length=report_length)
         used = np.flatnonzero(ds.queries.lengths == report.report_length)
         assert report.n_queries_used == used.size > 1
         expected = np.mean([attention_weights(model, ds.queries.row(i)) for i in used], axis=0)

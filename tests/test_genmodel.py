@@ -20,6 +20,7 @@ from queryemb.genmodel import (
     sample_trigram,
     sample_trigrams_batch,
     save_dataset,
+    tilted_component_probs,
     trigram_empirical_variance,
     trigram_mean_coefficient,
     truncated_poisson_pmf,
@@ -149,11 +150,21 @@ class TestSampleTrigram:
     def test_mixture_probs_normalized(self):
         cfg = _config()
         vocab = rng_stream(14).standard_normal((cfg.vocab_size, cfg.dim))
-        p = sample_unit_sphere(rng_stream(15), cfg.dim)
+        prng = rng_stream(15)
+        products = np.stack([sample_unit_sphere(prng, cfg.dim) for _ in range(cfg.n_products)])
         for pos in (1, 2, 3):
-            probs = mixture_probs(p, pos, cfg, vocab)
-            assert abs(probs.sum() - 1.0) < 1e-12
-            assert probs.min() >= (1 - cfg.alphas[pos - 1]) / cfg.vocab_size - 1e-15
+            alpha, beta = cfg.alphas[pos - 1], cfg.betas[pos - 1]
+            probs = mixture_probs(products, pos, cfg, vocab)
+            assert probs.shape == (cfg.n_products, cfg.vocab_size)
+            assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert probs.min() >= (1 - alpha) / cfg.vocab_size - 1e-15
+            # each row is the one-product mixture the generator samples from
+            for p, row in zip(products, probs):
+                expected = alpha * tilted_component_probs(p, beta, vocab) + (1 - alpha) / cfg.vocab_size
+                assert_allclose(row, expected, rtol=0, atol=1e-15)
+        for pos in (0, cfg.max_len + 1):
+            with pytest.raises(ValueError, match="position"):
+                mixture_probs(products, pos, cfg, vocab)
 
     def test_position_out_of_range(self):
         cfg = _config()

@@ -6,7 +6,12 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from queryemb.core import GeneratorConfig, rng_stream
-from queryemb.genmodel import generate_dataset
+from queryemb.genmodel import (
+    generate_dataset,
+    mixture_probs,
+    trigram_empirical_variance,
+    trigram_mean_coefficient,
+)
 from queryemb.theory import (
     SUITES,
     TINY_MIN_COUNT,
@@ -242,7 +247,7 @@ def small_trained():
 class TestBlueReport:
     def test_constant_parameters_give_uniform_blue_and_attention(self, small_trained):
         ds, model = small_trained
-        report = blue_report(model, ds, seed=12)
+        report = blue_report(model, ds)
         assert report.report_length == 6
         assert_allclose(report.blue, 1.0 / 6.0, atol=0.02)
         assert np.max(np.abs(report.attention - 1.0 / 6.0)) < 0.15
@@ -259,8 +264,8 @@ class TestBlueReport:
         ds = generate_dataset(cfg)
         model = init_model(50, 4, 3, 13)
         with pytest.raises(ValueError, match="untrained"):
-            blue_report(model, ds, seed=13)
-        report = blue_report(model, ds, seed=13, allow_untrained=True)
+            blue_report(model, ds)
+        report = blue_report(model, ds, allow_untrained=True)
         assert_allclose(report.attention, 1.0 / 3.0, atol=1e-12)
 
     def test_desk_attention_tracks_blue(self, desk_run):
@@ -277,12 +282,30 @@ class TestBlueReport:
 
 
 class TestPositionVariances:
-    def test_deterministic(self):
-        ds = generate_dataset(tiny_universe_config(7))
-        a = position_variances(ds, [1, 2], n_samples=2000, seed=3)
-        b = position_variances(ds, [1, 2], n_samples=2000, seed=3)
-        assert np.array_equal(a, b)
-        assert (a > 0).all()
+    def test_exact_matches_monte_carlo(self):
+        cfg = GeneratorConfig(
+            dim=8, vocab_size=200, max_len=3, lam=2.0, alphas=(0.9, 0.7, 0.6),
+            betas=(1.5, 1.0, 2.0), epsilon_p=0.5, n_products=10, n_queries=0, seed=31,
+        )
+        ds = generate_dataset(cfg)
+        positions = [1, 2, 3]
+        exact = position_variances(ds, positions)
+        n = 100_000
+        rng = rng_stream(31, 7)
+        for pos, value in zip(positions, exact):
+            estimates, sample_vars = [], []
+            for p in ds.products:
+                estimates.append(trigram_empirical_variance(p, pos, cfg, ds.vocab, n, rng))
+                # variance of one draw of ||t - rho p||^2, by enumeration
+                pi = mixture_probs(p[None], pos, cfg, ds.vocab)[0]
+                rho = trigram_mean_coefficient(p, pos, cfg, ds.vocab)
+                sq = np.sum((ds.vocab - rho * p) ** 2, axis=1)
+                sample_vars.append(pi @ sq**2 - (pi @ sq) ** 2)
+            se = np.sqrt(np.sum(sample_vars) / n) / cfg.n_products
+            assert abs(np.mean(estimates) - value) <= 4.0 * se, (pos, value, se)
+        for bad in (0, cfg.max_len + 1):
+            with pytest.raises(ValueError, match="position"):
+                position_variances(ds, [1, bad])
 
 
 class TestFitBetas:
