@@ -35,8 +35,24 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     keys are statistically independent, and the mapping is pure (no
     global state, no dependence on call order).
     """
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, stream)))
+
+
+def stream_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key of (seed, stream): both words taken mod 2**64."""
+    return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+
+
+def stream_words(seed: int, streams: Sequence[int], n_words: int) -> np.ndarray:
+    """(len(streams), n_words) uint64: the first raw words of each rng_stream(seed, stream)."""
+    bits = np.random.Philox(key=stream_key(seed, 0))  # re-keyed: 3x cheaper than one per stream
+    fresh = bits.state  # counter 0, empty buffer, no kept 32-bit half
+    out = np.empty((len(streams), n_words), dtype=np.uint64)
+    for j, stream in enumerate(streams):
+        fresh["state"]["key"] = stream_key(seed, int(stream))
+        bits.state = fresh
+        out[j] = bits.random_raw(n_words)
+    return out
 
 
 def sample_unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -102,21 +102,10 @@ def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
     return np.einsum("bl,bld->bd", w, V), w, V
 
 
-def _forward_one(model: AttentionModel, q: Sequence[int]):
-    """(z, weights) of one raw query, validated as a one-row table that must fit the model."""
-    row = list(q)
-    table = QueryTable.from_rows([row], [0], max(len(row), 1))
-    _check_table(model, table)
-    z, w, _ = _forward_rows(model, table.ids, table.lengths)
-    return z[0], w[0]
-
-
-def attention_weights(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    return _forward_one(model, q)[1]
-
-
 def embed_query(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    return _forward_one(model, q)[0]
+    """z of one raw query, validated as a one-row table that must fit the model."""
+    row = list(q)
+    return embed_table(model, QueryTable.from_rows([row], [0], max(len(row), 1)))[0]
 
 
 def embed_table(model: AttentionModel, queries: QueryTable) -> np.ndarray:
@@ -414,16 +403,6 @@ def train(
             trace.append((epoch, batch_idx, mean_loss))
         lr *= config.lr_decay
     return model, trace
-
-
-def smoothed_trace(losses: Sequence[float], window: int = 10) -> np.ndarray:
-    """Means of consecutive full windows of the loss sequence."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    n = len(losses) // window
-    if n == 0:
-        return np.array([])
-    return np.asarray(losses[: n * window], dtype=np.float64).reshape(n, window).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ Query ``i`` consumes randomness only from ``rng_stream(seed, STREAM_QUERIES+i)``
 in a fixed draw order: product id, then one uniform for the length, then per
 position one uniform for the component choice followed by one uniform (tilted
 component, inverse-CDF) or one integer draw (uniform component).  Generation
-is therefore identical for any thread count and any generation order.
+is therefore identical for any generation order.
+
+Each stream's raw Philox words are read once and decoded in integer and
+power-of-two arithmetic, bit for bit as numpy's Generator decodes them:
+``random()`` is (word >> 11) * 2**-53; ``integers(n)``, 1 < n < 2**32, is Lemire's
+x*n >> 32 on 32-bit draws x, redrawn while x*n mod 2**32 < (2**32 - n) % n.  A
+32-bit draw takes a fresh word's low half and keeps its high half for the next
+one, which ``random()`` skips; ``integers(1)`` reads nothing.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,11 +47,8 @@ from .core import (
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
+    stream_words,
 )
-
-# Skip the per-(product, position) CDF cache when it would exceed this many
-# floats; generation then recomputes tilted weights per query.
-_CDF_CACHE_MAX_FLOATS = 5e7
 
 # edges.tsv is formatted this many rows at a time, which bounds the
 # transient Python ints of a write.
@@ -72,16 +76,10 @@ def truncated_poisson_pmf(lam: float, max_len: int) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def sample_query_length(rng: np.random.Generator, lam: float, max_len: int) -> int:
-    """One draw from Poisson(lam) truncated to [1, max_len] (inverse CDF)."""
-    pmf = truncated_poisson_pmf(lam, max_len)
-    return _draw_length(rng, np.cumsum(pmf))
-
-
-def _draw_length(rng: np.random.Generator, length_cdf: np.ndarray) -> int:
-    u = rng.random()
-    idx = int(np.searchsorted(length_cdf, u, side="right"))
-    return min(idx, length_cdf.size - 1) + 1
+def query_lengths(config: GeneratorConfig, u: np.ndarray) -> np.ndarray:
+    """Truncated-Poisson query lengths by inverse CDF of the uniforms u."""
+    cdf = np.cumsum(truncated_poisson_pmf(config.lam, config.max_len))
+    return np.minimum(np.searchsorted(cdf, u, side="right"), config.max_len - 1) + 1
 
 
 def partition_function(p: np.ndarray, beta: float, vocab: np.ndarray) -> float:
@@ -122,29 +120,6 @@ def _position_params(config: GeneratorConfig, position: int) -> tuple[float, flo
     return config.alphas[position - 1], config.betas[position - 1]
 
 
-def _draw_trigram(
-    rng: np.random.Generator, alpha: float, tilted_cdf: np.ndarray, vocab_size: int
-) -> int:
-    # Canonical two-stage draw; see the module docstring for the stream contract.
-    if rng.random() < alpha:
-        u = rng.random()
-        return min(int(np.searchsorted(tilted_cdf, u, side="right")), vocab_size - 1)
-    return int(rng.integers(vocab_size))
-
-
-def sample_trigram(
-    rng: np.random.Generator,
-    p: np.ndarray,
-    position: int,
-    config: GeneratorConfig,
-    vocab: np.ndarray,
-) -> int:
-    """Draw one trigram id for the given product and 1-based position."""
-    alpha, beta = _position_params(config, position)
-    cdf = np.cumsum(tilted_component_probs(p, beta, vocab))
-    return _draw_trigram(rng, alpha, cdf, config.vocab_size)
-
-
 def sample_trigrams_batch(
     rng: np.random.Generator,
     p: np.ndarray,
@@ -155,7 +130,7 @@ def sample_trigrams_batch(
 ) -> np.ndarray:
     """Vectorized i.i.d. draws from the position mixture (for Monte Carlo use).
 
-    Distributionally identical to repeated sample_trigram calls but consumes
+    Distributionally identical to the generator's per-query draws but consumes
     the stream differently (three parallel draw arrays), so it is not meant
     for dataset generation.
     """
@@ -239,16 +214,33 @@ def product_adjacency(products: np.ndarray, epsilon_p: float) -> np.ndarray:
     return adj
 
 
+def _groups(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of keys in [0, n_keys): key k's entries are order[bounds[k]:bounds[k+1]]."""
+    order = np.argsort(keys, kind="stable")
+    return order, np.searchsorted(keys[order], np.arange(n_keys + 1))
+
+
+def inverse_cdf_by_group(
+    keys: np.ndarray, u: np.ndarray, n_keys: int, cdf_row: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Draw j: u[j]'s inverse-CDF index in cdf_row(keys[j]); one row and one search per key."""
+    order, bounds = _groups(keys, n_keys)
+    out = np.empty(keys.size, dtype=np.int64)
+    for k in np.flatnonzero(np.diff(bounds)):
+        mine = order[bounds[k] : bounds[k + 1]]
+        cdf = cdf_row(int(k))
+        out[mine] = np.minimum(np.searchsorted(cdf, u[mine], side="right"), cdf.size - 1)
+    return out
+
+
 def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """Edges (u, v), u < v, between queries whose products are adjacent.
 
     Queries are bucketed by product; each bucket is paired with the
     concatenated buckets of its adjacent products.
     """
-    n_products = adjacency.shape[0]
-    order = np.argsort(product_ids, kind="stable")
-    bounds = np.searchsorted(product_ids[order], np.arange(n_products + 1))
-    buckets = [order[bounds[a] : bounds[a + 1]] for a in range(n_products)]
+    order, bounds = _groups(product_ids, len(adjacency))
+    buckets = [order[bounds[a] : bounds[a + 1]] for a in range(len(adjacency))]
     blocks = [np.empty((0, 2), dtype=np.int64)]
     for a, mine in enumerate(buckets):
         near = np.concatenate([buckets[b] for b in np.flatnonzero(adjacency[a])])
@@ -265,13 +257,72 @@ def _query_graph(queries: QueryTable, edges: np.ndarray) -> QueryGraph:
     return QueryGraph(len(queries), edges, purchase_map)
 
 
-def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticDataset:
-    """Run the full generative process for one configuration.
+class _StreamReader:
+    """Generator.random() and .integers(n) for each listed row j of rng_stream(seed, streams[j]).
 
-    With threads > 1, queries are generated concurrently; outputs are
-    identical to the single-threaded run because each query has its own
-    RNG substream.
+    Once a row needs more words than were read, every stream is re-read with twice as many.
     """
+
+    def __init__(self, seed: int, streams: np.ndarray, n_words: int) -> None:
+        self.seed, self.streams, self.words = seed, streams, stream_words(seed, streams, n_words)
+        self.cursor = np.zeros(len(streams), dtype=np.int64)
+        self.kept, self.has_kept = np.zeros(len(streams), np.uint64), np.zeros(len(streams), bool)
+
+    def _next64(self, rows: np.ndarray) -> np.ndarray:
+        self.cursor[rows] += 1
+        if rows.size and self.cursor[rows].max() > self.words.shape[1]:
+            self.words = stream_words(self.seed, self.streams, 2 * self.words.shape[1])
+        return self.words[rows, self.cursor[rows] - 1]
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        had, out = self.has_kept[rows], self.kept[rows]
+        word = self._next64(rows[~had])  # low half now, high half kept for the next draw
+        out[~had], self.kept[rows[~had]] = word & 0xFFFFFFFF, word >> 32
+        self.has_kept[rows] = ~had
+        return out
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        return (self._next64(rows) >> 11) * 2.0**-53
+
+    def integers(self, rows: np.ndarray, n: int) -> np.ndarray:
+        m, redo = np.zeros(rows.size, dtype=np.uint64), np.arange(rows.size if n > 1 else 0)
+        while redo.size:
+            m[redo] = self._next32(rows[redo]) * np.uint64(n)
+            redo = redo[(m[redo] & 0xFFFFFFFF) < (2**32 - n) % n]
+        return (m >> 32).astype(np.int64)
+
+
+def _sample_queries(
+    config: GeneratorConfig, products: np.ndarray, vocab: np.ndarray, n_words: int
+) -> QueryTable:
+    """Every query decoded from its stream; tilted draws are looked up per (product, beta) last."""
+    n, width, everyone = config.n_queries, config.max_len, np.arange(config.n_queries)
+    reader = _StreamReader(config.seed, STREAM_QUERIES + everyone, n_words)
+    product_ids = reader.integers(everyone, config.n_products)
+    lengths = query_lengths(config, reader.random(everyone))
+    ids, tilted_u = np.zeros((n, width), dtype=np.int64), np.full((n, width), np.nan)
+    for pos in range(width):
+        rows = np.flatnonzero(lengths > pos)
+        tilted = reader.random(rows) < config.alphas[pos]
+        tilted_u[rows[tilted], pos] = reader.random(rows[tilted])  # stays NaN where not tilted
+        ids[rows[~tilted], pos] = reader.integers(rows[~tilted], config.vocab_size)
+
+    def tilted_cdf(k: int) -> np.ndarray:  # the generator's 1-D path, not the (P, dim) GEMM
+        p, beta = products[k // width], config.betas[k % width]
+        return np.cumsum(tilted_component_probs(p, beta, vocab))
+
+    q, pos = np.nonzero(~np.isnan(tilted_u))
+    slot = np.array([config.betas.index(b) for b in config.betas])  # equal betas, one CDF
+    keys = product_ids[q] * width + slot[pos]
+    ids[q, pos] = inverse_cdf_by_group(keys, tilted_u[q, pos], len(products) * width, tilted_cdf)
+    return QueryTable(ids, lengths, product_ids)
+
+
+def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticDataset:
+    """Run the full generative process for one configuration; ``threads`` is ignored."""
+    for name in ("vocab_size", "n_products"):  # integers(n) leaves its 32-bit path at 2**32
+        if getattr(config, name) >= 2**32:
+            raise ValueError(f"{name} must be < 2**32, got {getattr(config, name)}")
     vocab = sample_trigram_vocab(
         rng_stream(config.seed, STREAM_VOCAB), config.vocab_size, config.dim
     )
@@ -280,42 +331,7 @@ def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticData
         [sample_unit_sphere(prod_rng, config.dim) for _ in range(config.n_products)],
         dtype=np.float64,
     ).reshape(config.n_products, config.dim)
-
-    length_cdf = np.cumsum(truncated_poisson_pmf(config.lam, config.max_len))
-    use_cache = (
-        config.n_products * config.max_len * config.vocab_size <= _CDF_CACHE_MAX_FLOATS
-    )
-    cdf_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def tilted_cdf(pid: int, pos_idx: int) -> np.ndarray:
-        key = (pid, pos_idx)
-        cached = cdf_cache.get(key)
-        if cached is not None:
-            return cached
-        cdf = np.cumsum(
-            tilted_component_probs(products[pid], config.betas[pos_idx], vocab)
-        )
-        if use_cache:
-            cdf_cache[key] = cdf
-        return cdf
-
-    def make_query(qi: int) -> tuple[list[int], int]:
-        r = rng_stream(config.seed, STREAM_QUERIES + qi)
-        pid = int(r.integers(config.n_products))
-        length = _draw_length(r, length_cdf)
-        ids = [
-            _draw_trigram(r, config.alphas[pos], tilted_cdf(pid, pos), config.vocab_size)
-            for pos in range(length)
-        ]
-        return ids, pid
-
-    if threads > 1 and config.n_queries > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            made = list(pool.map(make_query, range(config.n_queries)))
-    else:
-        made = [make_query(qi) for qi in range(config.n_queries)]
-
-    queries = QueryTable.from_rows([r for r, _ in made], [p for _, p in made], config.max_len)
+    queries = _sample_queries(config, products, vocab, n_words=2 + 2 * config.max_len)
     edges = _query_edges(queries.product_ids, product_adjacency(products, config.epsilon_p))
     return SyntheticDataset(config, vocab, products, queries, _query_graph(queries, edges))
 

@@ -13,7 +13,7 @@ one pass/fail line per check and exit non-zero only at the end.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,9 +30,11 @@ from .genmodel import (
     SyntheticDataset,
     default_benchmark_config,
     generate_dataset,
+    inverse_cdf_by_group,
     mixture_probs,
     partition_function,
     product_adjacency,
+    query_lengths,
     sample_trigrams_batch,
     trigram_empirical_variance,
     trigram_mean_coefficient,
@@ -123,12 +125,11 @@ class PmiEstimate:
             raise ValueError("retained PMI values must be finite")
 
 
-def _position_cdfs(dataset: SyntheticDataset) -> np.ndarray:
-    """CDF tensor (max_len, n_products, vocab_size) of the full mixture."""
+def _position_probs(dataset: SyntheticDataset) -> np.ndarray:
+    """(max_len, n_products, vocab_size): probs[pos, a, t] of trigram t at position pos+1."""
     c = dataset.config
     return np.stack([
-        np.cumsum(mixture_probs(dataset.products, pos, c, dataset.vocab), axis=1)
-        for pos in range(1, c.max_len + 1)
+        mixture_probs(dataset.products, pos, c, dataset.vocab) for pos in range(1, c.max_len + 1)
     ])
 
 
@@ -145,10 +146,7 @@ def _sample_sequences(
     """
     c = dataset.config
     n = product_ids.size
-    length_cdf = np.cumsum(truncated_poisson_pmf(c.lam, c.max_len))
-    lengths = np.minimum(
-        np.searchsorted(length_cdf, rng.random(n), side="right"), c.max_len - 1
-    ) + 1
+    lengths = query_lengths(c, rng.random(n))
     base = c.vocab_size + 1
     codes = np.zeros(n, dtype=np.int64)
     for pos in range(c.max_len):
@@ -157,14 +155,8 @@ def _sample_sequences(
             break
         # single inverse-CDF draw from the full mixture (cdfs already fold in
         # the uniform component)
-        ids = np.empty(active.size, dtype=np.int64)
         u = rng.random(active.size)
-        prods = product_ids[active]
-        for a in np.unique(prods):
-            rows = prods == a
-            ids[rows] = np.minimum(
-                np.searchsorted(cdfs[pos, a], u[rows], side="right"), c.vocab_size - 1
-            )
+        ids = inverse_cdf_by_group(product_ids[active], u, c.n_products, lambda a: cdfs[pos, a])
         codes[active] += (ids + 1) * base**pos
     return codes
 
@@ -216,7 +208,7 @@ def estimate_pmi(
                          " overflows the int64 pair keys (must be < 2**63)")
     adj = product_adjacency(dataset.products, c.epsilon_p)
     pair_a, pair_b = np.nonzero(adj)  # ordered pairs, diagonal included
-    cdfs = _position_cdfs(dataset)
+    cdfs = np.cumsum(_position_probs(dataset), axis=2)
     rng = rng_stream(seed, STREAM_VALIDATE)
 
     pick = rng.integers(pair_a.size, size=n_joint)
@@ -306,11 +298,7 @@ class ExactPmi:
         self.dataset = dataset
         self.adj = product_adjacency(dataset.products, c.epsilon_p)
         self.n_ordered_pairs = int(self.adj.sum())
-        # probs[pos][a, t] = mixture probability of trigram t at position pos+1
-        self.probs = np.stack([
-            mixture_probs(dataset.products, pos, c, dataset.vocab)
-            for pos in range(1, c.max_len + 1)
-        ])
+        self.probs = _position_probs(dataset)
         self.length_pmf = truncated_poisson_pmf(c.lam, c.max_len)
 
     def conditional(self, sequence: Sequence[int]) -> np.ndarray:
@@ -385,10 +373,13 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
     products, vocab = dataset.products, dataset.vocab
     vocab_sq = np.einsum("ij,ij->i", vocab, vocab)
     product_sq = np.einsum("ij,ij->i", products, products)
+    scores = _product_scores(dataset)
     out = np.zeros(len(positions))
     for j, pos in enumerate(positions):
         pi = mixture_probs(products, pos, c, vocab)
-        rho = np.array([trigram_mean_coefficient(p, pos, c, vocab) for p in products])
+        alpha, beta = c.alphas[pos - 1], c.betas[pos - 1]
+        z = np.exp(beta * scores).sum(axis=1)  # partition_function of every product
+        rho = c.vocab_size * alpha * beta * float(np.exp(0.5 * beta * beta)) / z
         along = np.einsum("ij,ij->i", pi @ vocab, products)
         out[j] = float(np.mean(pi @ vocab_sq - 2.0 * rho * along + rho * rho * product_sq))
     return out
@@ -457,16 +448,25 @@ class FittedBetas:
     feasible: np.ndarray
 
 
+def _product_scores(dataset: SyntheticDataset) -> np.ndarray:
+    """(P, m) scores <t, p>: row a is partition_function's 1-D ``vocab @ p``, so
+    ``np.exp(beta * scores).sum(axis=1)`` equals it product by product, bit for bit."""
+    vocab, products = dataset.vocab, dataset.products
+    return np.array([vocab @ p for p in products]).reshape(len(products), len(vocab))
+
+
 def mean_trigram_coefficient(
-    dataset: SyntheticDataset, position: int, beta: float | None = None
+    dataset: SyntheticDataset, position: int, beta: float | None = None,
+    scores: np.ndarray | None = None,
 ) -> float:
-    """rho at one position, averaged over the dataset's products."""
+    """rho at one position, averaged over the dataset's products (scores: _product_scores)."""
     c = dataset.config
     alpha = c.alphas[position - 1]
     b = c.betas[position - 1] if beta is None else beta
     if b == 0.0:
         return 0.0
-    z = np.mean([partition_function(p, b, dataset.vocab) for p in dataset.products])
+    scores = _product_scores(dataset) if scores is None else scores
+    z = np.mean(np.exp(b * scores).sum(axis=1))  # partition_function of every product
     return c.vocab_size * alpha * b * float(np.exp(0.5 * b * b)) / z
 
 
@@ -489,6 +489,7 @@ def fit_betas(
     if var.shape != line.shape:
         raise ValueError("variances and target line must align")
     c = dataset.config
+    scores = _product_scores(dataset)
     betas = np.full(var.size, np.nan)
     feasible = np.zeros(var.size, dtype=bool)
     for i in range(var.size):
@@ -502,7 +503,7 @@ def fit_betas(
         target_rho = np.sqrt(gap)
 
         def h(b: float, pos: int = i + 1) -> float:
-            return mean_trigram_coefficient(dataset, pos, beta=b) - target_rho
+            return mean_trigram_coefficient(dataset, pos, b, scores) - target_rho
 
         if h(beta_max) < 0:
             continue
@@ -837,12 +838,7 @@ def figure1_report(
     ideal = _affine_fit(positions, report.variances)
     var_r = pearson_r(report.variances, positions)
 
-    rho = np.array(
-        [
-            mean_trigram_coefficient(dataset, pos)
-            for pos in report.positions
-        ]
-    )
+    rho = np.array([mean_trigram_coefficient(dataset, pos) for pos in report.positions])
     envelope = _affine_fit(positions, report.variances + rho**2)
     fitted = fit_betas(report.variances, envelope, dataset)
     resid = fitted.residuals[fitted.feasible]

@@ -9,6 +9,7 @@ from queryemb.core import (
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
+    stream_words,
 )
 
 
@@ -36,6 +37,14 @@ class TestRngStream:
         fresh = rng_stream(5, 1)
         assert interleaved[0] == fresh.standard_normal()
         assert interleaved[2] == fresh.standard_normal()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 5, 2**64 + 3, -1])
+    def test_stream_words_are_each_streams_raw_output(self, seed):
+        streams = [16, 17, 3, 2**63, 16]
+        words = stream_words(seed, streams, 9)
+        assert words.shape == (5, 9) and words.dtype == np.uint64
+        for row, stream in zip(words, streams):
+            assert np.array_equal(row, rng_stream(seed, stream).bit_generator.random_raw(9))
 
 
 class TestSampleUnitSphere:

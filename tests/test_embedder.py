@@ -15,7 +15,6 @@ from queryemb.embedder import (
     ModelGradient,
     TrainConfig,
     TrainingBatch,
-    attention_weights,
     embed_query,
     embed_table,
     init_model,
@@ -25,12 +24,29 @@ from queryemb.embedder import (
     sample_negatives,
     sample_positives,
     save_checkpoint,
-    smoothed_trace,
     train,
     write_loss_trace,
 )
 from queryemb.genmodel import SyntheticDataset, generate_dataset
 from queryemb.theory import desk_train_config
+
+
+def attention_weights(model, q):
+    """Attention weights of one raw query, through the batched forward pass."""
+    row = list(q)
+    table = QueryTable.from_rows([row], [0], max(len(row), 1))
+    embedder._check_table(model, table)
+    return embedder._forward_rows(model, table.ids, table.lengths)[1][0]
+
+
+def smoothed_trace(losses, window=10):
+    """Means of consecutive full windows of the loss sequence."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    n = len(losses) // window
+    if n == 0:
+        return np.array([])
+    return np.asarray(losses[: n * window], dtype=np.float64).reshape(n, window).mean(axis=1)
 
 
 def _singleton_queries(emb_rows):

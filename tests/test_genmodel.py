@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -5,8 +6,18 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, poisson
 
-from queryemb.core import GeneratorConfig, rng_stream, sample_unit_sphere
+from queryemb.core import (
+    STREAM_QUERIES,
+    GeneratorConfig,
+    QueryTable,
+    rng_stream,
+    sample_unit_sphere,
+    stream_words,
+)
 from queryemb.genmodel import (
+    _position_params,
+    _sample_queries,
+    _StreamReader,
     alphas_for_linear_variance,
     config_from_mapping,
     default_benchmark_config,
@@ -16,8 +27,6 @@ from queryemb.genmodel import (
     parse_key_values,
     partition_function,
     read_matrix,
-    sample_query_length,
-    sample_trigram,
     sample_trigrams_batch,
     save_dataset,
     tilted_component_probs,
@@ -43,6 +52,57 @@ def _config(**overrides):
     )
     base.update(overrides)
     return GeneratorConfig(**base)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference generator: one Generator call per draw, in the stream order
+# of the genmodel docstring.  The bulk decoder must reproduce it exactly.
+
+
+def _draw_length(rng, length_cdf):
+    idx = int(np.searchsorted(length_cdf, rng.random(), side="right"))
+    return min(idx, length_cdf.size - 1) + 1
+
+
+def sample_query_length(rng, lam, max_len):
+    """One draw from Poisson(lam) truncated to [1, max_len] (inverse CDF)."""
+    return _draw_length(rng, np.cumsum(truncated_poisson_pmf(lam, max_len)))
+
+
+def _draw_trigram(rng, alpha, tilted_cdf, vocab_size):
+    if rng.random() < alpha:
+        u = rng.random()
+        return min(int(np.searchsorted(tilted_cdf, u, side="right")), vocab_size - 1)
+    return int(rng.integers(vocab_size))
+
+
+def sample_trigram(rng, p, position, config, vocab):
+    """Draw one trigram id for the given product and 1-based position."""
+    alpha, beta = _position_params(config, position)
+    return _draw_trigram(
+        rng, alpha, np.cumsum(tilted_component_probs(p, beta, vocab)), config.vocab_size
+    )
+
+
+def reference_queries(config, products, vocab):
+    """The query table drawn query by query, each from its own Generator."""
+    length_cdf = np.cumsum(truncated_poisson_pmf(config.lam, config.max_len))
+    rows, pids = [], []
+    for qi in range(config.n_queries):
+        r = rng_stream(config.seed, STREAM_QUERIES + qi)
+        pid = int(r.integers(config.n_products))
+        length = _draw_length(r, length_cdf)
+        rows.append([sample_trigram(r, products[pid], pos, config, vocab)
+                     for pos in range(1, length + 1)])
+        pids.append(pid)
+    return QueryTable.from_rows(rows, pids, config.max_len)
+
+
+def _words_used(rng):
+    """Raw Philox words a Generator has consumed so far."""
+    state = rng.bit_generator.state
+    blocks = int(state["state"]["counter"][0])
+    return 4 * blocks - 4 + state["buffer_pos"] if blocks else 0
 
 
 class TestQueryLength:
@@ -331,6 +391,80 @@ class TestGenerateDataset:
         ds = generate_dataset(_config(n_products=0, n_queries=0))
         assert len(ds.queries) == 0
         assert ds.graph.n_edges == 0
+
+    @pytest.mark.parametrize("field", ["vocab_size", "n_products"])
+    def test_sizes_of_2_pow_32_rejected(self, field):
+        # numpy's integers(n) leaves its 32-bit path there, and the decoder with it
+        with pytest.raises(ValueError, match=rf"{field} must be < 2\*\*32"):
+            generate_dataset(_config(**{field: 2**32}))
+
+
+class TestBulkDecoding:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_products=1),
+            dict(vocab_size=1),
+            dict(max_len=1, alphas=(0.9,), betas=(1.0,)),
+            dict(alphas=(1.0, 1.0, 1.0)),
+            dict(alphas=(0.51, 0.51, 0.51)),
+            dict(lam=0.1),
+            dict(seed=2**40 + 3),
+        ],
+        ids=["one_product", "one_trigram", "max_len_1", "all_tilted", "mostly_uniform",
+             "short_queries", "seed_past_2_40"],
+    )
+    def test_edge_configs_match_scalar_reference(self, overrides):
+        ds = generate_dataset(_config(n_queries=200, **overrides))
+        assert ds.queries == reference_queries(ds.config, ds.products, ds.vocab)
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_desk_recipe_matches_scalar_reference(self, seed):
+        cfg = dataclasses.replace(default_benchmark_config(seed), n_queries=300)
+        ds = generate_dataset(cfg)
+        assert ds.queries == reference_queries(cfg, ds.products, ds.vocab)
+
+    @pytest.mark.parametrize("n_words", [1, 3])
+    def test_queries_past_their_word_budget_are_decoded_exactly(self, n_words):
+        # both budgets are below the 2 + 2 * max_len words generation starts
+        # with, so queries run past them and every stream is read again
+        cfg = _config(n_queries=150, vocab_size=3000, alphas=(0.51, 0.51, 0.51), lam=5.0)
+        ds = generate_dataset(cfg)
+        assert _sample_queries(cfg, ds.products, ds.vocab, n_words) == ds.queries
+        assert ds.queries == reference_queries(cfg, ds.products, ds.vocab)
+
+    @pytest.mark.parametrize("n", [1, 200, 2000, 2**31 + 1])
+    def test_reader_matches_generator_interleaved(self, n):
+        # 2**31 + 1 rejects about half the 32-bit draws, so kept high halves
+        # are consumed by rejections as well as by later draws
+        streams = np.arange(STREAM_QUERIES, STREAM_QUERIES + 300)
+        ops = rng_stream(40).random(40) < 0.5  # True: integers(n), False: random()
+        reader = _StreamReader(41, streams, 200)
+        rows = np.arange(streams.size)
+        got = np.column_stack(
+            [reader.integers(rows, n) if op else reader.random(rows) for op in ops]
+        )
+        for j, stream in enumerate(streams.tolist()):
+            g = rng_stream(41, stream)
+            want = [g.integers(n) if op else g.random() for op in ops]
+            assert got[j].tolist() == want
+            assert reader.cursor[j] == _words_used(g)
+
+    def test_reader_past_its_words_reads_on_exactly(self):
+        n, budget = 2**31 + 1, 3
+        streams = np.arange(500)
+        reader = _StreamReader(42, streams, budget)
+        rows = np.arange(streams.size)
+        got = np.column_stack([reader.integers(rows, n) for _ in range(4)])
+        used = []
+        for j, stream in enumerate(streams.tolist()):
+            g = rng_stream(42, stream)
+            assert got[j].tolist() == [g.integers(n) for _ in range(4)]
+            used.append(_words_used(g))
+        assert reader.cursor.tolist() == used
+        assert 0 < sum(u > budget for u in used) < streams.size
+        assert reader.words.shape[1] >= max(used)
+        assert np.array_equal(reader.words, stream_words(42, streams, reader.words.shape[1]))
 
 
 class TestMatrixSerialization:

@@ -1,18 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
 from queryemb.core import GeneratorConfig, rng_stream
 from queryemb.genmodel import (
+    default_benchmark_config,
     generate_dataset,
     mixture_probs,
+    partition_function,
     trigram_empirical_variance,
     trigram_mean_coefficient,
+    truncated_poisson_pmf,
 )
 from queryemb.theory import (
+    _position_probs,
+    _product_scores,
+    _sample_sequences,
     SUITES,
     TINY_MIN_COUNT,
     VALIDATE_SEED,
@@ -215,6 +223,14 @@ class TestEstimatePmi:
         total = sum(oracle.marginal((t,)) for t in range(ds.config.vocab_size))
         assert total == pytest.approx(float(oracle.length_pmf[0]), rel=1e-12)
 
+    def test_grouped_sampler_matches_masked_loop_reference(self):
+        ds = generate_dataset(tiny_universe_config(VALIDATE_SEED))
+        cdfs = np.cumsum(_position_probs(ds), axis=2)
+        product_ids = rng_stream(8).integers(ds.config.n_products, size=20_000)
+        got = _sample_sequences(rng_stream(9), product_ids, ds, cdfs)
+        want = _masked_loop_sequences(rng_stream(9), product_ids, ds, cdfs)
+        assert np.array_equal(got, want)
+
     def test_sampled_pmi_matches_enumeration_on_pinned_seed(self):
         ds = generate_dataset(tiny_universe_config(VALIDATE_SEED))
         est = estimate_pmi(ds, seed=VALIDATE_SEED, min_count=TINY_MIN_COUNT)
@@ -222,6 +238,32 @@ class TestEstimatePmi:
         z = np.abs(est.pmi - exact) / est.std_errors
         assert float(z.max()) <= 3.0
         assert pearson_r(exact, est.dot_over_d) > 0.8
+
+
+def _masked_loop_sequences(rng, product_ids, dataset, cdfs):
+    """_sample_sequences with one boolean mask per product present, as the reference."""
+    c = dataset.config
+    n = product_ids.size
+    length_cdf = np.cumsum(truncated_poisson_pmf(c.lam, c.max_len))
+    lengths = np.minimum(
+        np.searchsorted(length_cdf, rng.random(n), side="right"), c.max_len - 1
+    ) + 1
+    base = c.vocab_size + 1
+    codes = np.zeros(n, dtype=np.int64)
+    for pos in range(c.max_len):
+        active = np.flatnonzero(lengths > pos)
+        if active.size == 0:
+            break
+        ids = np.empty(active.size, dtype=np.int64)
+        u = rng.random(active.size)
+        prods = product_ids[active]
+        for a in np.unique(prods):
+            rows = prods == a
+            ids[rows] = np.minimum(
+                np.searchsorted(cdfs[pos, a], u[rows], side="right"), c.vocab_size - 1
+            )
+        codes[active] += (ids + 1) * base**pos
+    return codes
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +348,25 @@ class TestPositionVariances:
         for bad in (0, cfg.max_len + 1):
             with pytest.raises(ValueError, match="position"):
                 position_variances(ds, [1, bad])
+
+
+class TestStackedPartitionSums:
+    def test_stacked_sums_equal_per_product_partition_function(self):
+        ds = generate_dataset(dataclasses.replace(default_benchmark_config(1), n_queries=0))
+        scores = _product_scores(ds)
+        for beta in (0.0, 0.7, 2.5, 7.9):
+            want = [partition_function(p, beta, ds.vocab) for p in ds.products]
+            assert_array_equal(np.exp(beta * scores).sum(axis=1), want)
+
+    def test_mean_coefficient_equals_per_product_loop(self):
+        # the mean of per-product partition_function calls, as fit_betas once computed it
+        ds = generate_dataset(dataclasses.replace(default_benchmark_config(1), n_queries=0))
+        c, scores = ds.config, _product_scores(ds)
+        for pos, beta in ((1, 2.5), (7, 0.3), (12, 6.1)):
+            z = np.mean([partition_function(p, beta, ds.vocab) for p in ds.products])
+            want = c.vocab_size * c.alphas[pos - 1] * beta * float(np.exp(0.5 * beta * beta)) / z
+            assert mean_trigram_coefficient(ds, pos, beta) == want
+            assert mean_trigram_coefficient(ds, pos, beta, scores) == want
 
 
 class TestFitBetas:
