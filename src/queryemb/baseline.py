@@ -85,6 +85,8 @@ class QueryStore:
         self.ids = np.asarray(range(len(queries)) if ids is None else list(ids), dtype=np.int64)
         if self.ids.size != len(queries):
             raise ValueError("ids and queries must have equal length")
+        if np.unique(self.ids).size != self.ids.size:
+            raise ValueError("store ids must be unique")
 
     def __len__(self) -> int:
         return self.ids.size
@@ -92,10 +94,27 @@ class QueryStore:
     def __contains__(self, query_id: int) -> bool:
         return bool(np.any(self.ids == query_id))
 
-    def _ranked(self, keys: np.ndarray, exclude_id: int | None) -> np.ndarray:
-        """Store ids ordered by (keys, ascending id), optionally dropping one id."""
-        ranked = self.ids[np.lexsort((self.ids, keys))]
-        return ranked if exclude_id is None else ranked[ranked != exclude_id]
+    def _ranked(self, keys: np.ndarray, count: int, exclude_id: int | None) -> np.ndarray:
+        """The first count store ids in (keys, ascending id) order, never exclude_id.
+
+        Only the ids whose key is not above the need-th smallest key are
+        sorted.  Every id of the full order's first need positions is among
+        them, ties at the threshold included, so the result equals the full
+        sort's prefix.  NaN keys are never above anything, so they stay
+        candidates and sort last, as in the full sort.
+        """
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+        need = count + (exclude_id is not None)
+        ids = self.ids
+        if need < keys.size:
+            t = np.partition(keys, need - 1)[need - 1]
+            picked = np.flatnonzero(~(keys > t))
+            keys, ids = keys[picked], ids[picked]
+        ranked = ids[np.lexsort((ids, keys))]
+        if exclude_id is not None:
+            ranked = ranked[ranked != exclude_id]
+        return ranked[:count]
 
 
 class TrigramHashStore(QueryStore):
@@ -132,9 +151,11 @@ class TrigramHashStore(QueryStore):
         total = self.totals + pv.sum()
         return (total - 2.0 * shared) / total
 
-    def rank(self, probe: Sequence[int], exclude_id: int | None = None) -> np.ndarray:
-        """All store ids ordered by the probe's (distance, id), optionally dropping one id."""
-        return self._ranked(self.distances(hash_query(probe, self.n_buckets)), exclude_id)
+    def rank(self, probe: Sequence[int], count: int,
+             exclude_id: int | None = None) -> np.ndarray:
+        """The count store ids nearest the probe by (distance, id), never exclude_id."""
+        return self._ranked(self.distances(hash_query(probe, self.n_buckets)), count,
+                            exclude_id)
 
 
 def knn(store: TrigramHashStore, probe: Sequence[int], k: int) -> list[int]:
@@ -143,4 +164,4 @@ def knn(store: TrigramHashStore, probe: Sequence[int], k: int) -> list[int]:
         raise ValueError("store is empty")
     if k > len(store):
         raise ValueError(f"k={k} exceeds store size {len(store)}")
-    return [int(i) for i in store.rank(probe)[:k]]
+    return [int(i) for i in store.rank(probe, k)]

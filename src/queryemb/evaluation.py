@@ -82,9 +82,10 @@ class EmbeddingStore(QueryStore):
         self.model = model
         self.matrix = embed_table(model, queries)
 
-    def rank(self, probe: Sequence[int], exclude_id: int | None = None) -> np.ndarray:
-        """All store ids ordered by the probe's (descending similarity, ascending id)."""
-        return self._ranked(-(self.matrix @ embed_query(self.model, probe)), exclude_id)
+    def rank(self, probe: Sequence[int], count: int,
+             exclude_id: int | None = None) -> np.ndarray:
+        """The count store ids first by the probe's (descending similarity, ascending id)."""
+        return self._ranked(-(self.matrix @ embed_query(self.model, probe)), count, exclude_id)
 
 
 def reformulate(
@@ -111,7 +112,7 @@ def reformulate(
     available = len(store) - (1 if exclude is not None else 0)
     if count > available:
         raise ValueError(f"store offers {available} candidates, need {count}")
-    return [int(i) for i in store.rank(probe, exclude_id=exclude)[:count]]
+    return [int(i) for i in store.rank(probe, count, exclude_id=exclude)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from queryemb.baseline import (
     HASH_DIM,
+    QueryStore,
     TrigramHashStore,
     bray_curtis,
     bucket_of,
@@ -13,6 +14,8 @@ from queryemb.baseline import (
     splitmix64_array,
 )
 from queryemb.core import QueryTable, rng_stream
+from queryemb.embedder import AttentionModel, embed_query
+from queryemb.evaluation import EmbeddingStore, reformulate
 
 
 def _q(*ids):
@@ -21,6 +24,14 @@ def _q(*ids):
 
 def _table(queries):
     return QueryTable.from_rows(queries, [0] * len(queries), max(map(len, queries), default=1))
+
+
+def _full_sort(ids, keys, count, exclude_id=None):
+    """Reference ranking: one lexsort of every id by (key, id), then the prefix."""
+    ranked = ids[np.lexsort((ids, keys))]
+    if exclude_id is not None:
+        ranked = ranked[ranked != exclude_id]
+    return ranked[:count]
 
 
 class TestSplitmix64:
@@ -216,9 +227,11 @@ class TestKnn:
 
     def test_rank_exclusion(self):
         queries, store = self._random_store(47, n=10)
-        ranked = store.rank(queries[2], exclude_id=2)
+        ranked = store.rank(queries[2], 9, exclude_id=2)
         assert 2 not in ranked
         assert ranked.size == 9
+        assert_array_equal(ranked, _full_sort(store.ids, store.distances(
+            hash_query(queries[2])), 9, 2))
 
     def test_custom_bucket_width(self):
         queries = [_q(1, 2), _q(3)]
@@ -226,3 +239,100 @@ class TestKnn:
         assert store.matrix.shape == (2, 7)
         with pytest.raises(ValueError, match="width"):
             store.distances(hash_query(_q(1), n_buckets=300))
+
+
+class TestTopCountSelection:
+    """The partial selection returns exactly the full sort's first count ids."""
+
+    def _store(self, ids):
+        return QueryStore(_table([_q(0)] * len(ids)), ids)
+
+    def _exclusions(self, ids, keys, count):
+        """None, an id inside the top count, one outside it and one not stored."""
+        order = _full_sort(ids, keys, ids.size)
+        inside = [int(order[min(count, ids.size) - 1])]
+        outside = [int(order[count + 1])] if count + 1 < ids.size else []
+        return [None, *inside, *outside, int(ids.max()) + 1]
+
+    def _check_raw(self, ids, keys):
+        store = self._store(ids)
+        n = ids.size
+        for count in sorted({1, 2, 5, n - 1, n} - {0}):
+            for exclude in self._exclusions(ids, keys, count):
+                got = store._ranked(keys, count, exclude)
+                assert_array_equal(got, _full_sort(ids, keys, count, exclude))
+                assert got.size == min(count, n - (exclude in ids))
+
+    def test_heavy_ties_on_raw_keys(self):
+        rng = rng_stream(60)
+        for n_values in (3, 4):
+            for _ in range(20):
+                n = int(rng.integers(2, 40))
+                ids = rng.permutation(3 * n)[:n].astype(np.int64)
+                keys = rng.integers(0, n_values, size=n).astype(np.float64)
+                self._check_raw(ids, keys)
+
+    def test_signed_zero_keys_tie(self):
+        # -(a @ z) gives -0.0 where the similarity is 0.0; both tie, id decides
+        ids = np.array([4, 1, 3, 0, 2], dtype=np.int64)
+        keys = np.array([0.0, -0.0, 0.0, -0.0, -1.0])
+        self._check_raw(ids, keys)
+        assert self._store(ids)._ranked(keys, 3, None).tolist() == [2, 0, 1]
+
+    def test_nan_keys_sort_last(self):
+        rng = rng_stream(61)
+        for n_finite in (0, 1, 3, 8, 20):
+            ids = rng.permutation(25).astype(np.int64)
+            keys = np.full(25, np.nan)
+            keys[rng.permutation(25)[:n_finite]] = rng.integers(0, 3, size=n_finite)
+            self._check_raw(ids, keys)
+        # fewer finite keys than count: the NaN-keyed ids fill the tail by id
+        ids = np.arange(6, dtype=np.int64)
+        keys = np.array([np.nan, 2.0, np.nan, 1.0, np.nan, np.nan])
+        assert self._store(ids)._ranked(keys, 4, None).tolist() == [3, 1, 0, 2]
+
+    def test_hash_store_matches_full_sort(self):
+        rng = rng_stream(62)
+        # a small vocabulary makes many rows hash to equal distances
+        rows = [_q(*rng.integers(0, 6, size=rng.integers(1, 4)).tolist()) for _ in range(40)]
+        ids = rng.permutation(100)[:40].tolist()
+        store = TrigramHashStore(_table(rows), ids)
+        for probe in rows[:10]:
+            keys = store.distances(hash_query(probe))
+            assert np.unique(keys).size < keys.size / 2
+            for count in (1, 5, 39, 40):
+                for exclude in self._exclusions(store.ids, keys, count):
+                    assert_array_equal(store.rank(probe, count, exclude),
+                                       _full_sort(store.ids, keys, count, exclude))
+
+    def test_embedding_store_matches_full_sort(self):
+        rng = rng_stream(63)
+        # integer embeddings and zero attention logits: many equal dot products
+        model = AttentionModel(rng.integers(-1, 2, size=(8, 3)).astype(np.float64),
+                               np.zeros((3, 3)))
+        rows = [_q(*rng.integers(0, 8, size=rng.integers(1, 4)).tolist()) for _ in range(40)]
+        store = EmbeddingStore(model, _table(rows), rng.permutation(100)[:40].tolist())
+        for probe in rows[:10]:
+            keys = -(store.matrix @ embed_query(model, probe))
+            for count in (1, 5, 39, 40):
+                for exclude in self._exclusions(store.ids, keys, count):
+                    assert_array_equal(store.rank(probe, count, exclude),
+                                       _full_sort(store.ids, keys, count, exclude))
+
+    def test_duplicate_ids_rejected(self):
+        # one exclusion would otherwise drop every row stored under the id
+        with pytest.raises(ValueError, match="unique"):
+            TrigramHashStore(_table([_q(1), _q(2), _q(3)]), ids=[5, 5, 6])
+
+    def test_count_below_one_rejected(self):
+        queries = _table([_q(1), _q(2), _q(3)])
+        store = TrigramHashStore(queries)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be at least 1"):
+                store.rank(_q(1), count)
+            with pytest.raises(ValueError, match="count must be at least 1"):
+                reformulate(store, _q(1), count)
+            with pytest.raises(ValueError, match="count must be at least 1"):
+                reformulate(store, 0, count, queries=queries)
+            with pytest.raises(ValueError, match="count must be at least 1"):
+                knn(store, _q(1), count)
