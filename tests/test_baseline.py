@@ -291,19 +291,22 @@ class TestTopCountSelection:
         keys = np.array([np.nan, 2.0, np.nan, 1.0, np.nan, np.nan])
         assert self._store(ids)._ranked(keys, 4, None).tolist() == [3, 1, 0, 2]
 
+    def _check_store(self, store, probes, keys_of):
+        for probe in probes:
+            keys = keys_of(probe)
+            # the stores are built so that most keys are shared
+            assert np.unique(keys).size < keys.size / 2
+            for count in (1, 5, len(store) - 1, len(store)):
+                for exclude in self._exclusions(store.ids, keys, count):
+                    assert_array_equal(store.rank(probe, count, exclude),
+                                       _full_sort(store.ids, keys, count, exclude))
+
     def test_hash_store_matches_full_sort(self):
         rng = rng_stream(62)
         # a small vocabulary makes many rows hash to equal distances
         rows = [_q(*rng.integers(0, 6, size=rng.integers(1, 4)).tolist()) for _ in range(40)]
-        ids = rng.permutation(100)[:40].tolist()
-        store = TrigramHashStore(_table(rows), ids)
-        for probe in rows[:10]:
-            keys = store.distances(hash_query(probe))
-            assert np.unique(keys).size < keys.size / 2
-            for count in (1, 5, 39, 40):
-                for exclude in self._exclusions(store.ids, keys, count):
-                    assert_array_equal(store.rank(probe, count, exclude),
-                                       _full_sort(store.ids, keys, count, exclude))
+        store = TrigramHashStore(_table(rows), rng.permutation(100)[:40].tolist())
+        self._check_store(store, rows[:10], lambda p: store.distances(hash_query(p)))
 
     def test_embedding_store_matches_full_sort(self):
         rng = rng_stream(63)
@@ -312,12 +315,7 @@ class TestTopCountSelection:
                                np.zeros((3, 3)))
         rows = [_q(*rng.integers(0, 8, size=rng.integers(1, 4)).tolist()) for _ in range(40)]
         store = EmbeddingStore(model, _table(rows), rng.permutation(100)[:40].tolist())
-        for probe in rows[:10]:
-            keys = -(store.matrix @ embed_query(model, probe))
-            for count in (1, 5, 39, 40):
-                for exclude in self._exclusions(store.ids, keys, count):
-                    assert_array_equal(store.rank(probe, count, exclude),
-                                       _full_sort(store.ids, keys, count, exclude))
+        self._check_store(store, rows[:10], lambda p: -(store.matrix @ embed_query(model, p)))
 
     def test_duplicate_ids_rejected(self):
         # one exclusion would otherwise drop every row stored under the id
