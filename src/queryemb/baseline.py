@@ -16,7 +16,6 @@ from .core import QueryTable
 
 HASH_DIM = 300
 
-_M64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -36,21 +35,8 @@ def splitmix64_array(x) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def splitmix64(x: int) -> int:
-    """splitmix64 of one integer, taken modulo 2**64.
-
-    Equivalent to the first output of a splitmix64 stream seeded with x,
-    e.g. splitmix64(0) == 0xE220A8397B1DCDAF.
-    """
-    return int(splitmix64_array([int(x) & _M64])[0])
-
-
 def _buckets(ids, n_buckets: int) -> np.ndarray:
     return (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
-
-
-def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
-    return splitmix64(trigram_id) % n_buckets
 
 
 def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
@@ -65,17 +51,6 @@ def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("count vectors must be non-negative")
     return arr
-
-
-def bray_curtis(a, b) -> float:
-    """sum |a_i - b_i| / sum (a_i + b_i); defined only when some count is positive."""
-    va, vb = _counts(a), _counts(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    denom = float(np.sum(va + vb))
-    if denom == 0.0:
-        raise ValueError("Bray-Curtis undefined for two all-zero vectors")
-    return float(np.sum(np.abs(va - vb)) / denom)
 
 
 class QueryStore:
@@ -157,11 +132,3 @@ class TrigramHashStore(QueryStore):
         return self._ranked(self.distances(hash_query(probe, self.n_buckets)), count,
                             exclude_id)
 
-
-def knn(store: TrigramHashStore, probe: Sequence[int], k: int) -> list[int]:
-    """ids of the k nearest stored queries; ties broken by ascending id."""
-    if len(store) == 0:
-        raise ValueError("store is empty")
-    if k > len(store):
-        raise ValueError(f"k={k} exceeds store size {len(store)}")
-    return [int(i) for i in store.rank(probe, k)]

@@ -157,16 +157,13 @@ def _group_pairs(group: Sequence[TrainingBatch]):
     return anchor, other, weight / len(group), positive
 
 
-def loss(model: AttentionModel, group: Sequence[TrainingBatch], queries: QueryTable) -> float:
-    """Mean over the group's anchors of mean -log sigma(<z_a, z_pos>) plus
-    mean -log sigma(-<z_a, z_neg>); the value loss_and_gradient returns."""
-    return loss_and_gradient(model, group, queries)[0]
-
-
 def loss_and_gradient(
     model: AttentionModel, group: Sequence[TrainingBatch], queries: QueryTable
 ) -> tuple[float, ModelGradient]:
     """Mean loss of one training group plus its exact gradient in both parameter blocks.
+
+    The loss is the mean over the group's anchors of mean -log sigma(<z_a, z_pos>)
+    plus mean -log sigma(-<z_a, z_neg>).
 
     Every distinct query of the group is forwarded once.  A positive pair
     with score x contributes (sigma(x) - 1) * weight to d x, a negative

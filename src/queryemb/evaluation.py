@@ -141,7 +141,7 @@ def _oracle_one(
     n_reformulations: int,
     pool: int,
 ) -> tuple[float, float]:
-    """oracle_best_for_probe against candidates ``ids`` whose top-k rows are ``tops``."""
+    """oracle_best for one probe against candidates ``ids`` whose top-k rows are ``tops``."""
     probe_top = top_products(purchase_map.get(q, []), k)
     if not probe_top:
         raise ValueError(f"probe {q} has no purchases")
@@ -178,29 +178,6 @@ def _oracle_one(
     return best_precision, best_cover / len(probe_top)
 
 
-def oracle_best_for_probe(
-    q: int,
-    candidate_ids: Sequence[int],
-    purchase_map: PurchaseMap,
-    k: int,
-    n_reformulations: int = DEFAULT_REFORMULATIONS,
-    pool: int = DEFAULT_ORACLE_POOL,
-) -> tuple[float, float]:
-    """Highest precision and recall any n_reformulations-subset could score.
-
-    Subsets are drawn from the ``pool`` candidates with the largest product
-    overlap (the restriction is certified against unrestricted enumeration
-    at toy scale in the tests).  Precision needs no enumeration: relevant
-    candidates are interchangeable.  Recall maximizes coverage of the
-    probe's top-k products over subsets of distinct coverage patterns,
-    held as Python-int bitmasks, so k has no cap.
-    """
-    return _oracle_one(
-        q, np.asarray(candidate_ids, dtype=np.int64), _top_table(candidate_ids, purchase_map, k),
-        purchase_map, k, n_reformulations, pool,
-    )
-
-
 def oracle_best(
     probes: Sequence[int],
     candidate_ids: Sequence[int],
@@ -209,7 +186,16 @@ def oracle_best(
     n_reformulations: int = DEFAULT_REFORMULATIONS,
     pool: int = DEFAULT_ORACLE_POOL,
 ) -> tuple[float, float]:
-    """Mean best-possible precision and recall over the probe set."""
+    """Mean over the probes of the highest precision and recall any
+    n_reformulations-subset of the candidates could score.
+
+    Subsets are drawn from the ``pool`` candidates with the largest product
+    overlap (the restriction is certified against unrestricted enumeration
+    at toy scale in the tests).  Precision needs no enumeration: relevant
+    candidates are interchangeable.  Recall maximizes coverage of the
+    probe's top-k products over subsets of distinct coverage patterns,
+    held as Python-int bitmasks, so k has no cap.
+    """
     ids = np.asarray(candidate_ids, dtype=np.int64)
     tops = _top_table(candidate_ids, purchase_map, k)
     pairs = [_oracle_one(q, ids, tops, purchase_map, k, n_reformulations, pool) for q in probes]

@@ -153,8 +153,13 @@ def trigram_mean_coefficient(
     rho_i = m * alpha_i * beta_i * exp(beta_i^2 / 2) / Z(p, beta_i).
     """
     alpha, beta = _position_params(config, position)
-    z = partition_function(p, beta, vocab)
-    return config.vocab_size * alpha * beta * float(np.exp(0.5 * beta * beta)) / z
+    return rho_from_partition(config.vocab_size, alpha, beta, partition_function(p, beta, vocab))
+
+
+def rho_from_partition(vocab_size: int, alpha: float, beta: float, z: float | np.ndarray):
+    """rho = m * alpha * beta * exp(beta^2 / 2) / Z, for one partition function
+    value Z or elementwise over an array of them."""
+    return vocab_size * alpha * beta * float(np.exp(0.5 * beta * beta)) / z
 
 
 def trigram_empirical_variance(

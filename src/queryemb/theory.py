@@ -31,6 +31,7 @@ from .genmodel import (
     default_benchmark_config,
     generate_dataset,
     inverse_cdf_by_group,
+    rho_from_partition,
     mixture_probs,
     partition_function,
     product_adjacency,
@@ -111,9 +112,13 @@ def tiny_universe_config(seed: int) -> GeneratorConfig:
 
 @dataclass(frozen=True)
 class PmiEstimate:
-    """Empirical PMI for the retained sequence pairs of one sampling run."""
+    """Empirical PMI for the retained sequence pairs of one sampling run.
 
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    pairs is an (n_pairs, 2) int64 array of sequence codes (see
+    _sample_sequences), smaller code first, in ascending pair-key order.
+    """
+
+    pairs: np.ndarray
     pmi: np.ndarray
     dot_over_d: np.ndarray
     counts: np.ndarray
@@ -161,19 +166,29 @@ def _sample_sequences(
     return codes
 
 
-def _count_dict(codes: np.ndarray) -> dict[int, int]:
-    keys, counts = np.unique(codes, return_counts=True)
-    return dict(zip(keys.tolist(), counts.tolist()))
+def _decode_codes(codes: np.ndarray, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Trigram ids (n, max_len), padded with 0 as in QueryTable, and lengths of sequence codes.
+
+    A code that no sequence has raises ValueError: one <= 0 or
+    >= (vocab_size+1)**max_len, or one with a zero digit below a non-zero one.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    rest = codes.copy()
+    digits = np.empty((codes.size, config.max_len), dtype=np.int64)
+    for pos in range(config.max_len):
+        rest, digits[:, pos] = np.divmod(rest, config.vocab_size + 1)
+    if np.any(codes <= 0) or np.any(rest):
+        raise ValueError(f"sequence codes must lie in [1, {config.vocab_size + 1}**{config.max_len})")
+    lengths = np.count_nonzero(digits, axis=1)
+    if np.any((digits > 0) != (np.arange(config.max_len) < lengths[:, None])):
+        raise ValueError("sequence code has an empty position before a filled one")
+    return np.maximum(digits - 1, 0), lengths
 
 
-def decode_sequence(code: int, vocab_size: int) -> tuple[int, ...]:
-    base = vocab_size + 1
-    out = []
-    while code > 0:
-        digit = code % base
-        out.append(int(digit) - 1)
-        code //= base
-    return tuple(out)
+def _count_in(sample: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """How often each of values occurs in sample."""
+    s = np.sort(sample)
+    return np.searchsorted(s, values, side="right") - np.searchsorted(s, values, side="left")
 
 
 def estimate_pmi(
@@ -214,120 +229,82 @@ def estimate_pmi(
     pick = rng.integers(pair_a.size, size=n_joint)
     codes_a = _sample_sequences(rng, pair_a[pick], dataset, cdfs)
     codes_b = _sample_sequences(rng, pair_b[pick], dataset, cdfs)
-    lo = np.minimum(codes_a, codes_b)
-    hi = np.maximum(codes_a, codes_b)
     base3 = np.int64(c.vocab_size + 1) ** c.max_len
-    keys = lo * base3 + hi
+    keys = np.minimum(codes_a, codes_b) * base3 + np.maximum(codes_a, codes_b)
     half_j = n_joint // 2
-    select_counts = _count_dict(keys[:half_j])
-    est_counts = _count_dict(keys[half_j:])
     n_est = n_joint - half_j
-
-    marg_products = rng.integers(c.n_products, size=n_marginal)
-    marg_codes = _sample_sequences(rng, marg_products, dataset, cdfs)
+    marg_codes = _sample_sequences(rng, rng.integers(c.n_products, size=n_marginal), dataset, cdfs)
     half_m = n_marginal // 2
-    select_marginal = _count_dict(marg_codes[:half_m])
-    est_marginal = _count_dict(marg_codes[half_m:])
     m_est = n_marginal - half_m
 
-    pairs = []
-    pmi = []
-    counts = []
-    ses = []
-    dropped = 0
-    for key, sel_cnt in sorted(select_counts.items()):
-        c1, c2 = key // base3, key % base3
-        if (
-            sel_cnt < min_count
-            or select_marginal.get(c1, 0) < min_count
-            or select_marginal.get(c2, 0) < min_count
-        ):
-            dropped += 1
-            continue
-        cnt = est_counts.get(key, 0)
-        m1 = est_marginal.get(c1, 0)
-        m2 = est_marginal.get(c2, 0)
-        if cnt == 0 or m1 == 0 or m2 == 0:
-            dropped += 1
-            continue
-        # unordered count -> ordered probability (off-diagonal pairs occur
-        # in either order, each with the same probability)
-        p_joint = cnt / n_est / (2.0 if c1 != c2 else 1.0)
-        p1 = m1 / m_est
-        p2 = m2 / m_est
-        pairs.append((decode_sequence(c1, c.vocab_size), decode_sequence(c2, c.vocab_size)))
-        pmi.append(np.log(p_joint / (p1 * p2)))
-        counts.append(cnt)
-        ses.append(np.sqrt(1.0 / cnt + 1.0 / m1 + 1.0 / m2))
+    # every pair seen in the selection half, in ascending key order
+    pair_keys, sel_counts = np.unique(keys[:half_j], return_counts=True)
+    c1, c2 = pair_keys // base3, pair_keys % base3
+    selected = (
+        (sel_counts >= min_count)
+        & (_count_in(marg_codes[:half_m], c1) >= min_count)
+        & (_count_in(marg_codes[:half_m], c2) >= min_count)
+    )
+    cnt = _count_in(keys[half_j:], pair_keys)
+    m1 = _count_in(marg_codes[half_m:], c1)
+    m2 = _count_in(marg_codes[half_m:], c2)
+    kept = selected & (cnt > 0) & (m1 > 0) & (m2 > 0)
+    c1, c2, cnt, m1, m2 = c1[kept], c2[kept], cnt[kept], m1[kept], m2[kept]
 
-    dots = np.array([model_dot_over_d(dataset, s1, s2) for s1, s2 in pairs])
+    # unordered count -> ordered probability (off-diagonal pairs occur in
+    # either order, each with the same probability)
+    p_joint = cnt / n_est / np.where(c1 != c2, 2.0, 1.0)
+    # row-wise dots as a stack of (1, dim) @ (dim, 1) products: each is one
+    # vector dot, summed in the same order as ``qa[j] @ qb[j]``
+    qa, qb = _query_vectors(dataset, c1), _query_vectors(dataset, c2)
     return PmiEstimate(
-        pairs=tuple(pairs),
-        pmi=np.asarray(pmi),
-        dot_over_d=dots,
-        counts=np.asarray(counts, dtype=np.int64),
-        std_errors=np.asarray(ses),
-        n_dropped=dropped,
+        pairs=np.stack([c1, c2], axis=1),
+        pmi=np.log(p_joint / ((m1 / m_est) * (m2 / m_est))),
+        dot_over_d=(qa[:, None, :] @ qb[:, :, None])[:, 0, 0] / c.dim,
+        counts=cnt,
+        std_errors=np.sqrt(1.0 / cnt + 1.0 / m1 + 1.0 / m2),
+        n_dropped=int(pair_keys.size - kept.sum()),
     )
 
 
-def model_query_vector(dataset: SyntheticDataset, sequence: Sequence[int]) -> np.ndarray:
-    """The latent query vector sum_i beta_i * v_{t_i}."""
-    c = dataset.config
-    if not (1 <= len(sequence) <= c.max_len):
-        raise ValueError("sequence length out of range")
-    out = np.zeros(c.dim)
-    for pos, t in enumerate(sequence):
-        out += c.betas[pos] * dataset.vocab[t]
+def _query_vectors(dataset: SyntheticDataset, codes: np.ndarray) -> np.ndarray:
+    """The latent query vectors sum_i beta_i * v_{t_i}, one row per sequence code."""
+    ids, lengths = _decode_codes(codes, dataset.config)
+    out = np.zeros((ids.shape[0], dataset.config.dim))
+    for pos, beta in enumerate(dataset.config.betas):
+        live = lengths > pos
+        out[live] += beta * dataset.vocab[ids[live, pos]]
     return out
 
 
-def model_dot_over_d(
-    dataset: SyntheticDataset, seq_a: Sequence[int], seq_b: Sequence[int]
-) -> float:
-    ua = model_query_vector(dataset, seq_a)
-    ub = model_query_vector(dataset, seq_b)
-    return float(ua @ ub) / dataset.config.dim
+def sequence_conditionals(dataset: SyntheticDataset, codes: np.ndarray) -> np.ndarray:
+    """(n, n_products): probability of each coded sequence given each product.
+
+    Row j is length_pmf[L-1] times probs[pos][:, t_pos] for each position,
+    multiplied in that order.
+    """
+    c = dataset.config
+    ids, lengths = _decode_codes(codes, c)
+    probs = _position_probs(dataset)
+    f = np.repeat(truncated_poisson_pmf(c.lam, c.max_len)[lengths - 1, None], c.n_products, axis=1)
+    for pos in range(c.max_len):
+        live = lengths > pos
+        f[live] *= probs[pos][:, ids[live, pos]].T
+    return f
 
 
-class ExactPmi:
-    """Exact enumeration oracle for sequence probabilities on a tiny universe."""
+def enumerate_pmi(dataset: SyntheticDataset, pairs: np.ndarray) -> np.ndarray:
+    """Exact PMI of each (n_pairs, 2) row of sequence codes by full enumeration.
 
-    def __init__(self, dataset: SyntheticDataset) -> None:
-        c = dataset.config
-        self.dataset = dataset
-        self.adj = product_adjacency(dataset.products, c.epsilon_p)
-        self.n_ordered_pairs = int(self.adj.sum())
-        self.probs = _position_probs(dataset)
-        self.length_pmf = truncated_poisson_pmf(c.lam, c.max_len)
-
-    def conditional(self, sequence: Sequence[int]) -> np.ndarray:
-        f = np.full(self.dataset.config.n_products, self.length_pmf[len(sequence) - 1])
-        for pos, t in enumerate(sequence):
-            f = f * self.probs[pos][:, t]
-        return f
-
-    def marginal(self, sequence: Sequence[int]) -> float:
-        return float(self.conditional(sequence).mean())
-
-    def joint(self, seq_a: Sequence[int], seq_b: Sequence[int]) -> float:
-        fa = self.conditional(seq_a)
-        fb = self.conditional(seq_b)
-        return float(fa @ self.adj @ fb) / self.n_ordered_pairs
-
-    def pmi(self, seq_a: Sequence[int], seq_b: Sequence[int]) -> float:
-        return float(
-            np.log(self.joint(seq_a, seq_b) / (self.marginal(seq_a) * self.marginal(seq_b)))
-        )
-
-
-def enumerate_pmi(
-    dataset: SyntheticDataset,
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> np.ndarray:
-    """Exact PMI for each listed pair by full probability enumeration."""
-    oracle = ExactPmi(dataset)
-    return np.array([oracle.pmi(a, b) for a, b in pairs])
+    A pair's joint probability is fa @ adj @ fb over the ordered adjacent
+    product pairs; each marginal is the conditional's mean over products.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    adj = product_adjacency(dataset.products, dataset.config.epsilon_p).astype(np.float64)
+    fa = sequence_conditionals(dataset, pairs[:, 0])
+    fb = sequence_conditionals(dataset, pairs[:, 1])
+    joint = np.einsum("ij,ij->i", fa @ adj, fb) / adj.sum()
+    return np.log(joint / (fa.mean(axis=1) * fb.mean(axis=1)))
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +356,7 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
         pi = mixture_probs(products, pos, c, vocab)
         alpha, beta = c.alphas[pos - 1], c.betas[pos - 1]
         z = np.exp(beta * scores).sum(axis=1)  # partition_function of every product
-        rho = c.vocab_size * alpha * beta * float(np.exp(0.5 * beta * beta)) / z
+        rho = rho_from_partition(c.vocab_size, alpha, beta, z)
         along = np.einsum("ij,ij->i", pi @ vocab, products)
         out[j] = float(np.mean(pi @ vocab_sq - 2.0 * rho * along + rho * rho * product_sq))
     return out
@@ -467,7 +444,7 @@ def mean_trigram_coefficient(
         return 0.0
     scores = _product_scores(dataset) if scores is None else scores
     z = np.mean(np.exp(b * scores).sum(axis=1))  # partition_function of every product
-    return c.vocab_size * alpha * b * float(np.exp(0.5 * b * b)) / z
+    return rho_from_partition(c.vocab_size, alpha, b, z)
 
 
 def fit_betas(
@@ -660,9 +637,11 @@ def suite_variance(seed: int) -> list[CheckResult]:
 
 
 PARTITION_CHECK_SIZES = (100, 1_000, 10_000)
+PARTITION_CHECK_BETA = 1.0
+PARTITION_CHECK_POINTS = 100
 
 
-def suite_partition(seed: int, beta: float = 1.0, n_points: int = 100) -> list[CheckResult]:
+def suite_partition(seed: int) -> list[CheckResult]:
     """Relative spread of the partition function shrinks as the vocabulary grows."""
     d = MEAN_CHECK_DIM
     rel_stds = []
@@ -671,8 +650,8 @@ def suite_partition(seed: int, beta: float = 1.0, n_points: int = 100) -> list[C
         prng = rng_stream(seed, STREAM_VALIDATE + 1)
         zs = np.array(
             [
-                partition_function(sample_unit_sphere(prng, d), beta, vocab)
-                for _ in range(n_points)
+                partition_function(sample_unit_sphere(prng, d), PARTITION_CHECK_BETA, vocab)
+                for _ in range(PARTITION_CHECK_POINTS)
             ]
         )
         rel_stds.append(float(zs.std() / zs.mean()))

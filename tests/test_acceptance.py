@@ -16,10 +16,10 @@ import pytest
 from scipy.optimize import minimize
 
 from queryemb import theory
-from queryemb.baseline import TrigramHashStore, bray_curtis, hash_query, knn, splitmix64
+from queryemb.baseline import TrigramHashStore, hash_query
 from queryemb.cli import main, sha256_file, split_query_ids
 from queryemb.core import GeneratorConfig, QueryTable, rng_stream
-from queryemb.embedder import AttentionModel, TrainingBatch, loss, loss_and_gradient
+from queryemb.embedder import AttentionModel, TrainingBatch, loss_and_gradient
 from queryemb.evaluation import (
     EmbeddingStore,
     evaluate,
@@ -30,6 +30,7 @@ from queryemb.evaluation import (
     reformulate,
 )
 from queryemb.genmodel import generate_dataset, trigram_empirical_variance
+from test_baseline import bray_curtis, knn, splitmix64
 
 
 def _report(num, name, passed, detail):
@@ -73,9 +74,9 @@ def test_01_gradient_matches_finite_differences():
             j = int(picker.integers(arr.shape[1]))
             orig = arr[i, j]
             arr[i, j] = orig + h
-            up = loss(model, [batch], queries)
+            up = loss_and_gradient(model, [batch], queries)[0]
             arr[i, j] = orig - h
-            down = loss(model, [batch], queries)
+            down = loss_and_gradient(model, [batch], queries)[0]
             arr[i, j] = orig
             fd = (up - down) / (2 * h)
             err = abs(getattr(grad, slot)[i, j] - fd) / max(1.0, abs(fd))

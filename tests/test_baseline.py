@@ -6,16 +6,48 @@ from queryemb.baseline import (
     HASH_DIM,
     QueryStore,
     TrigramHashStore,
-    bray_curtis,
-    bucket_of,
+    _counts,
     hash_query,
-    knn,
-    splitmix64,
     splitmix64_array,
 )
 from queryemb.core import QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query
 from queryemb.evaluation import EmbeddingStore, reformulate
+
+# Scalar references for the array baseline, also used by other test modules.
+
+
+def splitmix64(x: int) -> int:
+    """splitmix64 of one integer, taken modulo 2**64.
+
+    Equivalent to the first output of a splitmix64 stream seeded with x,
+    e.g. splitmix64(0) == 0xE220A8397B1DCDAF.
+    """
+    return int(splitmix64_array([int(x) & ((1 << 64) - 1)])[0])
+
+
+def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
+    return splitmix64(trigram_id) % n_buckets
+
+
+def bray_curtis(a, b) -> float:
+    """sum |a_i - b_i| / sum (a_i + b_i); defined only when some count is positive."""
+    va, vb = _counts(a), _counts(b)
+    if va.shape != vb.shape:
+        raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
+    denom = float(np.sum(va + vb))
+    if denom == 0.0:
+        raise ValueError("Bray-Curtis undefined for two all-zero vectors")
+    return float(np.sum(np.abs(va - vb)) / denom)
+
+
+def knn(store: TrigramHashStore, probe, k: int) -> list[int]:
+    """ids of the k nearest stored queries; ties broken by ascending id."""
+    if len(store) == 0:
+        raise ValueError("store is empty")
+    if k > len(store):
+        raise ValueError(f"k={k} exceeds store size {len(store)}")
+    return [int(i) for i in store.rank(probe, k)]
 
 
 def _q(*ids):

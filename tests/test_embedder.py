@@ -19,7 +19,6 @@ from queryemb.embedder import (
     embed_table,
     init_model,
     load_checkpoint,
-    loss,
     loss_and_gradient,
     sample_negatives,
     sample_positives,
@@ -136,7 +135,7 @@ class TestLoss:
         model = AttentionModel(emb, np.zeros((1, 2)))
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
-        assert_allclose(loss(model, [batch], queries), 2 * np.log(2.0), rtol=1e-14)
+        assert_allclose(loss_and_gradient(model, [batch], queries)[0], 2 * np.log(2.0), rtol=1e-14)
 
     def test_unit_scores_hand_value(self):
         # <z_a, z_p> = 1 and <z_a, z_n> = -1 -> 2 * -log sigma(1)
@@ -145,7 +144,7 @@ class TestLoss:
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
         expected = 2 * np.log1p(np.exp(-1.0))
-        assert_allclose(loss(model, [batch], queries), expected, rtol=1e-14)
+        assert_allclose(loss_and_gradient(model, [batch], queries)[0], expected, rtol=1e-14)
         assert abs(expected - 0.6265) < 1e-4
 
     def test_saturated_scores_drive_loss_to_zero(self):
@@ -153,16 +152,16 @@ class TestLoss:
         model = AttentionModel(emb, np.zeros((1, 2)))
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
-        assert loss(model, [batch], queries) < 1e-12
+        assert loss_and_gradient(model, [batch], queries)[0] < 1e-12
 
     def test_empty_sets_rejected(self):
         emb = np.eye(3)
         model = AttentionModel(emb, np.zeros((1, 3)))
         queries = _singleton_queries(emb)
         with pytest.raises(ValueError, match="positive"):
-            loss(model, [TrainingBatch(0, (), (2,))], queries)
+            loss_and_gradient(model, [TrainingBatch(0, (), (2,))], queries)
         with pytest.raises(ValueError, match="positive"):
-            loss(model, [TrainingBatch(0, (1,), ())], queries)
+            loss_and_gradient(model, [TrainingBatch(0, (1,), ())], queries)
 
     def test_anchor_overlap_rejected(self):
         with pytest.raises(ValueError, match="anchor"):
@@ -189,9 +188,9 @@ def _fd_coordinate(model, group, queries, slot, i, j, h=1e-5):
     arr = getattr(model, slot)
     orig = arr[i, j]
     arr[i, j] = orig + h
-    up = loss(model, group, queries)
+    up = loss_and_gradient(model, group, queries)[0]
     arr[i, j] = orig - h
-    down = loss(model, group, queries)
+    down = loss_and_gradient(model, group, queries)[0]
     arr[i, j] = orig
     return (up - down) / (2 * h)
 
@@ -271,7 +270,6 @@ class TestLossGradient:
         for case_seed in range(10):
             model, queries, batch = _random_case(200 + case_seed)
             value, grad = loss_and_gradient(model, [batch], queries)
-            assert_allclose(value, loss(model, [batch], queries), rtol=1e-12)
             touched = sorted({t for i in range(len(queries)) for t in queries.row(i).tolist()})
             for _ in range(10):
                 if rng.random() < 0.5:
@@ -309,8 +307,10 @@ class TestLossGradient:
         h = 1e-5
         for _ in range(5):
             d_emb = rng.standard_normal(model.emb.shape)
-            up = loss(AttentionModel(model.emb + h * d_emb, model.attn), [batch], queries)
-            down = loss(AttentionModel(model.emb - h * d_emb, model.attn), [batch], queries)
+            up = loss_and_gradient(AttentionModel(model.emb + h * d_emb, model.attn), [batch],
+                                   queries)[0]
+            down = loss_and_gradient(AttentionModel(model.emb - h * d_emb, model.attn), [batch],
+                                     queries)[0]
             assert abs(up - down) / (2 * h) < 1e-6
 
     def test_table_that_does_not_fit_the_model_rejected(self):
@@ -324,15 +324,13 @@ class TestLossGradient:
             queries = QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows)))
             with pytest.raises(ValueError, match=message):
                 loss_and_gradient(model, [batch], queries)
-            with pytest.raises(ValueError, match=message):
-                loss(model, [batch], queries)
 
     def test_descent_along_gradient(self):
         model, queries, batch = _random_case(400)
         value, grad = loss_and_gradient(model, [batch], queries)
         step = 1e-3
         stepped = AttentionModel(model.emb - step * grad.emb, model.attn - step * grad.attn)
-        assert loss(stepped, [batch], queries) < value
+        assert loss_and_gradient(stepped, [batch], queries)[0] < value
 
 
 def _mixed_dataset(seed=41):
@@ -417,7 +415,6 @@ class TestGroupPass:
                 value, grad = loss_and_gradient(model, group, queries)
                 ref_value, ref_grad = _ref_loss_and_gradient(model, group, queries)
                 assert_allclose(value, ref_value, rtol=1e-12, atol=0)
-                assert_allclose(loss(model, group, queries), ref_value, rtol=1e-12, atol=0)
                 assert_allclose(grad.emb, ref_grad.emb, rtol=0, atol=1e-12)
                 assert_allclose(grad.attn, ref_grad.attn, rtol=0, atol=1e-12)
 
@@ -427,7 +424,6 @@ class TestGroupPass:
         group = _sampled_groups(ds, 1, 5, seed=45)[0]
         assert len(group) >= 3
         value, grad = loss_and_gradient(model, group, ds.queries)
-        assert_allclose(value, loss(model, group, ds.queries), rtol=1e-12)
         involved = {q for b in group for q in (b.anchor, *b.positives, *b.negatives)}
         touched = sorted({t for q in involved for t in ds.queries.row(q).tolist()})
         rng = rng_stream(46)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from queryemb.baseline import TrigramHashStore, bray_curtis, hash_query
+from queryemb.baseline import TrigramHashStore, hash_query
 from queryemb import evaluation
 from queryemb.core import GeneratorConfig, QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query, init_model
@@ -15,7 +15,6 @@ from queryemb.evaluation import (
     f1,
     format_summary,
     oracle_best,
-    oracle_best_for_probe,
     product_recall_at_k,
     query_precision_at_k,
     reformulate,
@@ -23,6 +22,7 @@ from queryemb.evaluation import (
     write_eval_csv,
 )
 from queryemb.genmodel import generate_dataset
+from test_baseline import bray_curtis
 
 
 def _q(*ids):
@@ -300,12 +300,12 @@ def _reference_oracle(q, candidate_ids, pm, k, n_reformulations=5, pool=25):
 class TestOracleBest:
     def test_five_same_product_candidates_give_precision_one(self):
         pm = {i: [(3, 1)] for i in range(6)}
-        p, r = oracle_best_for_probe(0, list(range(1, 6)), pm, 20)
+        p, r = oracle_best([0], list(range(1, 6)), pm, 20)
         assert p == 1.0 and r == 1.0
 
     def test_absent_product_gives_zero_precision(self):
         pm = {0: [(99, 1)], **{i: [(1, 1)] for i in range(1, 8)}}
-        p, r = oracle_best_for_probe(0, list(range(1, 8)), pm, 20)
+        p, r = oracle_best([0], list(range(1, 8)), pm, 20)
         assert p == 0.0 and r == 0.0
 
     def test_matches_unrestricted_enumeration_at_toy_scale(self):
@@ -314,8 +314,8 @@ class TestOracleBest:
         candidates = list(range(20))
         for probe in range(4):
             want = _unrestricted_oracle(probe, candidates, pm, 20, 5)
-            got = oracle_best_for_probe(
-                probe, candidates, pm, 20, n_reformulations=5, pool=len(candidates)
+            got = oracle_best(
+                [probe], candidates, pm, 20, n_reformulations=5, pool=len(candidates)
             )
             assert got == pytest.approx(want), (probe, got, want)
 
@@ -346,7 +346,7 @@ class TestOracleTableMatchesReference:
         probes = list(range(12))
         assert any(p in candidates for p in probes)
         want = [_reference_oracle(q, candidates, pm, k, 3, pool) for q in probes]
-        got = [oracle_best_for_probe(q, candidates, pm, k, 3, pool) for q in probes]
+        got = [oracle_best([q], candidates, pm, k, 3, pool) for q in probes]
         assert got == want
         assert len(set(want)) > 1  # the maps do not saturate the oracle
         arr = np.asarray(want)
@@ -361,14 +361,14 @@ class TestOracleTableMatchesReference:
         for q in (0, 5):
             for k in (1, 2, 3):
                 for cands in ([0, 1, 2, 3, 4], [2, 4, 1], [3], [5, 3, 1]):
-                    assert oracle_best_for_probe(q, cands, pm, k, 2, 2) == _reference_oracle(
+                    assert oracle_best([q], cands, pm, k, 2, 2) == _reference_oracle(
                         q, cands, pm, k, 2, 2
                     )
-        assert oracle_best_for_probe(5, [3], pm, 3) == (0.2, 2 / 3)
+        assert oracle_best([5], [3], pm, 3) == (0.2, 2 / 3)
         with pytest.raises(ValueError, match="no purchases"):
-            oracle_best_for_probe(2, [0, 1], pm, 3)
+            oracle_best([2], [0, 1], pm, 3)
         with pytest.raises(ValueError, match="no candidates"):
-            oracle_best_for_probe(0, [0, 0], pm, 3)
+            oracle_best([0], [0, 0], pm, 3)
 
     def test_k_beyond_64_bits(self):
         # the probe's top list holds 70 products, so coverage masks need 70 bits
@@ -379,10 +379,10 @@ class TestOracleTableMatchesReference:
             pm[c] = [(int(p), int(rng.integers(1, 4))) for p in pids]
         candidates = list(range(9))
         want = _unrestricted_oracle(0, candidates, pm, 70, 3)
-        got = oracle_best_for_probe(0, candidates, pm, 70, n_reformulations=3, pool=9)
+        got = oracle_best([0], candidates, pm, 70, n_reformulations=3, pool=9)
         assert got == pytest.approx(want)
         assert 0.0 < got[1] < 1.0
-        got = oracle_best_for_probe(0, [1, 2], pm, k=70, n_reformulations=2)
+        got = oracle_best([0], [1, 2], pm, k=70, n_reformulations=2)
         assert got == pytest.approx(_unrestricted_oracle(0, [1, 2], pm, 70, 2))
 
     def test_top_products_called_once_per_candidate_and_probe(self, monkeypatch):

@@ -13,19 +13,21 @@ from queryemb.genmodel import (
     generate_dataset,
     mixture_probs,
     partition_function,
+    product_adjacency,
     trigram_empirical_variance,
     trigram_mean_coefficient,
     truncated_poisson_pmf,
 )
 from queryemb.theory import (
+    _decode_codes,
     _position_probs,
     _product_scores,
+    _query_vectors,
     _sample_sequences,
     SUITES,
     TINY_MIN_COUNT,
     VALIDATE_SEED,
     CheckResult,
-    ExactPmi,
     blue_report,
     blue_weights,
     enumerate_pmi,
@@ -33,9 +35,9 @@ from queryemb.theory import (
     estimator_variances,
     fit_betas,
     mean_trigram_coefficient,
-    model_dot_over_d,
     pearson_r,
     position_variances,
+    sequence_conditionals,
     tiny_universe_config,
 )
 
@@ -150,6 +152,45 @@ class TestPearsonR:
             pearson_r([1, 1, 1], [1, 2, 3])
 
 
+class ExactPmi:
+    """Scalar enumeration reference for sequence probabilities on a tiny universe.
+
+    Sequences are tuples of trigram ids; enumerate_pmi is its array form.
+    """
+
+    def __init__(self, dataset):
+        c = dataset.config
+        self.dataset = dataset
+        self.adj = product_adjacency(dataset.products, c.epsilon_p)
+        self.n_ordered_pairs = int(self.adj.sum())
+        self.probs = _position_probs(dataset)
+        self.length_pmf = truncated_poisson_pmf(c.lam, c.max_len)
+
+    def conditional(self, sequence):
+        f = np.full(self.dataset.config.n_products, self.length_pmf[len(sequence) - 1])
+        for pos, t in enumerate(sequence):
+            f = f * self.probs[pos][:, t]
+        return f
+
+    def marginal(self, sequence):
+        return float(self.conditional(sequence).mean())
+
+    def joint(self, seq_a, seq_b):
+        fa = self.conditional(seq_a)
+        fb = self.conditional(seq_b)
+        return float(fa @ self.adj @ fb) / self.n_ordered_pairs
+
+    def pmi(self, seq_a, seq_b):
+        return float(
+            np.log(self.joint(seq_a, seq_b) / (self.marginal(seq_a) * self.marginal(seq_b)))
+        )
+
+
+def _encode(sequence, vocab_size=30):
+    """The sequence code sum_i (t_i + 1) * (m+1)^i of a tuple of trigram ids."""
+    return sum((t + 1) * (vocab_size + 1) ** i for i, t in enumerate(sequence))
+
+
 def _beta_zero_universe(seed):
     return GeneratorConfig(
         dim=4, vocab_size=30, max_len=3, lam=1.0,
@@ -178,7 +219,7 @@ class TestEstimatePmi:
         ds = generate_dataset(tiny_universe_config(3))
         a = estimate_pmi(ds, 40_000, 40_000, seed=9, min_count=8)
         b = estimate_pmi(ds, 40_000, 40_000, seed=9, min_count=8)
-        assert a.pairs == b.pairs
+        assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.pmi, b.pmi)
         assert np.array_equal(a.std_errors, b.std_errors)
 
@@ -192,8 +233,9 @@ class TestEstimatePmi:
             config=ds.config, vocab=vocab, products=ds.products,
             queries=ds.queries, graph=ds.graph,
         )
-        assert model_dot_over_d(ds_orth, (0,), (1,)) == 0.0
-        assert model_dot_over_d(ds_orth, (0, 0), (1, 1)) == 0.0
+        qa = _query_vectors(ds_orth, np.array([_encode((0,)), _encode((0, 0))]))
+        qb = _query_vectors(ds_orth, np.array([_encode((1,)), _encode((1, 1))]))
+        assert np.array_equal(np.einsum("ij,ij->i", qa, qb), [0.0, 0.0])
 
     def test_beta_zero_universe_pmi_is_noise_around_zero(self):
         # with beta = 0 every query is uniform regardless of product, so
@@ -222,6 +264,9 @@ class TestEstimatePmi:
         oracle = ExactPmi(ds)
         total = sum(oracle.marginal((t,)) for t in range(ds.config.vocab_size))
         assert total == pytest.approx(float(oracle.length_pmf[0]), rel=1e-12)
+        codes = np.arange(1, ds.config.vocab_size + 1)  # the codes of every (t,)
+        array_total = sequence_conditionals(ds, codes).mean(axis=1).sum()
+        assert array_total == pytest.approx(float(oracle.length_pmf[0]), rel=1e-12)
 
     def test_grouped_sampler_matches_masked_loop_reference(self):
         ds = generate_dataset(tiny_universe_config(VALIDATE_SEED))
@@ -238,6 +283,68 @@ class TestEstimatePmi:
         z = np.abs(est.pmi - exact) / est.std_errors
         assert float(z.max()) <= 3.0
         assert pearson_r(exact, est.dot_over_d) > 0.8
+
+
+    def test_pairs_are_ordered_codes_in_key_order(self):
+        ds = generate_dataset(tiny_universe_config(3))
+        est = estimate_pmi(ds, 40_000, 40_000, seed=9, min_count=8)
+        assert est.pairs.dtype == np.int64 and est.pairs.shape == (len(est.pmi), 2)
+        assert np.all(est.pairs[:, 0] <= est.pairs[:, 1])
+        keys = est.pairs[:, 0] * 31**3 + est.pairs[:, 1]
+        assert np.all(np.diff(keys) > 0)
+
+
+class TestDecodeCodes:
+    def test_round_trip_all_lengths(self):
+        c = tiny_universe_config(0)
+        seqs = [(0,), (29,), (4, 0), (7, 29, 3), (29, 29, 29)]
+        ids, lengths = _decode_codes(np.array([_encode(q) for q in seqs]), c)
+        assert lengths.tolist() == [len(q) for q in seqs]
+        for row, q in zip(ids, seqs):
+            assert tuple(row[: len(q)]) == q
+            assert not row[len(q):].any()  # padded with 0, as in QueryTable
+
+    @pytest.mark.parametrize(
+        "code, message",
+        [
+            (0, "must lie in"),  # the empty sequence, and the digits of (-1,)
+            (-1, "must lie in"),
+            (-_encode((2,)), "must lie in"),
+            (31**3, "must lie in"),  # (-1, -1, -1, 0): longer than max_len
+            (31**3 + 1, "must lie in"),
+            (31 * 5, "empty position"),  # (-1, 4): a gap before a filled position
+            (31 * 31 * 2 + 3, "empty position"),
+        ],
+    )
+    def test_codes_no_sequence_has_raise(self, code, message):
+        c = tiny_universe_config(0)
+        with pytest.raises(ValueError, match=message):
+            _decode_codes(np.array([_encode((1,)), code]), c)
+        ds = generate_dataset(c)
+        with pytest.raises(ValueError, match=message):
+            enumerate_pmi(ds, np.array([[_encode((1,)), code]]))
+
+
+class TestEnumeratePmiMatchesReference:
+    def test_array_pmi_equals_scalar_reference(self):
+        ds = generate_dataset(tiny_universe_config(VALIDATE_SEED))
+        oracle = ExactPmi(ds)
+        seqs = [(0,), (17,), (3, 9), (29, 0), (5, 5, 5), (2, 11, 28)]
+        pairs = [(a, b) for a in seqs for b in seqs]  # self pairs and both orders
+        got = enumerate_pmi(ds, np.array([[_encode(a), _encode(b)] for a, b in pairs]))
+        want = [oracle.pmi(a, b) for a, b in pairs]
+        assert_allclose(got, want, rtol=0, atol=1e-9)
+        swapped = enumerate_pmi(ds, np.array([[_encode(b), _encode(a)] for a, b in pairs]))
+        assert_allclose(swapped, got, rtol=0, atol=1e-9)
+
+    def test_estimated_pairs_equal_scalar_reference(self):
+        ds = generate_dataset(tiny_universe_config(3))
+        est = estimate_pmi(ds, 40_000, 40_000, seed=9, min_count=8)
+        oracle = ExactPmi(ds)
+        ids, lengths = _decode_codes(est.pairs.ravel(), ds.config)
+        seqs = [tuple(row[:n]) for row, n in zip(ids.tolist(), lengths)]
+        want = [oracle.pmi(a, b) for a, b in zip(seqs[::2], seqs[1::2])]
+        assert_allclose(enumerate_pmi(ds, est.pairs), want, rtol=0, atol=1e-9)
 
 
 def _masked_loop_sequences(rng, product_ids, dataset, cdfs):
@@ -445,3 +552,9 @@ class TestSuites:
         assert checks, name
         for check in checks:
             assert check.passed, check.line()
+
+    def test_pmi_report_text_at_pinned_seed(self):
+        assert [check.line() for check in SUITES["pmi"](VALIDATE_SEED)] == [
+            "PASS pmi_dot_correlation: pearson_r=0.874437 n_pairs=478 n_dropped=62479",
+            "PASS pmi_sampling_matches_enumeration: max_z=2.60007 n_pairs=478",
+        ]
