@@ -10,7 +10,6 @@ runs with the same seed; wall-clock duration lives only in the manifest.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import os
 import sys
@@ -21,7 +20,14 @@ import numpy as np
 
 from . import theory
 from .baseline import TrigramHashStore
-from .core import STREAM_SPLIT, rng_stream
+from .core import (
+    STREAM_SPLIT,
+    GeneratorConfig,
+    config_from_mapping,
+    config_text,
+    parse_key_values,
+    rng_stream,
+)
 from .embedder import (
     TrainConfig,
     init_model,
@@ -39,14 +45,7 @@ from .evaluation import (
     format_summary,
     write_eval_csv,
 )
-from .genmodel import (
-    GeneratorConfig,
-    config_from_mapping,
-    generate_dataset,
-    load_dataset,
-    parse_key_values,
-    save_dataset,
-)
+from .genmodel import generate_dataset, load_dataset, save_dataset
 
 MANIFEST_FILENAME = "manifest.txt"
 CHECKPOINT_FILENAME = "checkpoint.bin"
@@ -176,47 +175,8 @@ def _verified(kind: str, artifact_dir: str) -> bool:
     return not problems
 
 
-def _config_strings(cfg) -> dict[str, str]:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            out[f.name] = ",".join(repr(float(v)) for v in value)
-        else:
-            out[f.name] = str(value)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# config-file handling for train / eval
-
-
-_TRAIN_REQUIRED = {"learning_rate", "epochs"}
-
-
-def train_config_from_mapping(kv: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from flat text keys, coercing by field type."""
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    missing = _TRAIN_REQUIRED - kv.keys()
-    if missing:
-        raise ValueError(f"missing train config keys: {sorted(missing)}")
-    unknown = kv.keys() - fields.keys()
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, raw in kv.items():
-        ftype = fields[name].type
-        if ftype == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError(f"{name}: expected true or false, got {raw!r}")
-            kwargs[name] = raw == "true"
-        elif ftype == "int":
-            kwargs[name] = int(raw)
-        elif ftype == "float":
-            kwargs[name] = float(raw)
-        else:
-            kwargs[name] = raw
-    return TrainConfig(**kwargs)
+# config files
 
 
 @dataclass(frozen=True)
@@ -231,17 +191,6 @@ class EvalParams:
             raise ValueError("k, n_reformulations and oracle_pool must be positive")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in [0, 1)")
-
-
-def eval_params_from_mapping(kv: dict[str, str]) -> EvalParams:
-    fields = {f.name: f for f in dataclasses.fields(EvalParams)}
-    unknown = kv.keys() - fields.keys()
-    if unknown:
-        raise ValueError(f"unknown eval config keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, raw in kv.items():
-        kwargs[name] = float(raw) if fields[name].type == "float" else int(raw)
-    return EvalParams(**kwargs)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -276,7 +225,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     mapping = _read_config_file(args.config)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
-    config = config_from_mapping(mapping)
+    config = config_from_mapping(GeneratorConfig, mapping)
     dataset = generate_dataset(config)
     os.makedirs(args.out, exist_ok=True)
     written = save_dataset(dataset, args.out)
@@ -286,7 +235,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         RunManifest(
             command="generate",
             seed=config.seed,
-            config=_config_strings(config),
+            config=config_text(config),
             inputs={"config": os.path.abspath(args.config)},
             outputs={"dataset": os.path.abspath(args.out)},
             duration_seconds=time.time() - t0,
@@ -308,7 +257,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     mapping = _read_config_file(args.config)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
-    train_config = train_config_from_mapping(mapping)
+    train_config = config_from_mapping(TrainConfig, mapping)
     model = init_model(
         dataset.config.vocab_size, dataset.config.dim, dataset.config.max_len, train_config.seed
     )
@@ -331,7 +280,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         RunManifest(
             command="train",
             seed=train_config.seed,
-            config=_config_strings(train_config),
+            config=config_text(train_config),
             inputs=inputs,
             outputs={"checkpoint": os.path.abspath(ckpt_path)},
             duration_seconds=time.time() - t0,
@@ -355,7 +304,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.model != "baseline" and not _verified("checkpoint", checkpoint_dir):
         return 2
     dataset = load_dataset(args.dataset)
-    params = eval_params_from_mapping(_read_config_file(args.config)) if args.config else EvalParams()
+    params = config_from_mapping(EvalParams, _read_config_file(args.config) if args.config else {})
     seed = args.seed if args.seed is not None else 0
     store_ids, probe_ids = split_query_ids(len(dataset.queries), params.test_fraction, seed)
     store_queries = dataset.queries.take(store_ids)
@@ -411,7 +360,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         RunManifest(
             command="eval",
             seed=seed,
-            config=_config_strings(params),
+            config=config_text(params),
             inputs={"dataset": os.path.abspath(args.dataset), "model": model_input},
             outputs={"report": os.path.abspath(csv_path), "summary": os.path.abspath(summary_path)},
             duration_seconds=time.time() - t0,

@@ -10,6 +10,8 @@ entity can be regenerated in isolation and generation order never matters.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -127,6 +129,80 @@ class GeneratorConfig:
             raise ValueError("n_products and n_queries must be non-negative")
         if self.n_queries > 0 and self.n_products < 1:
             raise ValueError("cannot generate queries without products")
+
+
+def parse_key_values(text: str) -> dict[str, str]:
+    """Parse flat "key = value" lines; '#' starts a comment; blanks ignored."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ValueError(f"line {lineno}: empty key")
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+# value parser per config field annotation
+_FIELD_PARSERS = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    str: str,
+    tuple[float, ...]: lambda raw: tuple(float(x) for x in raw.split(",")),
+}
+
+
+def _value_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def config_text(config) -> dict[str, str]:
+    """A config dataclass as the ``key = value`` strings config_from_mapping reads back.
+
+    Bools are ``true``/``false``, floats their ``repr``, tuples comma-joined floats.
+    """
+    return {f.name: _value_text(getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
+def config_from_mapping(cls, kv: dict[str, str]):
+    """Config dataclass ``cls`` from text values, each parsed by its field's annotation.
+
+    Fields without a default are required; a missing or unknown key, or a
+    value its type cannot parse, raises ValueError.
+    """
+    fields = dataclasses.fields(cls)
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - kv.keys()
+    if missing:
+        raise ValueError(f"missing {cls.__name__} keys: {sorted(missing)}")
+    unknown = kv.keys() - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, raw in kv.items():
+        try:
+            kwargs[name] = _FIELD_PARSERS[types[name]](raw)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,11 +339,6 @@ class QueryGraph:
 
     def degree(self, q: int) -> int:
         return int(self.indptr[q + 1] - self.indptr[q])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        j = np.searchsorted(nbrs, v)
-        return bool(j < nbrs.size and nbrs[j] == v)
 
     def edges(self) -> np.ndarray:
         """Each undirected edge once: (E, 2) rows (u, v), u < v, sorted by u then v."""

@@ -281,6 +281,11 @@ def sample_negatives(
 # ---------------------------------------------------------------------------
 # training
 
+# Adam's moment decay rates and denominator guard (the usual defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -295,9 +300,6 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "sgd"
     lr_decay: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     uniform_attention: bool = False
 
     def __post_init__(self) -> None:
@@ -385,7 +387,7 @@ def train(
                 model.attn -= lr * acc.attn
             else:
                 adam_t += 1
-                b1, b2 = config.adam_beta1, config.adam_beta2
+                b1, b2 = ADAM_BETA1, ADAM_BETA2
                 for slot in ("emb", "attn"):
                     g = getattr(acc, slot)
                     m_ = getattr(adam_m, slot)
@@ -396,7 +398,7 @@ def train(
                     v_ += (1 - b2) * g * g
                     m_hat = m_ / (1 - b1**adam_t)
                     v_hat = v_ / (1 - b2**adam_t)
-                    getattr(model, slot)[:] -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                    getattr(model, slot)[:] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             trace.append((epoch, batch_idx, mean_loss))
         lr *= config.lr_decay
     return model, trace

@@ -44,6 +44,9 @@ from .core import (
     GeneratorConfig,
     QueryGraph,
     QueryTable,
+    config_from_mapping,
+    config_text,
+    parse_key_values,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
@@ -381,71 +384,11 @@ def read_matrix(path: str) -> np.ndarray:
     return arr
 
 
-def _config_to_text(config: GeneratorConfig) -> str:
-    items = {
-        "alphas": ",".join(repr(a) for a in config.alphas),
-        "betas": ",".join(repr(b) for b in config.betas),
-        "dim": str(config.dim),
-        "epsilon_p": repr(config.epsilon_p),
-        "lam": repr(config.lam),
-        "max_len": str(config.max_len),
-        "n_products": str(config.n_products),
-        "n_queries": str(config.n_queries),
-        "seed": str(config.seed),
-        "vocab_size": str(config.vocab_size),
-    }
-    return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
-
-
-def parse_key_values(text: str) -> dict[str, str]:
-    """Parse flat "key = value" lines; '#' starts a comment; blanks ignored."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ValueError(f"line {lineno}: empty key")
-        if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def config_from_mapping(kv: dict[str, str]) -> GeneratorConfig:
-    required = {
-        "alphas", "betas", "dim", "epsilon_p", "lam",
-        "max_len", "n_products", "n_queries", "seed", "vocab_size",
-    }
-    missing = required - kv.keys()
-    if missing:
-        raise ValueError(f"missing config keys: {sorted(missing)}")
-    unknown = kv.keys() - required
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return GeneratorConfig(
-        dim=int(kv["dim"]),
-        vocab_size=int(kv["vocab_size"]),
-        max_len=int(kv["max_len"]),
-        lam=float(kv["lam"]),
-        alphas=tuple(float(x) for x in kv["alphas"].split(",")),
-        betas=tuple(float(x) for x in kv["betas"].split(",")),
-        epsilon_p=float(kv["epsilon_p"]),
-        n_products=int(kv["n_products"]),
-        n_queries=int(kv["n_queries"]),
-        seed=int(kv["seed"]),
-    )
-
-
 def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
     """Write the dataset directory; returns the relative file names written."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, CONFIG_FILENAME), "w", newline="\n") as fh:
-        fh.write(_config_to_text(dataset.config))
+        fh.writelines(f"{k} = {v}\n" for k, v in sorted(config_text(dataset.config).items()))
     write_matrix(os.path.join(out_dir, VOCAB_FILENAME), dataset.vocab)
     write_matrix(os.path.join(out_dir, PRODUCTS_FILENAME), dataset.products)
     q = dataset.queries
@@ -462,7 +405,7 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
 
 def load_dataset(in_dir: str) -> SyntheticDataset:
     with open(os.path.join(in_dir, CONFIG_FILENAME)) as fh:
-        config = config_from_mapping(parse_key_values(fh.read()))
+        config = config_from_mapping(GeneratorConfig, parse_key_values(fh.read()))
     vocab = read_matrix(os.path.join(in_dir, VOCAB_FILENAME))
     products = read_matrix(os.path.join(in_dir, PRODUCTS_FILENAME))
 

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 The desk-benchmark training run (30 epochs on 5000 queries, then the
 attention-vs-BLUE report) takes about 12-15 s on a 2-core machine, and
@@ -9,6 +9,7 @@ once per session.
 
 import time
 
+import numpy as np
 import pytest
 
 _DESK_TIMING: dict[str, float] = {}
@@ -28,3 +29,10 @@ def desk_run():
 def desk_seconds(desk_run):
     """Wall-clock seconds the session's desk training run took."""
     return _DESK_TIMING["seconds"]
+
+
+def has_edge(graph, u: int, v: int) -> bool:
+    """Whether queries u and v are adjacent in a QueryGraph (u's CSR row is sorted)."""
+    nbrs = graph.neighbors(u)
+    j = np.searchsorted(nbrs, v)
+    return bool(j < nbrs.size and nbrs[j] == v)

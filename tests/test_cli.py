@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -12,15 +13,14 @@ from queryemb import theory
 from queryemb.cli import (
     EvalParams,
     dataset_digest,
-    eval_params_from_mapping,
     main,
     read_manifest,
     sha256_file,
     split_query_ids,
-    train_config_from_mapping,
     verify_checksums,
 )
-from queryemb.embedder import init_model, load_checkpoint
+from queryemb.core import GeneratorConfig, config_from_mapping, config_text, parse_key_values
+from queryemb.embedder import TrainConfig, init_model, load_checkpoint
 from queryemb.genmodel import load_dataset
 
 GEN_CONFIG = """\
@@ -292,6 +292,39 @@ class TestValidate:
         assert manifest.config["seed_blue"] == "5"
 
 
+class TestManifestConfigRoundTrip:
+    """A manifest's config.* lines parse back to the config its command ran with."""
+
+    def _manifest_config(self, cls, out_dir):
+        return config_from_mapping(cls, read_manifest(os.path.join(out_dir, "manifest.txt")).config)
+
+    def _write_config(self, path, config):
+        return _write(path, "".join(f"{k} = {v}\n" for k, v in config_text(config).items()))
+
+    def test_generate(self, pipeline):
+        ran_with = config_from_mapping(GeneratorConfig, parse_key_values(GEN_CONFIG))
+        assert self._manifest_config(GeneratorConfig, pipeline["data"]) == ran_with
+
+    @pytest.mark.parametrize("uniform_attention", [False, True])
+    def test_train_desk_recipe(self, pipeline, tmp_path, uniform_attention):
+        config = dataclasses.replace(
+            theory.desk_train_config(7), epochs=1, uniform_attention=uniform_attention
+        )
+        cfg = self._write_config(tmp_path / "t.cfg", config)
+        out = str(tmp_path / "run")
+        assert main(["train", pipeline["data"], "--config", cfg, "--out", out]) == 0
+        assert self._manifest_config(TrainConfig, out) == config
+
+    def test_eval(self, pipeline, tmp_path):
+        params = EvalParams(k=7, n_reformulations=3, oracle_pool=10, test_fraction=0.25)
+        cfg = self._write_config(tmp_path / "e.cfg", params)
+        out = str(tmp_path / "x")
+        assert main(["eval", pipeline["data"], "--model", "baseline",
+                     "--config", cfg, "--out", out]) == 0
+        assert self._manifest_config(EvalParams, out) == params
+        assert self._manifest_config(EvalParams, pipeline["eval_hash"]) == EvalParams()
+
+
 def test_options_that_did_nothing_are_rejected(tmp_path, capsys):
     out = str(tmp_path / "x")
     for argv in (
@@ -308,24 +341,6 @@ def test_options_that_did_nothing_are_rejected(tmp_path, capsys):
 
 
 class TestConfigParsing:
-    def test_train_config_type_coercion(self):
-        tc = train_config_from_mapping(
-            {"learning_rate": "0.1", "epochs": "2", "uniform_attention": "true"}
-        )
-        assert tc.learning_rate == 0.1 and tc.epochs == 2 and tc.uniform_attention
-
-    def test_train_config_bad_bool(self):
-        with pytest.raises(ValueError, match="true or false"):
-            train_config_from_mapping(
-                {"learning_rate": "0.1", "epochs": "2", "uniform_attention": "yes"}
-            )
-
-    def test_eval_params_defaults_and_bounds(self):
-        params = eval_params_from_mapping({})
-        assert params == EvalParams()
-        with pytest.raises(ValueError, match="test_fraction"):
-            eval_params_from_mapping({"test_fraction": "1.0"})
-
     def test_split_query_ids_partition(self):
         store, probe = split_query_ids(100, 0.25, seed=3)
         assert len(probe) == 25

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from conftest import has_edge
 from numpy.testing import assert_allclose
 
+from queryemb.cli import EvalParams
 from queryemb.core import (
     GeneratorConfig,
     QueryGraph,
     QueryTable,
+    config_from_mapping,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
     stream_words,
 )
+from queryemb.embedder import TrainConfig
 
 
 class TestRngStream:
@@ -221,8 +225,8 @@ class TestQueryGraph:
         g = QueryGraph(3, [(0, 1), (1, 2)], {0: [(7, 2)]})
         assert g.n_queries == 3
         assert g.n_edges == 2
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(0, 2)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
+        assert not has_edge(g, 0, 2)
         assert g.degree(1) == 2
         assert g.edges().tolist() == [[0, 1], [1, 2]]
         assert g.purchase_map[0] == [(7, 2)]
@@ -244,7 +248,7 @@ class TestQueryGraph:
             assert g.neighbors(q).tolist() == want
             assert g.degree(q) == len(want)
             for w in range(n):
-                assert g.has_edge(q, w) == ((min(q, w), max(q, w)) in pairs)
+                assert has_edge(g, q, w) == ((min(q, w), max(q, w)) in pairs)
 
     def test_empty_and_isolated(self):
         g = QueryGraph(0, [], {})
@@ -252,7 +256,7 @@ class TestQueryGraph:
         assert g.edges().shape == (0, 2)
         g = QueryGraph(4, [(1, 3)], {})
         assert g.degree(0) == 0 and g.neighbors(2).size == 0
-        assert g.has_edge(3, 1) and not g.has_edge(0, 1)
+        assert has_edge(g, 3, 1) and not has_edge(g, 0, 1)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -283,3 +287,37 @@ class TestQueryGraph:
     def test_bad_purchase_key_rejected(self):
         with pytest.raises(ValueError, match="not a query id"):
             QueryGraph(2, [], {2: [(3, 1)]})
+
+
+_GEN_KV = {
+    "dim": "4", "vocab_size": "50", "max_len": "2", "lam": "2.0", "alphas": "0.9,0.8",
+    "betas": "1.0,0.5", "epsilon_p": "0.5", "n_products": "5", "n_queries": "0", "seed": "1",
+}
+_TRAIN_KV = {"learning_rate": "0.1", "epochs": "2"}
+
+
+# id -> (config class, text values, the ValueError message matched or the config built)
+_CODEC_CASES = {
+    "generator-missing-key": (GeneratorConfig, {"dim": "4"}, "missing"),
+    "generator-unknown-key": (GeneratorConfig, {**_GEN_KV, "bogus": "x"}, "unknown"),
+    "generator-bad-tuple-element": (GeneratorConfig, {**_GEN_KV, "betas": "1.0,x"}, "betas"),
+    "train-missing-key": (TrainConfig, {"learning_rate": "0.1"}, "epochs"),
+    "train-unknown-key": (TrainConfig, {**_TRAIN_KV, "adam_beta1": "0.9"}, "unknown"),
+    "train-bad-bool": (TrainConfig, {**_TRAIN_KV, "uniform_attention": "yes"}, "true or false"),
+    "train-typed-values": (
+        TrainConfig,
+        {**_TRAIN_KV, "uniform_attention": "true"},
+        TrainConfig(learning_rate=0.1, epochs=2, uniform_attention=True),
+    ),
+    "eval-no-keys": (EvalParams, {}, EvalParams()),
+    "eval-out-of-range": (EvalParams, {"test_fraction": "1.0"}, "test_fraction"),
+}
+
+
+@pytest.mark.parametrize("cls, kv, expected", _CODEC_CASES.values(), ids=_CODEC_CASES.keys())
+def test_config_from_mapping(cls, kv, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            config_from_mapping(cls, kv)
+    else:
+        assert config_from_mapping(cls, kv) == expected

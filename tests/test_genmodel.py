@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import has_edge
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, poisson
 
@@ -10,6 +11,7 @@ from queryemb.core import (
     STREAM_QUERIES,
     GeneratorConfig,
     QueryTable,
+    parse_key_values,
     rng_stream,
     sample_unit_sphere,
     stream_words,
@@ -19,12 +21,10 @@ from queryemb.genmodel import (
     _sample_queries,
     _StreamReader,
     alphas_for_linear_variance,
-    config_from_mapping,
     default_benchmark_config,
     generate_dataset,
     load_dataset,
     mixture_probs,
-    parse_key_values,
     partition_function,
     read_matrix,
     sample_trigrams_batch,
@@ -35,6 +35,7 @@ from queryemb.genmodel import (
     truncated_poisson_pmf,
     write_matrix,
 )
+from queryemb.theory import tiny_universe_config
 
 
 def _config(**overrides):
@@ -329,14 +330,14 @@ class TestGenerateDataset:
             for i in members:
                 for j in members:
                     if i != j:
-                        assert ds.graph.has_edge(i, j)
+                        assert has_edge(ds.graph, i, j)
 
     def test_epsilon_zero_gives_same_product_cliques_exactly(self):
         ds = generate_dataset(_config(epsilon_p=0.0, n_products=4, n_queries=40))
         for u in range(40):
             for v in range(u + 1, 40):
                 same = ds.queries.product_ids[u] == ds.queries.product_ids[v]
-                assert ds.graph.has_edge(u, v) == same
+                assert has_edge(ds.graph, u, v) == same
 
     def test_intermediate_epsilon_matches_brute_force_rule(self):
         eps = 1.0
@@ -356,7 +357,7 @@ class TestGenerateDataset:
         assert 0 < n_cross_adjacent < len(cross)
         for u in range(n):
             for v in range(n):
-                assert ds.graph.has_edge(u, v) == (u != v and [min(u, v), max(u, v)] in want)
+                assert has_edge(ds.graph, u, v) == (u != v and [min(u, v), max(u, v)] in want)
         assert ds.graph.edges().tolist() == want
 
     def test_sphere_diameter_gives_complete_graph(self):
@@ -522,18 +523,13 @@ class TestConfigText:
         with pytest.raises(ValueError, match="key = value"):
             parse_key_values("just some text\n")
 
-    def test_config_from_mapping_requires_all_keys(self):
-        with pytest.raises(ValueError, match="missing"):
-            config_from_mapping({"dim": "4"})
-
-    def test_config_from_mapping_rejects_unknown(self):
-        kv = {
-            "dim": "4", "vocab_size": "50", "max_len": "1", "lam": "2.0",
-            "alphas": "0.9", "betas": "1.0", "epsilon_p": "0.5",
-            "n_products": "5", "n_queries": "0", "seed": "1", "bogus": "x",
-        }
-        with pytest.raises(ValueError, match="unknown"):
-            config_from_mapping(kv)
+    def test_config_txt_bytes_pinned(self, tmp_path):
+        save_dataset(generate_dataset(tiny_universe_config(29)), str(tmp_path))
+        assert (tmp_path / "config.txt").read_bytes() == (
+            b"alphas = 0.95,0.9,0.85\nbetas = 1.0,0.9,0.8\ndim = 4\nepsilon_p = 0.8\n"
+            b"lam = 1.0\nmax_len = 3\nn_products = 300\nn_queries = 0\nseed = 29\n"
+            b"vocab_size = 30\n"
+        )
 
 
 class TestDatasetSerialization:
