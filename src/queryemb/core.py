@@ -57,6 +57,84 @@ def stream_words(seed: int, streams: Sequence[int], n_words: int) -> np.ndarray:
     return out
 
 
+def lemire_draw(x, n: int):
+    """Generator.integers(n), 1 < n < 2**32, on the 32-bit draw x: (value, accepted).
+
+    Lemire's rule as numpy applies it: the value is x*n >> 32, and the call
+    redraws while x*n mod 2**32 < (2**32 - n) % n.  x is a Python int or a
+    uint64 array (elementwise).
+    """
+    m = x * n
+    return m >> 32, (m & 0xFFFFFFFF) >= (2**32 - n) % n
+
+
+class ReplayStream:
+    """Generator.integers(n) calls replayed on what is left of a live Philox stream.
+
+    A bounded draw with n < 2**32 reads 32-bit halves: the bit generator's
+    kept half first (``has_uint32``/``uinteger`` of its state), then each raw
+    word's low half before its high half; ``integers(1)`` reads nothing.  The
+    raw words are read ahead, ``n_words`` at first and as many again as are
+    held whenever a draw runs past them, and kept as one uint64 array of
+    halves.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator, n_words: int) -> None:
+        state = bit_generator.state
+        self._bits = bit_generator
+        self._halves = np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint64)
+        self._cursor = 0
+        self._bulk_n, self._bulk = 0, np.empty(0, dtype=np.int64)
+        self._read(n_words)
+
+    def _read(self, n_words: int) -> None:
+        words = self._bits.random_raw(max(n_words, 1))
+        halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
+        self._halves = np.concatenate([self._halves, halves])
+        self._bulk_n = 0
+
+    def _reach(self, end: int) -> None:
+        while end > self._halves.size:
+            self._read(self._halves.size // 2)
+
+    def integers(self, n: int) -> int:
+        """The next Generator.integers(n), 1 <= n < 2**32."""
+        if n == 1:
+            return 0
+        while True:
+            if self._cursor == self._halves.size:
+                self._reach(self._cursor + 1)
+            value, accepted = lemire_draw(int(self._halves[self._cursor]), n)
+            self._cursor += 1
+            if accepted:
+                return value
+
+    def integers_outside(self, n: int, k: int, excluded: set[int]) -> list[int]:
+        """The first k results of repeated integers(n) calls that are not in excluded.
+
+        Every half is decoded for range n in one array pass (-1 where Lemire's
+        rule redraws); the scan then needs only a set lookup per draw.
+        """
+        if not 1 < n < 2**32:
+            raise ValueError(f"range must lie in [2, 2**32), got {n}")
+        out: list[int] = []
+        while len(out) < k:
+            start, size = self._cursor, 2 * (k - len(out)) + 16
+            self._reach(start + size)
+            if self._bulk_n != n:
+                value, accepted = lemire_draw(self._halves, n)
+                self._bulk_n, self._bulk = n, value.view(np.int64)  # values < 2**32
+                self._bulk[~accepted] = -1
+            self._cursor += size
+            for i, value in enumerate(self._bulk[start : start + size].tolist()):
+                if value >= 0 and value not in excluded:
+                    out.append(value)
+                    if len(out) == k:
+                        self._cursor = start + i + 1
+                        break
+        return out
+
+
 def sample_unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Draw one point uniformly from the unit sphere in R^dim."""
     if dim < 1:

@@ -6,20 +6,29 @@ weights, and the embedding is the weighted mean of the trigram vectors.
 Training pulls graph-adjacent query embeddings together and pushes
 non-adjacent ones apart through a sigmoid cross-entropy loss.  Each training
 group (the anchors of one update with their sampled positives and
-negatives) is one batched pass over the padded query rows; gradients are
-hand-derived and checked against finite differences and against a
-per-anchor scalar reference in the test suite.
+negatives, held as pair arrays) is one batched pass over the padded query
+rows; gradients are hand-derived and checked against finite differences and
+against a per-anchor scalar reference in the test suite.
 """
 
 from __future__ import annotations
 
+import array
+import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import STREAM_MODEL_INIT, STREAM_TRAIN, QueryGraph, QueryTable, rng_stream
+from .core import (
+    STREAM_MODEL_INIT,
+    STREAM_TRAIN,
+    QueryGraph,
+    QueryTable,
+    ReplayStream,
+    rng_stream,
+)
 from .genmodel import SyntheticDataset, read_matrix_stream, write_matrix_stream
 
 # Pair scores are clamped to this magnitude before exponentiation.  Beyond
@@ -76,12 +85,17 @@ def init_model(vocab_size: int, dim: int, max_len: int, seed: int) -> AttentionM
     return AttentionModel(emb=emb, attn=np.zeros((max_len, dim)))
 
 
+def _check_fit(model: AttentionModel, width: int, id_bound: int) -> None:
+    """Rows of this width with ids below id_bound fit the model."""
+    if width > model.max_len:
+        raise ValueError(f"query width {width} exceeds model max_len {model.max_len}")
+    if id_bound > model.vocab_size:
+        raise ValueError(f"trigram id {id_bound - 1} outside [0, {model.vocab_size})")
+
+
 def _check_table(model: AttentionModel, queries: QueryTable) -> None:
     """O(1): every row of a (self-validated) table fits the model."""
-    if queries.width > model.max_len:
-        raise ValueError(f"query width {queries.width} exceeds model max_len {model.max_len}")
-    if queries.id_bound > model.vocab_size:
-        raise ValueError(f"trigram id {queries.id_bound - 1} outside [0, {model.vocab_size})")
+    _check_fit(model, queries.width, queries.id_bound)
 
 
 def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
@@ -103,9 +117,19 @@ def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
 
 
 def embed_query(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    """z of one raw query, validated as a one-row table that must fit the model."""
-    row = list(q)
-    return embed_table(model, QueryTable.from_rows([row], [0], max(len(row), 1)))[0]
+    """z of one raw query, checked as a one-row table would be and forwarded as one row."""
+    ids = np.asarray(q)
+    if ids.ndim != 1:
+        raise ValueError(f"a query is a 1-d sequence of trigram ids, got shape {ids.shape}")
+    if ids.size == 0:
+        raise ValueError("a query must contain at least one trigram")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"trigram ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.min() < 0:
+        raise ValueError("trigram ids must be non-negative")
+    _check_fit(model, ids.size, int(ids.max()) + 1)
+    return _forward_rows(model, ids[None, :], np.array([ids.size]))[0][0]
 
 
 def embed_table(model: AttentionModel, queries: QueryTable) -> np.ndarray:
@@ -114,51 +138,28 @@ def embed_table(model: AttentionModel, queries: QueryTable) -> np.ndarray:
     return _forward_rows(model, queries.ids, queries.lengths)[0]
 
 
-@dataclass(frozen=True)
-class TrainingBatch:
-    """One anchor with its sampled positive and negative query ids."""
-
-    anchor: int
-    positives: tuple[int, ...]
-    negatives: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positives", tuple(int(x) for x in self.positives))
-        object.__setattr__(self, "negatives", tuple(int(x) for x in self.negatives))
-        if self.anchor in self.positives or self.anchor in self.negatives:
-            raise ValueError("anchor must not appear among its positives or negatives")
-
-
 @dataclass
 class ModelGradient:
     emb: np.ndarray
     attn: np.ndarray
 
 
-def _group_pairs(group: Sequence[TrainingBatch]):
-    """Pair arrays (anchor, other, weight, positive) of a training group.
+class TrainingGroup(NamedTuple):
+    """Pair arrays of one training group: one entry per (anchor, positive) and
+    (anchor, negative) pair, each anchor's positives before its negatives.
 
-    One entry per (anchor, positive) and (anchor, negative) pair; weight is
-    1/(|group| |P_a|) for a positive and 1/(|group| |N_a|) for a negative,
+    weight is 1/|P_a| or 1/|N_a|, then divided by the group's anchor count,
     so weighted sums are means over the group of each anchor's loss.
     """
-    if not group:
-        raise ValueError("a training group needs at least one anchor")
-    n_pos = np.array([len(b.positives) for b in group])
-    n_neg = np.array([len(b.negatives) for b in group])
-    if not (n_pos.all() and n_neg.all()):
-        raise ValueError("loss needs at least one positive and one negative")
-    sizes = n_pos + n_neg
-    anchor = np.repeat([b.anchor for b in group], sizes)
-    other = np.array([q for b in group for q in (*b.positives, *b.negatives)])
-    slot = np.arange(anchor.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    positive = slot < np.repeat(n_pos, sizes)
-    weight = 1.0 / np.where(positive, np.repeat(n_pos, sizes), np.repeat(n_neg, sizes))
-    return anchor, other, weight / len(group), positive
+
+    anchor: np.ndarray
+    other: np.ndarray
+    weight: np.ndarray
+    positive: np.ndarray
 
 
 def loss_and_gradient(
-    model: AttentionModel, group: Sequence[TrainingBatch], queries: QueryTable
+    model: AttentionModel, group: TrainingGroup, queries: QueryTable
 ) -> tuple[float, ModelGradient]:
     """Mean loss of one training group plus its exact gradient in both parameter blocks.
 
@@ -175,7 +176,9 @@ def loss_and_gradient(
     over the valid slots i of the query.
     """
     _check_table(model, queries)
-    anchor, other, weight, positive = _group_pairs(group)
+    anchor, other, weight, positive = group
+    if anchor.size == 0:
+        raise ValueError("a training group needs at least one anchor")
     uniq, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
     if uniq[0] < 0 or uniq[-1] >= len(queries):
         raise ValueError(f"query ids must lie in [0, {len(queries)})")
@@ -221,7 +224,7 @@ def sample_positives(
     graph: QueryGraph,
     q: int,
     mode: str,
-    rng: np.random.Generator,
+    stream: ReplayStream,
     n_samples: int = 5,
     walk_length: int = 3,
     walks_per_node: int = 10,
@@ -231,13 +234,14 @@ def sample_positives(
     mode="uniform": n_samples i.i.d. uniform draws from the neighbours of q.
     mode="walks": every node visited on walks_per_node random walks of
     walk_length steps started at q (visits to q itself are dropped).
-    Isolated anchors yield an empty list.
+    Each draw is one stream.integers(degree) call.  Isolated anchors yield
+    an empty list and draw nothing.
     """
     nbrs = graph.neighbors(q)
     if nbrs.size == 0:
         return []
     if mode == "uniform":
-        return [int(nbrs[rng.integers(nbrs.size)]) for _ in range(n_samples)]
+        return [int(nbrs[stream.integers(nbrs.size)]) for _ in range(n_samples)]
     if mode == "walks":
         out: list[int] = []
         for _ in range(walks_per_node):
@@ -246,17 +250,19 @@ def sample_positives(
                 cur_nbrs = graph.neighbors(cur)
                 if cur_nbrs.size == 0:
                     break
-                cur = int(cur_nbrs[rng.integers(cur_nbrs.size)])
+                cur = int(cur_nbrs[stream.integers(cur_nbrs.size)])
                 if cur != q:
                     out.append(cur)
         return out
     raise ValueError(f"unknown positive-sampling mode {mode!r}")
 
 
-def sample_negatives(
-    graph: QueryGraph, q: int, k: int, rng: np.random.Generator
-) -> list[int]:
-    """k i.i.d. uniform non-neighbours of q, by rejection sampling."""
+def sample_negatives(graph: QueryGraph, q: int, k: int, stream: ReplayStream) -> list[int]:
+    """k i.i.d. uniform non-neighbours of q, by rejection sampling.
+
+    Each candidate is one stream.integers(n_queries) call, redrawn while it
+    is q or a neighbour of q.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -265,17 +271,7 @@ def sample_negatives(
     available = n - 1 - graph.degree(q)
     if available < k:
         raise ValueError(f"only {available} non-neighbours available, need {k}")
-    nbrs = graph.neighbors(q)
-    out: list[int] = []
-    while len(out) < k:
-        cand = int(rng.integers(n))
-        if cand == q:
-            continue
-        j = np.searchsorted(nbrs, cand)
-        if j < nbrs.size and nbrs[j] == cand:
-            continue
-        out.append(cand)
-    return out
+    return stream.integers_outside(n, k, {q, *graph.neighbors(q).tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +299,8 @@ class TrainConfig:
     uniform_attention: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         for name in ("n_negatives", "n_positives", "walk_length", "walks_per_node", "batch_size"):
@@ -318,6 +314,64 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
 
 
+def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGroup]:
+    """Every anchor's samples, drawn once from rng_stream(seed, STREAM_TRAIN), as pair arrays.
+
+    The stream's draws, in order: permutation(n_queries) on the Generator,
+    then per anchor its positive draws and its negatives' integers(n_queries)
+    draws, replayed from the stream's remaining words.  Anchor j of the
+    permutation belongs to group j // batch_size; anchors without positives
+    are skipped and groups left empty are dropped.
+    """
+    rng = rng_stream(config.seed, STREAM_TRAIN)
+    order = rng.permutation(graph.n_queries)
+    per_anchor = (
+        config.n_positives
+        if config.positive_mode == "uniform"
+        else config.walks_per_node * config.walk_length
+    )
+    draws = order.size * per_anchor * (1 + config.n_negatives)
+    stream = ReplayStream(rng.bit_generator, draws * 9 // 16)  # two draws a word, 1/8 for redraws
+    kept, n_pos, n_neg = [], [], []
+    others = array.array("q")  # 8 bytes a pair id, where a list would hold an int object each
+    for j, a in enumerate(order.tolist()):
+        # looked up at call time, so a wrapper installed on the module sees every anchor
+        pos = sample_positives(
+            graph,
+            a,
+            config.positive_mode,
+            stream,
+            n_samples=config.n_positives,
+            walk_length=config.walk_length,
+            walks_per_node=config.walks_per_node,
+        )
+        if not pos:
+            continue
+        neg = sample_negatives(graph, a, config.n_negatives * len(pos), stream)
+        kept.append(j)
+        n_pos.append(len(pos))
+        n_neg.append(len(neg))
+        others.extend(pos)
+        others.extend(neg)
+    del stream
+    if not kept:
+        return []
+    other = np.array(others, dtype=np.int64)
+    del others
+    n_pos, n_neg, group = np.array(n_pos), np.array(n_neg), np.array(kept) // config.batch_size
+    sizes = n_pos + n_neg
+    anchor = np.repeat(order[kept], sizes)
+    slot = np.arange(anchor.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    positive = slot < np.repeat(n_pos, sizes)
+    weight = 1.0 / np.where(positive, np.repeat(n_pos, sizes), np.repeat(n_neg, sizes))
+    weight /= np.repeat(np.bincount(group)[group], sizes)  # the group's anchor count
+    cuts = np.flatnonzero(np.diff(np.repeat(group, sizes))) + 1
+    return [
+        TrainingGroup(*parts)
+        for parts in zip(*(np.split(arr, cuts) for arr in (anchor, other, weight, positive)))
+    ]
+
+
 def train(
     model: AttentionModel, dataset: SyntheticDataset, config: TrainConfig
 ) -> tuple[AttentionModel, list[tuple[int, int, float]]]:
@@ -325,45 +379,23 @@ def train(
     anchors each; returns (trained copy, loss trace).
 
     The anchor order and each anchor's positive/negative samples are drawn
-    once up front and reused every epoch, so training minimizes a fixed
-    finite sum.  This keeps the loss trace comparable across epochs: a
-    window of batch losses at epoch k and the same window at epoch k+1
-    cover identical samples, and any difference between them is optimizer
-    progress rather than resampling noise.
+    once up front (see _training_groups) and reused every epoch, so training
+    minimizes a fixed finite sum.  This keeps the loss trace comparable
+    across epochs: a window of batch losses at epoch k and the same window
+    at epoch k+1 cover identical samples, and any difference between them
+    is optimizer progress rather than resampling noise.
 
     Each update is one loss_and_gradient call on one group.  The trace has
     one (epoch, batch_index, mean batch loss) row per update.
     Anchors whose positive sample comes back empty are skipped.  A non-finite
-    batch loss aborts with a diagnostic rather than continuing silently.
+    batch loss, or non-finite parameters after the last update, abort with a
+    diagnostic rather than continuing silently.
     """
     model = model.copy()
-    graph = dataset.graph
     queries = dataset.queries
     _check_table(model, queries)
-    rng = rng_stream(config.seed, STREAM_TRAIN)
+    groups = _training_groups(dataset.graph, config)
     trace: list[tuple[int, int, float]] = []
-
-    order = rng.permutation(graph.n_queries)
-    batches: list[list[TrainingBatch]] = []
-    for start in range(0, order.size, config.batch_size):
-        group = []
-        for a in order[start : start + config.batch_size]:
-            a = int(a)
-            pos = sample_positives(
-                graph,
-                a,
-                config.positive_mode,
-                rng,
-                n_samples=config.n_positives,
-                walk_length=config.walk_length,
-                walks_per_node=config.walks_per_node,
-            )
-            if not pos:
-                continue
-            neg = sample_negatives(graph, a, config.n_negatives * len(pos), rng)
-            group.append(TrainingBatch(anchor=a, positives=tuple(pos), negatives=tuple(neg)))
-        if group:
-            batches.append(group)
 
     adam_m = adam_v = None
     adam_t = 0
@@ -373,7 +405,7 @@ def train(
 
     lr = config.learning_rate
     for epoch in range(config.epochs):
-        for batch_idx, group in enumerate(batches):
+        for batch_idx, group in enumerate(groups):
             # looked up at call time, so a wrapper installed on the module sees every group
             mean_loss, acc = loss_and_gradient(model, group, queries)
             if not np.isfinite(mean_loss):
@@ -401,6 +433,12 @@ def train(
                     getattr(model, slot)[:] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             trace.append((epoch, batch_idx, mean_loss))
         lr *= config.lr_decay
+    # every update but the last is followed by a loss check; the last one is checked here
+    if not (np.isfinite(model.emb).all() and np.isfinite(model.attn).all()):
+        epoch, batch_idx, _ = trace[-1]
+        raise RuntimeError(
+            f"non-finite parameters after the update at epoch {epoch}, batch {batch_idx}; aborting"
+        )
     return model, trace
 
 

@@ -21,9 +21,9 @@ is therefore identical for any generation order.
 Each stream's raw Philox words are read once and decoded in integer and
 power-of-two arithmetic, bit for bit as numpy's Generator decodes them:
 ``random()`` is (word >> 11) * 2**-53; ``integers(n)``, 1 < n < 2**32, is Lemire's
-x*n >> 32 on 32-bit draws x, redrawn while x*n mod 2**32 < (2**32 - n) % n.  A
-32-bit draw takes a fresh word's low half and keeps its high half for the next
-one, which ``random()`` skips; ``integers(1)`` reads nothing.
+rule (``core.lemire_draw``) on 32-bit draws.  A 32-bit draw takes a fresh word's
+low half and keeps its high half for the next one, which ``random()`` skips;
+``integers(1)`` reads nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .core import (
     QueryTable,
     config_from_mapping,
     config_text,
+    lemire_draw,
     parse_key_values,
     rng_stream,
     sample_trigram_vocab,
@@ -293,11 +294,12 @@ class _StreamReader:
         return (self._next64(rows) >> 11) * 2.0**-53
 
     def integers(self, rows: np.ndarray, n: int) -> np.ndarray:
-        m, redo = np.zeros(rows.size, dtype=np.uint64), np.arange(rows.size if n > 1 else 0)
+        out, redo = np.zeros(rows.size, dtype=np.int64), np.arange(rows.size if n > 1 else 0)
         while redo.size:
-            m[redo] = self._next32(rows[redo]) * np.uint64(n)
-            redo = redo[(m[redo] & 0xFFFFFFFF) < (2**32 - n) % n]
-        return (m >> 32).astype(np.int64)
+            value, accepted = lemire_draw(self._next32(rows[redo]), n)
+            out[redo] = value  # a redrawn row is overwritten by a later pass
+            redo = redo[~accepted]
+        return out
 
 
 def _sample_queries(

@@ -19,7 +19,7 @@ from queryemb import theory
 from queryemb.baseline import TrigramHashStore, hash_query
 from queryemb.cli import main, sha256_file, split_query_ids
 from queryemb.core import GeneratorConfig, QueryTable, rng_stream
-from queryemb.embedder import AttentionModel, TrainingBatch, loss_and_gradient
+from queryemb.embedder import AttentionModel, loss_and_gradient
 from queryemb.evaluation import (
     EmbeddingStore,
     evaluate,
@@ -31,6 +31,7 @@ from queryemb.evaluation import (
 )
 from queryemb.genmodel import generate_dataset, trigram_empirical_variance
 from test_baseline import bray_curtis, knn, splitmix64
+from test_embedder import TrainingBatch, _group_pairs
 
 
 def _report(num, name, passed, detail):
@@ -56,7 +57,7 @@ def _random_case(seed, m=20, d=4, n_max=5, n_queries=12):
     batch = TrainingBatch(
         anchor=int(ids[0]), positives=tuple(ids[1:4].tolist()), negatives=tuple(ids[4:9].tolist())
     )
-    return model, queries, batch
+    return model, queries, _group_pairs([batch])
 
 
 def test_01_gradient_matches_finite_differences():
@@ -64,8 +65,8 @@ def test_01_gradient_matches_finite_differences():
     h = 1e-5
     worst = 0.0
     for case in range(10):  # 10 random (model, batch) pairs, 10 coordinates each
-        model, queries, batch = _random_case(100 + case)
-        _, grad = loss_and_gradient(model, [batch], queries)
+        model, queries, group = _random_case(100 + case)
+        _, grad = loss_and_gradient(model, group, queries)
         picker = rng_stream(200 + case)
         for _ in range(10):
             slot = "emb" if picker.uniform() < 0.5 else "attn"
@@ -74,9 +75,9 @@ def test_01_gradient_matches_finite_differences():
             j = int(picker.integers(arr.shape[1]))
             orig = arr[i, j]
             arr[i, j] = orig + h
-            up = loss_and_gradient(model, [batch], queries)[0]
+            up = loss_and_gradient(model, group, queries)[0]
             arr[i, j] = orig - h
-            down = loss_and_gradient(model, [batch], queries)[0]
+            down = loss_and_gradient(model, group, queries)[0]
             arr[i, j] = orig
             fd = (up - down) / (2 * h)
             err = abs(getattr(grad, slot)[i, j] - fd) / max(1.0, abs(fd))

@@ -169,6 +169,17 @@ class TestTrain:
         assert rc == 2
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2_without_checkpoint(
+        self, pipeline, tmp_path, capsys, rate
+    ):
+        cfg = _write(tmp_path / "t.cfg", TRAIN_CONFIG.replace("0.05", rate))
+        out = tmp_path / "r"
+        rc = main(["train", pipeline["data"], "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_summary_blocks_comparable(self, pipeline):

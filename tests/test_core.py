@@ -8,7 +8,9 @@ from queryemb.core import (
     GeneratorConfig,
     QueryGraph,
     QueryTable,
+    ReplayStream,
     config_from_mapping,
+    lemire_draw,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
@@ -49,6 +51,89 @@ class TestRngStream:
         assert words.shape == (5, 9) and words.dtype == np.uint64
         for row, stream in zip(words, streams):
             assert np.array_equal(row, rng_stream(seed, stream).bit_generator.random_raw(9))
+
+
+def _twins(seed, lead):
+    """A Generator of rng_stream(seed, 3) and a second copy, both after lead(generator)."""
+    gen, twin = rng_stream(seed, 3), rng_stream(seed, 3)
+    lead(gen)
+    lead(twin)
+    return gen, twin
+
+
+_LEADS = {
+    "fresh": lambda g: None,
+    "permutation": lambda g: g.permutation(50),
+    "kept_half": lambda g: g.integers(7),  # one 32-bit draw keeps the word's high half
+}
+
+# n = 1 reads nothing; just above 2**31 about half of all draws are redrawn
+_RANGES = [1, 2, 3, 7, 25, 1, 1000, 2**31 + 1, 5000, 2**32 - 1]
+
+
+class TestReplayStream:
+    @pytest.mark.parametrize("lead", sorted(_LEADS))
+    @pytest.mark.parametrize("n_words", [1, 4096])
+    def test_integers_match_generator(self, lead, n_words):
+        gen, twin = _twins(11, _LEADS[lead])
+        assert twin.bit_generator.state["has_uint32"] == (lead == "kept_half")
+        replay = ReplayStream(twin.bit_generator, n_words)
+        ranges = _RANGES * 300
+        assert [replay.integers(n) for n in ranges] == [int(gen.integers(n)) for n in ranges]
+
+    def test_forced_lemire_rejection(self):
+        # n just above 2**31: the rule rejects about half of the 32-bit draws
+        n = 2**31 + 1
+        gen, twin = _twins(12, _LEADS["kept_half"])
+        kept = twin.bit_generator.state["uinteger"]
+        words = rng_stream(12, 3).bit_generator.random_raw(3000)[1:]  # past the word integers(7) split
+        halves = np.concatenate([[kept], np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()])
+        value, accepted = lemire_draw(halves.astype(np.uint64), n)
+        assert 0.4 < accepted.mean() < 0.6
+        replay = ReplayStream(twin.bit_generator, 16)
+        expected = [int(gen.integers(n)) for _ in range(2000)]
+        assert [replay.integers(n) for _ in range(2000)] == expected
+        assert value[accepted][:2000].tolist() == expected
+
+    def test_lemire_draw_scalar_matches_array(self):
+        x = rng_stream(13).bit_generator.random_raw(500) & 0xFFFFFFFF
+        for n in (2, 3, 1000, 2**31 + 1, 2**32 - 1):
+            value, accepted = lemire_draw(x, n)
+            scalar = [lemire_draw(int(h), n) for h in x]
+            assert value.tolist() == [v for v, _ in scalar]
+            assert accepted.tolist() == [a for _, a in scalar]
+
+    def test_lemire_draw_boundary(self):
+        # 3 * 0xAAAAAAAB = 2**33 + 1: leftover 1 equals the threshold (2**32 - 3) % 3
+        assert (2**32 - 3) % 3 == 1
+        assert lemire_draw(0xAAAAAAAB, 3) == (2, True)
+        assert lemire_draw(0, 3) == (0, False)
+        x = np.array([0xAAAAAAAB, 0], dtype=np.uint64)
+        value, accepted = lemire_draw(x, 3)
+        assert value.tolist() == [2, 0] and accepted.tolist() == [True, False]
+
+    # 34 of 40 values excluded: most draws are rejected; past 2**31 Lemire's
+    # rule itself redraws about half of them
+    @pytest.mark.parametrize("n, excluded", [(40, set(range(3, 37))), (2**31 + 1, {5, 7})])
+    @pytest.mark.parametrize("n_words", [1, 4096])
+    def test_integers_outside_matches_generator_rejection(self, n_words, n, excluded):
+        gen, twin = _twins(14, _LEADS["permutation"])
+        replay = ReplayStream(twin.bit_generator, n_words)
+        for k in (1, 25, 6, 40):
+            expected = []
+            while len(expected) < k:
+                value = int(gen.integers(n))
+                if value not in excluded:
+                    expected.append(value)
+            assert replay.integers_outside(n, k, excluded) == expected
+            # the scan stops right after the k-th kept draw
+            assert replay.integers(9) == int(gen.integers(9))
+
+    def test_integers_outside_needs_a_real_range(self):
+        replay = ReplayStream(rng_stream(15).bit_generator, 8)
+        for n in (0, 1, 2**32):
+            with pytest.raises(ValueError, match="range"):
+                replay.integers_outside(n, 1, set())
 
 
 class TestSampleUnitSphere:

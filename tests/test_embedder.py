@@ -1,6 +1,9 @@
+import hashlib
 import io
+import math
 import struct
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,13 +11,20 @@ from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
 from queryemb import embedder, theory
-from queryemb.core import GeneratorConfig, QueryGraph, QueryTable, rng_stream
+from queryemb.core import (
+    STREAM_TRAIN,
+    GeneratorConfig,
+    QueryGraph,
+    QueryTable,
+    ReplayStream,
+    rng_stream,
+)
 from queryemb.embedder import (
     SCORE_CLAMP,
     AttentionModel,
     ModelGradient,
     TrainConfig,
-    TrainingBatch,
+    TrainingGroup,
     embed_query,
     embed_table,
     init_model,
@@ -46,6 +56,114 @@ def smoothed_trace(losses, window=10):
     if n == 0:
         return np.array([])
     return np.asarray(losses[: n * window], dtype=np.float64).reshape(n, window).mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: per-anchor samples drawn by Generator calls, held as
+# TrainingBatch tuples, and the pair arrays built from them
+
+
+@dataclass(frozen=True)
+class TrainingBatch:
+    """One anchor with its sampled positive and negative query ids."""
+
+    anchor: int
+    positives: tuple[int, ...]
+    negatives: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "positives", tuple(int(x) for x in self.positives))
+        object.__setattr__(self, "negatives", tuple(int(x) for x in self.negatives))
+        if self.anchor in self.positives or self.anchor in self.negatives:
+            raise ValueError("anchor must not appear among its positives or negatives")
+
+
+def _group_pairs(group):
+    """The TrainingGroup of a list of TrainingBatch, pair by pair in batch order."""
+    if not group:
+        raise ValueError("a training group needs at least one anchor")
+    n_pos = np.array([len(b.positives) for b in group])
+    n_neg = np.array([len(b.negatives) for b in group])
+    if not (n_pos.all() and n_neg.all()):
+        raise ValueError("loss needs at least one positive and one negative")
+    sizes = n_pos + n_neg
+    anchor = np.repeat([b.anchor for b in group], sizes)
+    other = np.array([q for b in group for q in (*b.positives, *b.negatives)])
+    slot = np.arange(anchor.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    positive = slot < np.repeat(n_pos, sizes)
+    weight = 1.0 / np.where(positive, np.repeat(n_pos, sizes), np.repeat(n_neg, sizes))
+    return TrainingGroup(anchor, other, weight / len(group), positive)
+
+
+def ref_sample_positives(graph, q, mode, rng, n_samples=5, walk_length=3, walks_per_node=10):
+    """Positives of anchor q, one Generator.integers(degree) call per draw."""
+    nbrs = graph.neighbors(q)
+    if nbrs.size == 0:
+        return []
+    if mode == "uniform":
+        return [int(nbrs[rng.integers(nbrs.size)]) for _ in range(n_samples)]
+    if mode == "walks":
+        out = []
+        for _ in range(walks_per_node):
+            cur = q
+            for _ in range(walk_length):
+                cur_nbrs = graph.neighbors(cur)
+                if cur_nbrs.size == 0:
+                    break
+                cur = int(cur_nbrs[rng.integers(cur_nbrs.size)])
+                if cur != q:
+                    out.append(cur)
+        return out
+    raise ValueError(f"unknown positive-sampling mode {mode!r}")
+
+
+def ref_sample_negatives(graph, q, k, rng):
+    """k non-neighbours of q, one Generator.integers(n) call and one search per candidate."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return []
+    n = graph.n_queries
+    available = n - 1 - graph.degree(q)
+    if available < k:
+        raise ValueError(f"only {available} non-neighbours available, need {k}")
+    nbrs = graph.neighbors(q)
+    out = []
+    while len(out) < k:
+        cand = int(rng.integers(n))
+        if cand == q:
+            continue
+        j = np.searchsorted(nbrs, cand)
+        if j < nbrs.size and nbrs[j] == cand:
+            continue
+        out.append(cand)
+    return out
+
+
+def ref_training_groups(graph, config):
+    """The groups train fixes up front, sampled anchor by anchor from the Generator."""
+    rng = rng_stream(config.seed, STREAM_TRAIN)
+    order = rng.permutation(graph.n_queries)
+    groups = []
+    for start in range(0, order.size, config.batch_size):
+        group = []
+        for a in order[start : start + config.batch_size]:
+            a = int(a)
+            pos = ref_sample_positives(
+                graph, a, config.positive_mode, rng, n_samples=config.n_positives,
+                walk_length=config.walk_length, walks_per_node=config.walks_per_node,
+            )
+            if pos:
+                neg = ref_sample_negatives(graph, a, config.n_negatives * len(pos), rng)
+                group.append(TrainingBatch(anchor=a, positives=tuple(pos), negatives=tuple(neg)))
+        if group:
+            groups.append(_group_pairs(group))
+    return groups
+
+
+def _stream(seed, n_words=64):
+    """A replay of rng_stream(seed) from its first word."""
+    return ReplayStream(rng_stream(seed).bit_generator, n_words)
 
 
 def _singleton_queries(emb_rows):
@@ -94,6 +212,24 @@ class TestEmbedQuery:
         with pytest.raises(ValueError, match="max_len"):
             embed_query(model, [0, 1, 2])
 
+    def test_empty_negative_and_nested_queries_rejected(self):
+        model = init_model(4, 2, 3, seed=5)
+        for q, message in (
+            ([], "at least one trigram"),
+            ([1, -1], "non-negative"),
+            ([[0, 1]], "1-d"),
+            ([1.7], "integers"),  # a one-row QueryTable truncated it to trigram 1
+            (["3"], "integers"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                embed_query(model, q)
+
+    def test_matches_one_row_table_bit_for_bit(self):
+        model = _random_model(52)
+        for row in ([3], [0, 39, 7], [5, 5, 5, 5, 5]):
+            table = QueryTable.from_rows([row], [0], len(row))
+            assert np.array_equal(embed_query(model, row), embed_table(model, table)[0])
+
 
 class TestAttentionWeights:
     def test_equal_scores_uniform(self):
@@ -135,7 +271,8 @@ class TestLoss:
         model = AttentionModel(emb, np.zeros((1, 2)))
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
-        assert_allclose(loss_and_gradient(model, [batch], queries)[0], 2 * np.log(2.0), rtol=1e-14)
+        value = loss_and_gradient(model, _group_pairs([batch]), queries)[0]
+        assert_allclose(value, 2 * np.log(2.0), rtol=1e-14)
 
     def test_unit_scores_hand_value(self):
         # <z_a, z_p> = 1 and <z_a, z_n> = -1 -> 2 * -log sigma(1)
@@ -144,7 +281,7 @@ class TestLoss:
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
         expected = 2 * np.log1p(np.exp(-1.0))
-        assert_allclose(loss_and_gradient(model, [batch], queries)[0], expected, rtol=1e-14)
+        assert_allclose(loss_and_gradient(model, _group_pairs([batch]), queries)[0], expected, rtol=1e-14)
         assert abs(expected - 0.6265) < 1e-4
 
     def test_saturated_scores_drive_loss_to_zero(self):
@@ -152,16 +289,16 @@ class TestLoss:
         model = AttentionModel(emb, np.zeros((1, 2)))
         queries = _singleton_queries(emb)
         batch = TrainingBatch(anchor=0, positives=(1,), negatives=(2,))
-        assert loss_and_gradient(model, [batch], queries)[0] < 1e-12
+        assert loss_and_gradient(model, _group_pairs([batch]), queries)[0] < 1e-12
 
     def test_empty_sets_rejected(self):
         emb = np.eye(3)
         model = AttentionModel(emb, np.zeros((1, 3)))
         queries = _singleton_queries(emb)
         with pytest.raises(ValueError, match="positive"):
-            loss_and_gradient(model, [TrainingBatch(0, (), (2,))], queries)
+            loss_and_gradient(model, _group_pairs([TrainingBatch(0, (), (2,))]), queries)
         with pytest.raises(ValueError, match="positive"):
-            loss_and_gradient(model, [TrainingBatch(0, (1,), ())], queries)
+            loss_and_gradient(model, _group_pairs([TrainingBatch(0, (1,), ())]), queries)
 
     def test_anchor_overlap_rejected(self):
         with pytest.raises(ValueError, match="anchor"):
@@ -269,7 +406,7 @@ class TestLossGradient:
         checked = 0
         for case_seed in range(10):
             model, queries, batch = _random_case(200 + case_seed)
-            value, grad = loss_and_gradient(model, [batch], queries)
+            value, grad = loss_and_gradient(model, _group_pairs([batch]), queries)
             touched = sorted({t for i in range(len(queries)) for t in queries.row(i).tolist()})
             for _ in range(10):
                 if rng.random() < 0.5:
@@ -277,7 +414,7 @@ class TestLossGradient:
                 else:
                     slot, i = "attn", int(rng.integers(0, model.max_len))
                 j = int(rng.integers(0, model.dim))
-                fd = _fd_coordinate(model, [batch], queries, slot, i, j)
+                fd = _fd_coordinate(model, _group_pairs([batch]), queries, slot, i, j)
                 an = getattr(grad, slot)[i, j]
                 assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd)), (slot, i, j, an, fd)
                 checked += 1
@@ -287,7 +424,7 @@ class TestLossGradient:
         model, queries, batch = _random_case(300)
         involved = {batch.anchor, *batch.positives, *batch.negatives}
         used = {t for qid in involved for t in queries.row(qid).tolist()}
-        grad = loss_and_gradient(model, [batch], queries)[1]
+        grad = loss_and_gradient(model, _group_pairs([batch]), queries)[1]
         for t in range(model.vocab_size):
             if t not in used:
                 assert np.array_equal(grad.emb[t], np.zeros(model.dim))
@@ -300,17 +437,17 @@ class TestLossGradient:
         model = AttentionModel(np.zeros((6, 3)), np.zeros((2, 3)))
         queries = _singleton_queries(model.emb)
         batch = TrainingBatch(anchor=0, positives=(1, 2), negatives=(3, 4, 5))
-        grad = loss_and_gradient(model, [batch], queries)[1]
+        grad = loss_and_gradient(model, _group_pairs([batch]), queries)[1]
         assert np.array_equal(grad.emb, np.zeros_like(grad.emb))
         assert np.array_equal(grad.attn, np.zeros_like(grad.attn))
         rng = rng_stream(9)
         h = 1e-5
         for _ in range(5):
             d_emb = rng.standard_normal(model.emb.shape)
-            up = loss_and_gradient(AttentionModel(model.emb + h * d_emb, model.attn), [batch],
-                                   queries)[0]
-            down = loss_and_gradient(AttentionModel(model.emb - h * d_emb, model.attn), [batch],
-                                     queries)[0]
+            up = loss_and_gradient(AttentionModel(model.emb + h * d_emb, model.attn),
+                                   _group_pairs([batch]), queries)[0]
+            down = loss_and_gradient(AttentionModel(model.emb - h * d_emb, model.attn),
+                                     _group_pairs([batch]), queries)[0]
             assert abs(up - down) / (2 * h) < 1e-6
 
     def test_table_that_does_not_fit_the_model_rejected(self):
@@ -323,14 +460,14 @@ class TestLossGradient:
         ):
             queries = QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows)))
             with pytest.raises(ValueError, match=message):
-                loss_and_gradient(model, [batch], queries)
+                loss_and_gradient(model, _group_pairs([batch]), queries)
 
     def test_descent_along_gradient(self):
         model, queries, batch = _random_case(400)
-        value, grad = loss_and_gradient(model, [batch], queries)
+        value, grad = loss_and_gradient(model, _group_pairs([batch]), queries)
         step = 1e-3
         stepped = AttentionModel(model.emb - step * grad.emb, model.attn - step * grad.attn)
-        assert loss_and_gradient(stepped, [batch], queries)[0] < value
+        assert loss_and_gradient(stepped, _group_pairs([batch]), queries)[0] < value
 
 
 def _mixed_dataset(seed=41):
@@ -365,9 +502,9 @@ def _sampled_groups(dataset, n_groups, group_size, seed):
     for start in range(0, order.size, group_size):
         group = []
         for a in order[start : start + group_size]:
-            pos = sample_positives(dataset.graph, int(a), "uniform", rng, n_samples=4)
+            pos = ref_sample_positives(dataset.graph, int(a), "uniform", rng, n_samples=4)
             if pos:
-                neg = sample_negatives(dataset.graph, int(a), 2 * len(pos), rng)
+                neg = ref_sample_negatives(dataset.graph, int(a), 2 * len(pos), rng)
                 group.append(TrainingBatch(int(a), tuple(pos), tuple(neg)))
         groups.append(group)
     return groups
@@ -412,7 +549,7 @@ class TestGroupPass:
 
         for model in (base, clamped):
             for group in groups:
-                value, grad = loss_and_gradient(model, group, queries)
+                value, grad = loss_and_gradient(model, _group_pairs(group), queries)
                 ref_value, ref_grad = _ref_loss_and_gradient(model, group, queries)
                 assert_allclose(value, ref_value, rtol=1e-12, atol=0)
                 assert_allclose(grad.emb, ref_grad.emb, rtol=0, atol=1e-12)
@@ -423,7 +560,7 @@ class TestGroupPass:
         model = _random_model(44)
         group = _sampled_groups(ds, 1, 5, seed=45)[0]
         assert len(group) >= 3
-        value, grad = loss_and_gradient(model, group, ds.queries)
+        value, grad = loss_and_gradient(model, _group_pairs(group), ds.queries)
         involved = {q for b in group for q in (b.anchor, *b.positives, *b.negatives)}
         touched = sorted({t for q in involved for t in ds.queries.row(q).tolist()})
         rng = rng_stream(46)
@@ -433,7 +570,7 @@ class TestGroupPass:
             else:
                 slot, i = "attn", int(rng.integers(0, model.max_len))
             j = int(rng.integers(0, model.dim))
-            fd = _fd_coordinate(model, group, ds.queries, slot, i, j)
+            fd = _fd_coordinate(model, _group_pairs(group), ds.queries, slot, i, j)
             an = getattr(grad, slot)[i, j]
             assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd)), (slot, i, j, an, fd)
 
@@ -444,14 +581,15 @@ class TestGroupPass:
         queries = QueryTable.from_rows(rows, [0] * len(rows), 4)
         assert (queries.ids == 0).any()
         model = AttentionModel(rng.standard_normal((12, 3)), rng.standard_normal((4, 3)))
-        grad = loss_and_gradient(model, _HANDMADE_GROUP, queries)[1]
+        grad = loss_and_gradient(model, _group_pairs(_HANDMADE_GROUP), queries)[1]
         assert np.array_equal(grad.emb[0], np.zeros(3))
         assert np.abs(grad.emb[1:]).sum() > 0
 
     def test_empty_group_rejected(self):
         model = _random_model(48)
+        empty = TrainingGroup(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0, bool))
         with pytest.raises(ValueError, match="at least one anchor"):
-            loss_and_gradient(model, [], _mixed_dataset().queries)
+            loss_and_gradient(model, empty, _mixed_dataset().queries)
 
     @pytest.mark.parametrize("bad", [-1, 60])
     def test_query_id_outside_the_table_rejected(self, bad):
@@ -460,7 +598,7 @@ class TestGroupPass:
         model = _random_model(51)
         for batch in (TrainingBatch(bad, (1,), (2,)), TrainingBatch(0, (bad,), (2,))):
             with pytest.raises(ValueError, match=r"query ids must lie in \[0, 60\)"):
-                loss_and_gradient(model, [batch], ds.queries)
+                loss_and_gradient(model, _group_pairs([batch]), ds.queries)
 
     def test_embed_table_matches_embed_query(self):
         ds = _mixed_dataset()
@@ -484,19 +622,19 @@ class TestGroupPass:
 class TestSamplePositives:
     def test_single_neighbor_always_chosen(self):
         g = _graph(3, [(0, 1)])
-        rng = rng_stream(10)
-        assert sample_positives(g, 0, "uniform", rng, n_samples=20) == [1] * 20
+        stream = _stream(10)
+        assert sample_positives(g, 0, "uniform", stream, n_samples=20) == [1] * 20
 
     def test_isolated_node_returns_empty(self):
         g = _graph(3, [(0, 1)])
-        assert sample_positives(g, 2, "uniform", rng_stream(11)) == []
-        assert sample_positives(g, 2, "walks", rng_stream(12)) == []
+        assert sample_positives(g, 2, "uniform", _stream(11)) == []
+        assert sample_positives(g, 2, "walks", _stream(12)) == []
 
     def test_walk_length_one_stays_in_neighborhood(self):
         g = _graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
-        rng = rng_stream(13)
+        stream = _stream(13)
         for _ in range(50):
-            out = sample_positives(g, 0, "walks", rng, walk_length=1, walks_per_node=1)
+            out = sample_positives(g, 0, "walks", stream, walk_length=1, walks_per_node=1)
             assert set(out) <= {1, 2}
 
     def test_walk_distribution_matches_enumeration(self):
@@ -518,12 +656,12 @@ class TestSamplePositives:
         exact = {seq: p for seq, p in walks(start, length)}
         assert abs(sum(exact.values()) - 1.0) < 1e-12
 
-        rng = rng_stream(14)
+        stream = _stream(14)
         n = 100_000
         observed = Counter()
         for _ in range(n):
             visits = sample_positives(
-                g, start, "walks", rng, walk_length=length, walks_per_node=1
+                g, start, "walks", stream, walk_length=length, walks_per_node=1
             )
             # reconstruct the full step sequence: visits drop returns to start
             observed[tuple(visits)] += 1
@@ -541,7 +679,7 @@ class TestSamplePositives:
     def test_unknown_mode_rejected(self):
         g = _graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="mode"):
-            sample_positives(g, 0, "bogus", rng_stream(15))
+            sample_positives(g, 0, "bogus", _stream(15))
 
 
 class TestSampleNegatives:
@@ -549,25 +687,25 @@ class TestSampleNegatives:
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         g = _graph(4, edges)
         with pytest.raises(ValueError, match="non-neighbours"):
-            sample_negatives(g, 0, 1, rng_stream(16))
+            sample_negatives(g, 0, 1, _stream(16))
 
     def test_k_zero_returns_empty(self):
         g = _graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert sample_negatives(g, 0, 0, rng_stream(17)) == []
+        assert sample_negatives(g, 0, 0, _stream(17)) == []
 
     def test_never_returns_neighbor_or_self(self):
         g = _graph(10, [(0, 1), (0, 2), (3, 4)])
-        rng = rng_stream(18)
+        stream = _stream(18)
         for _ in range(200):
-            out = sample_negatives(g, 0, 3, rng)
+            out = sample_negatives(g, 0, 3, stream)
             assert 0 not in out and 1 not in out and 2 not in out
 
     def test_uniform_over_non_neighbors(self):
         # 100-node ring: every node has 2 neighbors, 97 non-neighbors
         n = 100
         g = _graph(n, [(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)])
-        rng = rng_stream(19)
-        draws = np.array([sample_negatives(g, 0, 1, rng)[0] for _ in range(100_000)])
+        stream = _stream(19)
+        draws = np.array([sample_negatives(g, 0, 1, stream)[0] for _ in range(100_000)])
         allowed = sorted(set(range(n)) - {0, 1, 99})
         counts = np.array([(draws == a).sum() for a in allowed])
         assert counts.sum() == 100_000
@@ -609,8 +747,6 @@ class TestTrain:
     def test_single_sgd_step_is_exact(self):
         # one batch spanning every anchor, one epoch: the update must be
         # exactly init - lr * (mean gradient over the materialized batch)
-        from queryemb.core import STREAM_TRAIN
-
         ds = _tiny_dataset(n_queries=8)
         n = len(ds.queries)
         model0 = init_model(30, 4, 3, seed=24)
@@ -632,12 +768,12 @@ class TestTrain:
         count = 0
         for a in order:
             a = int(a)
-            pos = sample_positives(ds.graph, a, "uniform", rng, n_samples=2)
+            pos = ref_sample_positives(ds.graph, a, "uniform", rng, n_samples=2)
             if not pos:
                 continue
-            neg = sample_negatives(ds.graph, a, 2 * len(pos), rng)
+            neg = ref_sample_negatives(ds.graph, a, 2 * len(pos), rng)
             batch = TrainingBatch(anchor=a, positives=tuple(pos), negatives=tuple(neg))
-            grad = loss_and_gradient(model0, [batch], ds.queries)[1]
+            grad = loss_and_gradient(model0, _group_pairs([batch]), ds.queries)[1]
             acc_emb += grad.emb
             acc_attn += grad.attn
             count += 1
@@ -683,6 +819,27 @@ class TestTrain:
         with pytest.raises(ValueError, match="lr_decay"):
             TrainConfig(learning_rate=0.1, epochs=1, lr_decay=0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=rate, epochs=1)
+
+    def test_non_finite_parameters_after_last_update_abort(self, monkeypatch):
+        # the loss of every update is checked before it is applied, so only
+        # the parameter check after the loop sees what the last update wrote
+        ds = _tiny_dataset()
+        original = embedder.loss_and_gradient
+
+        def infinite_gradient(model, group, queries):
+            value, grad = original(model, group, queries)
+            return value, ModelGradient(np.full_like(grad.emb, np.inf), grad.attn)
+
+        monkeypatch.setattr(embedder, "loss_and_gradient", infinite_gradient)
+        cfg = TrainConfig(learning_rate=10.0, epochs=1, seed=5, positive_mode="uniform",
+                          n_positives=2, n_negatives=2, batch_size=len(ds.queries))
+        with pytest.raises(RuntimeError, match="non-finite parameters .* epoch 0, batch 0"):
+            train(init_model(30, 4, 3, seed=22), ds, cfg)
+
 
 class TestTrainLooksUpTheGroupPass:
     def test_every_group_goes_through_the_module_attribute(self, monkeypatch):
@@ -693,7 +850,7 @@ class TestTrainLooksUpTheGroupPass:
         original = embedder.loss_and_gradient
 
         def counting(model, group, queries):
-            calls.append(len(group))
+            calls.append(len(set(group.anchor.tolist())))
             return original(model, group, queries)
 
         monkeypatch.setattr(embedder, "loss_and_gradient", counting)
@@ -707,6 +864,112 @@ class TestTrainLooksUpTheGroupPass:
         assert len(calls) == n_groups * cfg.epochs
         n_anchors = sum(ds.graph.degree(q) > 0 for q in range(len(ds.queries)))
         assert sum(calls) == n_anchors * cfg.epochs
+
+
+def _edge_case_graph():
+    """40 queries: 0 and 1 isolated, 2-3 and 4-5 degree-1 pairs, 6 adjacent to
+    10-39 (its only non-neighbours are 0-5 and 7-9), random edges among 7-39."""
+    rng = rng_stream(60)
+    edges = [(2, 3), (4, 5)] + [(6, v) for v in range(10, 40)]
+    edges += [(u, v) for u in range(7, 40) for v in range(u + 1, 40) if rng.random() < 0.15]
+    return _graph(40, edges)
+
+
+def _assert_same_groups(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for name in ("anchor", "other", "positive"):
+            assert np.array_equal(getattr(g, name), getattr(e, name)), name
+        assert g.weight.dtype == e.weight.dtype and g.weight.tobytes() == e.weight.tobytes()
+
+
+class TestTrainingSamplesMatchReference:
+    """Samples replayed from the train stream against one Generator call per draw."""
+
+    @pytest.mark.parametrize("mode", ["uniform", "walks"])
+    @pytest.mark.parametrize("n_words", [1, 10_000])
+    def test_samplers_match_generator_calls(self, mode, n_words):
+        # in uniform mode anchor 6 needs k = 3 * 3 negatives, as many as it has
+        # non-neighbours, and 31 of every 40 candidates are redrawn
+        g = _edge_case_graph()
+        gen, twin = rng_stream(61), rng_stream(61)
+        stream = ReplayStream(twin.bit_generator, n_words)  # n_words=1: the budget overruns
+        kw = dict(n_samples=3, walk_length=2, walks_per_node=2)
+        n_neg = 3 if mode == "uniform" else 1
+        for a in [0, 2, 6, 1, 4, 6, *range(7, 40), 3, 5, 6]:
+            pos = sample_positives(g, a, mode, stream, **kw)
+            assert pos == ref_sample_positives(g, a, mode, gen, **kw)
+            neg = sample_negatives(g, a, n_neg * len(pos), stream)
+            assert neg == ref_sample_negatives(g, a, n_neg * len(pos), gen)
+        assert stream.integers(1000) == int(gen.integers(1000))
+
+    def test_too_few_non_neighbours_raise_before_any_draw(self):
+        g = _edge_case_graph()
+        stream = _stream(62)
+        with pytest.raises(ValueError, match="only 9 non-neighbours available, need 10"):
+            sample_negatives(g, 6, 10, stream)
+        with pytest.raises(ValueError, match="only 9 non-neighbours available, need 10"):
+            ref_sample_negatives(g, 6, 10, rng_stream(62))
+        assert stream.integers(1000) == int(rng_stream(62).integers(1000))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(learning_rate=0.1, epochs=1, positive_mode="uniform", n_positives=3,
+                        n_negatives=3, batch_size=7, seed=1),
+            TrainConfig(learning_rate=0.1, epochs=1, positive_mode="uniform", n_positives=3,
+                        n_negatives=3, batch_size=1, seed=3),
+            TrainConfig(learning_rate=0.1, epochs=1, positive_mode="walks", walk_length=2,
+                        walks_per_node=2, n_negatives=1, batch_size=40, seed=7),
+            TrainConfig(learning_rate=0.1, epochs=1, positive_mode="walks", walk_length=3,
+                        walks_per_node=2, n_negatives=1, batch_size=6, seed=8),
+        ],
+        ids=["uniform-7", "uniform-1", "walks-40", "walks-6"],
+    )
+    def test_edge_case_groups_match_reference(self, cfg):
+        g = _edge_case_graph()
+        groups = embedder._training_groups(g, cfg)
+        _assert_same_groups(groups, ref_training_groups(g, cfg))
+        assert sum(np.unique(x.anchor).size for x in groups) == 38  # isolated 0 and 1 skipped
+
+    @pytest.mark.parametrize("mode", ["uniform", "walks"])
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_dataset_groups_match_reference(self, mode, seed):
+        ds = _mixed_dataset(seed=40 + seed)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, positive_mode=mode, n_positives=4,
+                          n_negatives=2, walk_length=2, walks_per_node=3, batch_size=16, seed=seed)
+        _assert_same_groups(embedder._training_groups(ds.graph, cfg), ref_training_groups(ds.graph, cfg))
+
+
+# sha256 of checkpoint.bin and loss_trace.csv of two small trains, taken
+# before the samples were replayed from the stream's raw words: any drift in
+# the replay (or in the group pass) changes them
+_PINNED_TRAINS = {
+    "uniform": (
+        "cc896f348f059d1dbbeba50b0e87f41355159201836d55d0a7bdd1babddc05b6",
+        "2befbd373eabb71a2161b1f793ad79a615137d2575b7ec1323f722861fa254d3",
+    ),
+    "walks": (
+        "90f25cfafbf5c47d5412951c8941a9693d19ab7d82883ad64ba02b034a285c4d",
+        "37c5d21dd252b5315f17cee8516c56fe8c65a5a810ecec270fc5d2f232f94e05",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_PINNED_TRAINS))
+def test_training_bytes_pinned(mode, tmp_path):
+    ds = _mixed_dataset()
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=7, positive_mode=mode, n_positives=3,
+                      n_negatives=2, walk_length=2, walks_per_node=2, batch_size=16,
+                      optimizer="adam")
+    model, trace = train(init_model(40, 4, 5, seed=7), ds, cfg)
+    save_checkpoint(model, str(tmp_path / "checkpoint.bin"))
+    write_loss_trace(str(tmp_path / "loss_trace.csv"), trace)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("checkpoint.bin", "loss_trace.csv")
+    )
+    assert digests == _PINNED_TRAINS[mode]
 
 
 class TestDeskBenchmarkTraining:
