@@ -60,14 +60,17 @@ class QueryStore:
         self.ids = np.asarray(range(len(queries)) if ids is None else list(ids), dtype=np.int64)
         if self.ids.size != len(queries):
             raise ValueError("ids and queries must have equal length")
-        if np.unique(self.ids).size != self.ids.size:
+        self._sorted_ids = np.unique(self.ids)
+        if self._sorted_ids.size != self.ids.size:
             raise ValueError("store ids must be unique")
 
     def __len__(self) -> int:
         return self.ids.size
 
     def __contains__(self, query_id: int) -> bool:
-        return bool(np.any(self.ids == query_id))
+        """Whether some stored id equals query_id (3.0 equals 3), by binary search."""
+        i = np.searchsorted(self._sorted_ids, query_id)
+        return bool(i < self._sorted_ids.size and self._sorted_ids[i] == query_id)
 
     def _ranked(self, keys: np.ndarray, count: int, exclude_id: int | None) -> np.ndarray:
         """The first count store ids in (keys, ascending id) order, never exclude_id.

@@ -150,12 +150,24 @@ class TrainingGroup(NamedTuple):
 
     weight is 1/|P_a| or 1/|N_a|, then divided by the group's anchor count,
     so weighted sums are means over the group of each anchor's loss.
+    distinct holds the group's query ids once each, ascending, and inverse
+    the index into distinct of every anchor, then of every other, so a group
+    pass forwards each query once without sorting the ids again.  Build
+    groups with TrainingGroup.build.
     """
 
     anchor: np.ndarray
     other: np.ndarray
     weight: np.ndarray
     positive: np.ndarray
+    distinct: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def build(cls, anchor: np.ndarray, other: np.ndarray, weight: np.ndarray,
+              positive: np.ndarray) -> "TrainingGroup":
+        distinct, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
+        return cls(anchor, other, weight, positive, distinct, inverse)
 
 
 def loss_and_gradient(
@@ -176,14 +188,13 @@ def loss_and_gradient(
     over the valid slots i of the query.
     """
     _check_table(model, queries)
-    anchor, other, weight, positive = group
+    anchor, _, weight, positive, distinct, inverse = group
     if anchor.size == 0:
         raise ValueError("a training group needs at least one anchor")
-    uniq, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
-    if uniq[0] < 0 or uniq[-1] >= len(queries):
+    if distinct[0] < 0 or distinct[-1] >= len(queries):
         raise ValueError(f"query ids must lie in [0, {len(queries)})")
     a, o = inverse[: anchor.size], inverse[anchor.size :]
-    ids, lengths = queries.ids[uniq], queries.lengths[uniq]
+    ids, lengths = queries.ids[distinct], queries.lengths[distinct]
     z, w, V = _forward_rows(model, ids, lengths)
     x = np.einsum("pd,pd->p", z[a], z[o])
     # -log sigma(t) with t = +-x clamped to |t| <= SCORE_CLAMP, in the stable form
@@ -367,7 +378,7 @@ def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGro
     weight /= np.repeat(np.bincount(group)[group], sizes)  # the group's anchor count
     cuts = np.flatnonzero(np.diff(np.repeat(group, sizes))) + 1
     return [
-        TrainingGroup(*parts)
+        TrainingGroup.build(*parts)
         for parts in zip(*(np.split(arr, cuts) for arr in (anchor, other, weight, positive)))
     ]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .core import QueryTable
 from .embedder import AttentionModel, embed_query, embed_table
 
 PurchaseMap = Mapping[int, Sequence[tuple[int, int]]]
+
+# elements (or joined rows) that one array pass over many probes holds at once
+_CHUNK = 1 << 20
 
 DEFAULT_K = 20
 DEFAULT_REFORMULATIONS = 5
@@ -35,6 +38,74 @@ def top_products(purchases: Sequence[tuple[int, int]], k: int) -> list[int]:
     return [pid for pid, _ in ranked[:k]]
 
 
+class TopTable(NamedTuple):
+    """The top-k product lists of a set of queries as one array."""
+
+    ids: np.ndarray  # distinct query ids, ascending
+    tops: np.ndarray  # row i: top_products of ids[i], padded with -1 to the longest list
+
+    def rows(self, query_ids) -> np.ndarray:
+        """The table rows of query_ids, in their shape; every id must be in ids."""
+        query_ids = np.asarray(query_ids, dtype=np.int64)
+        at = np.searchsorted(self.ids, query_ids)
+        found = at < self.ids.size
+        found[found] = self.ids[at[found]] == query_ids[found]
+        if not found.all():
+            raise ValueError("query ids missing from the top-product table")
+        return self.tops[at]
+
+
+def _top_rows(ids, purchase_map: PurchaseMap, k: int) -> np.ndarray:
+    """Each id's top_products as one row, padded with -1 to the longest list.
+
+    Product ids are non-negative, so a pad never matches one.  The width is
+    the longest list, at most k.
+    """
+    # looked up at call time, so a wrapper installed on the module sees every call
+    tops = [top_products(purchase_map.get(c, []), k) for c in ids]
+    lengths = np.array([len(t) for t in tops], dtype=np.int64)
+    table = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = [p for t in tops for p in t]
+    return table
+
+
+def _top_table(ids, purchase_map: PurchaseMap, k: int) -> TopTable:
+    """The TopTable of the distinct ids: one top_products call each."""
+    uids = np.unique(np.asarray(ids, dtype=np.int64))
+    return TopTable(uids, _top_rows(uids.tolist(), purchase_map, k))
+
+
+def _first_listed(tops: np.ndarray) -> np.ndarray:
+    """Mask of the entries of each row that are products not listed earlier in it."""
+    width = tops.shape[-1]
+    earlier = ((tops[..., :, None] == tops[..., None, :]) & np.tri(width, width, -1, bool)).any(-1)
+    return (tops >= 0) & ~earlier
+
+
+def _overlaps(probe_tops: np.ndarray, ref_tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe row: how many of its reformulations share a top product with
+    it, and how many of its distinct top products some reformulation lists.
+
+    probe_tops is (n, w) and ref_tops (n, R, w'), both padded with -1.  The
+    (R, w', w) comparison of each row is made for about _CHUNK elements at once.
+    """
+    step = max(1, _CHUNK // max(1, ref_tops[0].size * probe_tops.shape[1]))
+    relevant, covered = [], []
+    for lo in range(0, len(probe_tops), step):
+        probe, refs = probe_tops[lo : lo + step], ref_tops[lo : lo + step]
+        match = (refs[:, :, :, None] == probe[:, None, None, :]) & (probe >= 0)[:, None, None, :]
+        relevant.append(match.any(axis=(2, 3)).sum(axis=1))
+        covered.append((match.any(axis=(1, 2)) & _first_listed(probe)).sum(axis=1))
+    return np.concatenate(relevant), np.concatenate(covered)
+
+
+def _one_probe(q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int):
+    """The probe's top-k row and its _overlaps with the reformulations."""
+    rows = _top_rows([q, *reformulations], purchase_map, k)
+    relevant, covered = _overlaps(rows[:1], rows[None, 1:])
+    return rows[0], int(relevant[0]), int(covered[0])
+
+
 def query_precision_at_k(
     q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int
 ) -> float:
@@ -42,27 +113,24 @@ def query_precision_at_k(
 
     Queries absent from the purchase map count as non-relevant.
     """
-    if not reformulations:
+    if len(reformulations) == 0:
         raise ValueError("need at least one reformulation")
-    probe_top = set(top_products(purchase_map.get(q, []), k))
-    hits = 0
-    for r in reformulations:
-        if probe_top & set(top_products(purchase_map.get(r, []), k)):
-            hits += 1
-    return hits / len(reformulations)
+    return _one_probe(q, reformulations, purchase_map, k)[1] / len(reformulations)
 
 
 def product_recall_at_k(
     q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int
 ) -> float:
-    """Fraction of the probe's top-k products covered by some reformulation's top-k."""
-    probe_top = top_products(purchase_map.get(q, []), k)
-    if not probe_top:
+    """Fraction of the probe's top-k products covered by some reformulation's top-k.
+
+    A product listed twice in the probe's list counts twice in the
+    denominator and at most once in the numerator.
+    """
+    probe, _, covered = _one_probe(q, reformulations, purchase_map, k)
+    length = int(np.count_nonzero(probe >= 0))
+    if not length:
         raise ValueError(f"probe {q} has no purchases; recall undefined")
-    union: set[int] = set()
-    for r in reformulations:
-        union.update(top_products(purchase_map.get(r, []), k))
-    return len(union & set(probe_top)) / len(probe_top)
+    return covered / length
 
 
 def f1(precision: float, recall: float) -> float:
@@ -112,70 +180,41 @@ def reformulate(
     available = len(store) - (1 if exclude is not None else 0)
     if count > available:
         raise ValueError(f"store offers {available} candidates, need {count}")
-    return [int(i) for i in store.rank(probe, count, exclude_id=exclude)]
+    return store.rank(probe, count, exclude_id=exclude).tolist()
 
 
 # ---------------------------------------------------------------------------
 # best-possible (oracle) scores
 
 
-def _top_table(ids: Sequence[int], purchase_map: PurchaseMap, k: int) -> np.ndarray:
-    """Each query's top-k product ids as one row, padded with -1.
-
-    Product ids are non-negative, so a pad never matches one.  The width is
-    the longest list, at most k.
-    """
-    tops = [top_products(purchase_map.get(c, []), k) for c in ids]
-    lengths = np.array([len(t) for t in tops], dtype=np.int64)
-    table = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = [p for t in tops for p in t]
-    return table
 
 
-def _oracle_one(
-    q: int,
-    ids: np.ndarray,
-    tops: np.ndarray,
-    purchase_map: PurchaseMap,
-    k: int,
-    n_reformulations: int,
-    pool: int,
-) -> tuple[float, float]:
-    """oracle_best for one probe against candidates ``ids`` whose top-k rows are ``tops``."""
-    probe_top = top_products(purchase_map.get(q, []), k)
-    if not probe_top:
-        raise ValueError(f"probe {q} has no purchases")
-    keep = ids != q
-    if not keep.any():
-        raise ValueError("no candidates available")
-    ids = ids[keep]
-    # one mask bit per distinct product; a product listed twice in probe_top
-    # still counts twice in len(probe_top), so full coverage is then out of
-    # reach, as full recall is in product_recall_at_k
-    slot = {pid: j for j, pid in enumerate(probe_top)}
-    hits = (tops[keep][:, :, None] == np.fromiter(slot, np.int64, len(slot))).any(axis=1)
-    bits = [1 << j for j in slot.values()]
+def _spans(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For spans of the given lengths laid end to end: each element's span and
+    its offset within it."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) - (np.cumsum(count) - count)[owner]
 
-    take = min(n_reformulations, ids.size)
-    overlap = hits.sum(axis=1)
-    best_precision = min(int(np.count_nonzero(overlap)), take) / n_reformulations
 
-    # pool restriction: keep the `pool` candidates with the largest coverage
-    order = np.lexsort((ids, -overlap))[:pool]
-    masks = {sum(b for b, hit in zip(bits, hits[j]) if hit) for j in order}
-    unique_masks = [m for m in sorted(masks, reverse=True) if m]
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Each element's position among the equal keys before it; keys are sorted."""
+    return np.arange(keys.size) - np.searchsorted(keys, keys, "left")
 
-    full = (1 << len(probe_top)) - 1
-    best_cover = 0
-    for r in range(1, min(take, len(unique_masks)) + 1):
-        for combo in combinations(unique_masks, r):
+
+def _best_cover(masks: list[int], take: int, n_top: int) -> int:
+    """Most bits that an OR of at most take of the masks sets (n_top when all
+    n_top bits of a top list can be set)."""
+    full = (1 << n_top) - 1
+    best = 0
+    for r in range(1, min(take, len(masks)) + 1):
+        for combo in combinations(masks, r):
             u = 0
             for m in combo:
                 u |= m
             if u == full:
-                return best_precision, 1.0
-            best_cover = max(best_cover, bin(u).count("1"))
-    return best_precision, best_cover / len(probe_top)
+                return n_top
+            best = max(best, bin(u).count("1"))
+    return best
 
 
 def oracle_best(
@@ -185,22 +224,124 @@ def oracle_best(
     k: int,
     n_reformulations: int = DEFAULT_REFORMULATIONS,
     pool: int = DEFAULT_ORACLE_POOL,
+    *,
+    table: TopTable | None = None,
 ) -> tuple[float, float]:
     """Mean over the probes of the highest precision and recall any
     n_reformulations-subset of the candidates could score.
 
     Subsets are drawn from the ``pool`` candidates with the largest product
-    overlap (the restriction is certified against unrestricted enumeration
-    at toy scale in the tests).  Precision needs no enumeration: relevant
-    candidates are interchangeable.  Recall maximizes coverage of the
-    probe's top-k products over subsets of distinct coverage patterns,
-    held as Python-int bitmasks, so k has no cap.
+    overlap, ties by ascending id (the restriction is certified against
+    unrestricted enumeration at toy scale in the tests); a probe is never its
+    own candidate.  Precision needs no enumeration: relevant candidates are
+    interchangeable.  Recall maximizes coverage of the probe's top-k
+    products over subsets of distinct coverage patterns, held as Python-int
+    bitmasks, so k has no cap.
+
+    All probes are scored at once: an inverted index from product to the
+    candidates' distinct top lists gives every overlap, and masks are built
+    only for each probe's pool.  ``table`` is a TopTable that already
+    holds every probe and candidate (evaluate passes its own); without it,
+    one is built.
     """
-    ids = np.asarray(candidate_ids, dtype=np.int64)
-    tops = _top_table(candidate_ids, purchase_map, k)
-    pairs = [_oracle_one(q, ids, tops, purchase_map, k, n_reformulations, pool) for q in probes]
-    arr = np.asarray(pairs, dtype=np.float64)
-    return float(arr[:, 0].mean()), float(arr[:, 1].mean())
+    probe_ids = np.asarray(probes, dtype=np.int64).reshape(-1)
+    cand = np.asarray(candidate_ids, dtype=np.int64).reshape(-1)
+    if probe_ids.size == 0:
+        raise ValueError("need at least one probe query")
+    if n_reformulations < 1 or pool < 1:
+        raise ValueError("n_reformulations and pool must be at least 1")
+    if table is None:
+        table = _top_table(np.concatenate([probe_ids, cand]), purchase_map, k)
+    probe_tops = table.rows(probe_ids)
+    n_top = np.count_nonzero(probe_tops >= 0, axis=1)
+    by_id = np.argsort(cand, kind="stable")
+    own = np.searchsorted(cand[by_id], probe_ids, "left")  # a probe's own rows in by_id
+    n_self = np.searchsorted(cand[by_id], probe_ids, "right") - own
+    available = cand.size - n_self
+    bad = np.flatnonzero((n_top == 0) | (available == 0))
+    if bad.size:
+        if n_top[bad[0]] == 0:
+            raise ValueError(f"probe {probe_ids[bad[0]]} has no purchases")
+        raise ValueError("no candidates available")
+
+    # candidate rows with equal top rows (one "pattern") overlap every probe
+    # equally, so probes are joined with the patterns.  members holds each
+    # pattern's rows in (id, row) order, so a probe's own rows sit together
+    patterns, pattern_of = np.unique(table.rows(cand), axis=0, return_inverse=True)
+    pattern_of = pattern_of.reshape(-1)
+    members = by_id[np.argsort(pattern_of[by_id], kind="stable")]
+    size = np.bincount(pattern_of, minlength=len(patterns))
+    start = np.cumsum(size) - size
+    own_pattern = np.where(n_self > 0, pattern_of[by_id[np.minimum(own, cand.size - 1)]], -1)
+    # inverted index: each pattern under each distinct product it lists
+    row, col = np.nonzero(patterns >= 0)
+    index_product, index_pattern = np.unique(np.stack([patterns[row, col], row], 1), axis=0).T
+    # every distinct product of every probe, with its bit: the column it is
+    # first listed in.  A product listed twice has one bit, so full coverage
+    # of n_top bits is then out of reach, as full recall is
+    entry_probe, entry_bit = np.nonzero(_first_listed(probe_tops))
+    entry_product = probe_tops[entry_probe, entry_bit]
+    lo = np.searchsorted(index_product, entry_product, "left")
+    hits = np.searchsorted(index_product, entry_product, "right") - lo
+
+    take = np.minimum(n_reformulations, available)
+    relevant = np.zeros(probe_ids.size, dtype=np.int64)
+    best_cover = np.zeros(probe_ids.size, dtype=np.int64)
+    # probes in chunks of about _CHUNK joined rows, so memory stays bounded
+    per_probe = np.bincount(entry_probe, weights=hits, minlength=probe_ids.size)
+    chunk = (np.cumsum(per_probe) - per_probe) // _CHUNK
+    cuts = np.searchsorted(entry_probe, np.flatnonzero(np.diff(chunk)) + 1)
+    for entries in np.split(np.arange(entry_probe.size), cuts):
+        # one joined row per (probe, product, pattern) sharing that product,
+        # grouped by (probe, pattern): the group sizes are the overlaps
+        span, offset = _spans(hits[entries])
+        e = entries[span]
+        probe, bit, pattern = entry_probe[e], entry_bit[e], index_pattern[lo[e] + offset]
+        order = np.lexsort((pattern, probe))
+        probe, bit, pattern = probe[order], bit[order], pattern[order]
+        starts = np.flatnonzero(np.diff(probe, prepend=-1) | np.diff(pattern, prepend=-1))
+        pair_probe, pair_pattern = probe[starts], pattern[starts]
+        overlap = np.diff(np.append(starts, probe.size))
+        own_rows = np.where(own_pattern[pair_probe] == pair_pattern, n_self[pair_probe], 0)
+        relevant += np.bincount(
+            pair_probe, weights=size[pair_pattern] - own_rows, minlength=probe_ids.size
+        ).astype(np.int64)
+
+        # The pool is each probe's first `pool` member rows by (overlap desc,
+        # id).  Rank the pairs by (overlap desc, id of their first member
+        # other than the probe): each pair ranked ahead of another puts a
+        # member ahead of all of the other's, so only the first `pool` pairs
+        # can reach the pool, and only with their first `pool` such members.
+        first = start[pair_pattern]
+        first = first + np.where(cand[members[first]] == probe_ids[pair_probe], own_rows, 0)
+        viable = np.flatnonzero(first < start[pair_pattern] + size[pair_pattern])
+        viable = viable[np.lexsort(
+            (cand[members[first[viable]]], -overlap[viable], pair_probe[viable])
+        )]
+        viable = viable[_rank_within(pair_probe[viable]) < pool]
+        span, offset = _spans(np.minimum(size[pair_pattern[viable]], pool + own_rows[viable]))
+        pair = viable[span]
+        member_id = cand[members[start[pair_pattern[pair]] + offset]]
+        keep = member_id != probe_ids[pair_probe[pair]]
+        pair, member_id = pair[keep], member_id[keep]
+        order = np.lexsort((member_id, -overlap[pair], pair_probe[pair]))
+        pooled = np.unique(pair[order[_rank_within(pair_probe[pair[order]]) < pool]])
+
+        # the masks of the pooled pairs, 63 bits per int64 word
+        masks = [0] * pooled.size
+        for w in range(int(bit.max(initial=0)) // 63 + 1):
+            words = np.where(bit // 63 == w, np.left_shift(1, bit % 63), 0)
+            part = np.add.reduceat(words, starts)[pooled] if starts.size else words
+            masks = [m | (p << (63 * w)) for m, p in zip(masks, part.tolist())]
+        owner = pair_probe[pooled]
+        bounds = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            i = int(owner[a])
+            unique_masks = sorted(set(masks[a:b]), reverse=True)
+            best_cover[i] = _best_cover(unique_masks, int(take[i]), int(n_top[i]))
+    best_precision = np.minimum(relevant, take) / n_reformulations
+    best_recall = best_cover / n_top
+    return float(best_precision.mean()), float(best_recall.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -243,33 +384,43 @@ def evaluate(
     oracle_pool: int = DEFAULT_ORACLE_POOL,
     model_name: str = "model",
 ) -> EvalReport:
-    """Score reformulation retrieval for every probe and attach oracle normalization."""
-    if not probe_ids:
+    """Score reformulation retrieval for every probe and attach oracle normalization.
+
+    Each probe is ranked on its own (reformulate); the metrics and the oracle
+    of all probes are then read from one TopTable of the probes and stored
+    queries, so top_products runs once per distinct id.
+    """
+    probes = [int(q) for q in probe_ids]
+    if not probes:
         raise ValueError("need at least one probe query")
-    candidate_ids = [int(i) for i in store.ids]
-    rows = []
-    per_f1 = []
-    for q in probe_ids:
-        refs = reformulate(store, int(q), n_reformulations, queries=queries)
-        p = query_precision_at_k(int(q), refs, purchase_map, k)
-        r = product_recall_at_k(int(q), refs, purchase_map, k)
-        rows.append(EvalRow(int(q), tuple(refs), p, r))
-        per_f1.append(f1(p, r))
-    mean_p = float(np.mean([row.precision for row in rows]))
-    mean_r = float(np.mean([row.recall for row in rows]))
+    table = _top_table(np.concatenate([probes, store.ids]), purchase_map, k)
+    probe_tops = table.rows(probes)
+    lengths = np.count_nonzero(probe_tops >= 0, axis=1)
+    refs = []
+    for q, length in zip(probes, lengths.tolist()):
+        refs.append(reformulate(store, q, n_reformulations, queries=queries))
+        if not length:
+            raise ValueError(f"probe {q} has no purchases; recall undefined")
+    relevant, covered = _overlaps(probe_tops, table.rows(refs))
+    # tolist gives Python floats, whose repr the CSV writes
+    precision = (relevant / n_reformulations).tolist()
+    recall = (covered / lengths).tolist()
+    rows = tuple(EvalRow(q, tuple(r), p, c) for q, r, p, c in zip(probes, refs, precision, recall))
+    mean_p = float(np.mean(precision))
+    mean_r = float(np.mean(recall))
     best_p, best_r = oracle_best(
-        [int(q) for q in probe_ids], candidate_ids, purchase_map, k, n_reformulations, oracle_pool
+        probes, store.ids, purchase_map, k, n_reformulations, oracle_pool, table=table
     )
     best = f1(best_p, best_r)
     return EvalReport(
         model_name=model_name,
         k=k,
         n_reformulations=n_reformulations,
-        rows=tuple(rows),
+        rows=rows,
         mean_precision=mean_p,
         mean_recall=mean_r,
         f1_score=f1(mean_p, mean_r),
-        mean_f1_per_query=float(np.mean(per_f1)),
+        mean_f1_per_query=float(np.mean([f1(p, c) for p, c in zip(precision, recall)])),
         best_precision=best_p,
         best_recall=best_r,
         best_f1=best,

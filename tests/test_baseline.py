@@ -366,3 +366,23 @@ class TestTopCountSelection:
                 reformulate(store, 0, count, queries=queries)
             with pytest.raises(ValueError, match="count must be at least 1"):
                 knn(store, _q(1), count)
+
+
+class TestStoreMembership:
+    """`in` answers by binary search over the sorted ids, as a scan would."""
+
+    def test_matches_scan(self):
+        rng = rng_stream(64)
+        ids = rng.permutation(200)[:60].astype(np.int64) - 20  # some stored ids are negative
+        store = QueryStore(_table([_q(0)] * ids.size), ids.tolist())
+        assert (ids < 0).any()
+        for q in range(-30, 190):
+            for value in (q, np.int64(q), float(q), q + 0.5):
+                assert (value in store) == bool(np.any(ids == value)), value
+        for value in (int(ids.max()) + 1, int(ids.min()) - 1, 2**70, -(2**70), float("nan")):
+            assert value not in store
+
+    def test_float_equal_to_a_stored_id_is_a_member(self):
+        store = QueryStore(_table([_q(0)] * 3), [7, 3, 5])
+        assert 3.0 in store and np.int64(5) in store
+        assert 3.5 not in store and 4 not in store and -3 not in store

@@ -49,6 +49,18 @@ seed = 7
 """
 
 
+# sha256 of the eval outputs of the pipeline fixture
+_PINNED_EVAL = {
+    ("eval_att", "eval_attention.csv"):
+        "18065d1f20ce2af27db796f29ece8aa0dabf06c1cff51a18efa75094228ba250",
+    ("eval_att", "summary.txt"):
+        "44ea6dfd871d2965ea829b97c4b7d935f922ef4562be522c8e58f736a0878212",
+    ("eval_hash", "eval_trigram_hash.csv"):
+        "8e12587260758a8a94c49793c9f17d2585c43fe93c9dd782cf83cee8c2441d85",
+    ("eval_hash", "summary.txt"):
+        "84dd5993fcdbb751d5527125f7394c6257124f0a7ab2016b26e3ec8166ba307f",
+}
+
 def _write(path, text):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -190,6 +202,17 @@ class TestEval:
         assert "trigram_hash" in hsh
         assert os.path.exists(os.path.join(pipeline["eval_att"], "eval_attention.csv"))
         assert os.path.exists(os.path.join(pipeline["eval_hash"], "eval_trigram_hash.csv"))
+
+    def test_eval_bytes_pinned(self, pipeline):
+        # any change to the metrics, the oracle or the CSV's number format moves these
+        got = {
+            (sub, name): sha256_file(os.path.join(pipeline[sub], name))
+            for sub, name in _PINNED_EVAL
+        }
+        assert got == _PINNED_EVAL
+        for sub, name in (("eval_att", "eval_attention.csv"), ("eval_hash", "eval_trigram_hash.csv")):
+            with open(os.path.join(pipeline[sub], name)) as fh:
+                assert "np." not in fh.read()  # a numpy scalar's repr, not a plain float
 
     def test_metrics_in_unit_interval(self, pipeline):
         import csv

@@ -92,7 +92,7 @@ def _group_pairs(group):
     slot = np.arange(anchor.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     positive = slot < np.repeat(n_pos, sizes)
     weight = 1.0 / np.where(positive, np.repeat(n_pos, sizes), np.repeat(n_neg, sizes))
-    return TrainingGroup(anchor, other, weight / len(group), positive)
+    return TrainingGroup.build(anchor, other, weight / len(group), positive)
 
 
 def ref_sample_positives(graph, q, mode, rng, n_samples=5, walk_length=3, walks_per_node=10):
@@ -587,7 +587,7 @@ class TestGroupPass:
 
     def test_empty_group_rejected(self):
         model = _random_model(48)
-        empty = TrainingGroup(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0, bool))
+        empty = TrainingGroup.build(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0, bool))
         with pytest.raises(ValueError, match="at least one anchor"):
             loss_and_gradient(model, empty, _mixed_dataset().queries)
 
@@ -878,7 +878,7 @@ def _edge_case_graph():
 def _assert_same_groups(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        for name in ("anchor", "other", "positive"):
+        for name in ("anchor", "other", "positive", "distinct", "inverse"):
             assert np.array_equal(getattr(g, name), getattr(e, name)), name
         assert g.weight.dtype == e.weight.dtype and g.weight.tobytes() == e.weight.tobytes()
 

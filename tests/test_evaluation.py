@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -401,6 +402,330 @@ class TestOracleTableMatchesReference:
         probes, candidates = list(range(10)), list(range(60))
         oracle_best(probes, candidates, pm, 5)
         assert 0 < len(calls) <= len(candidates) + len(probes)
+
+
+def _reference_top_table(ids, pm, k):
+    """One top-k row per id, in list order, padded with -1."""
+    tops = [top_products(pm.get(c, []), k) for c in ids]
+    table = np.full((len(tops), max(map(len, tops), default=0)), -1, dtype=np.int64)
+    for row, top in zip(table, tops):
+        row[: len(top)] = top
+    return table
+
+
+def _oracle_one(q, ids, tops, purchase_map, k, n_reformulations, pool):
+    """Scalar oracle of one probe against candidates ``ids`` whose top-k rows are ``tops``."""
+    probe_top = top_products(purchase_map.get(q, []), k)
+    if not probe_top:
+        raise ValueError(f"probe {q} has no purchases")
+    keep = ids != q
+    if not keep.any():
+        raise ValueError("no candidates available")
+    ids = ids[keep]
+    # one mask bit per distinct product; a product listed twice in probe_top
+    # still counts twice in len(probe_top), so full coverage is then out of
+    # reach, as full recall is in product_recall_at_k
+    slot = {pid: j for j, pid in enumerate(probe_top)}
+    hits = (tops[keep][:, :, None] == np.fromiter(slot, np.int64, len(slot))).any(axis=1)
+    bits = [1 << j for j in slot.values()]
+
+    take = min(n_reformulations, ids.size)
+    overlap = hits.sum(axis=1)
+    best_precision = min(int(np.count_nonzero(overlap)), take) / n_reformulations
+
+    # pool restriction: keep the `pool` candidates with the largest coverage
+    order = np.lexsort((ids, -overlap))[:pool]
+    masks = {sum(b for b, hit in zip(bits, hits[j]) if hit) for j in order}
+    unique_masks = [m for m in sorted(masks, reverse=True) if m]
+
+    full = (1 << len(probe_top)) - 1
+    best_cover = 0
+    for r in range(1, min(take, len(unique_masks)) + 1):
+        for combo in combinations(unique_masks, r):
+            u = 0
+            for m in combo:
+                u |= m
+            if u == full:
+                return best_precision, 1.0
+            best_cover = max(best_cover, bin(u).count("1"))
+    return best_precision, best_cover / len(probe_top)
+
+
+def _scalar_oracle(probes, candidate_ids, pm, k, n_reformulations=5, pool=25):
+    """oracle_best one probe at a time through _oracle_one."""
+    ids = np.asarray(candidate_ids, dtype=np.int64)
+    tops = _reference_top_table(candidate_ids, pm, k)
+    pairs = [_oracle_one(q, ids, tops, pm, k, n_reformulations, pool) for q in probes]
+    arr = np.asarray(pairs, dtype=np.float64)
+    return float(arr[:, 0].mean()), float(arr[:, 1].mean())
+
+
+def _messy_purchases(rng, n_queries, n_products, max_per_query, absent=0.15, repeat=0.3):
+    """Multi-product purchase lists with small (often tied) counts.  Some
+    queries have no entry; some list one product twice, with its own count."""
+    pm = {}
+    for q in range(n_queries):
+        if rng.random() < absent:
+            continue
+        size = int(rng.integers(1, max_per_query + 1))
+        purchases = [(int(p), int(rng.integers(1, 4)))
+                     for p in rng.choice(n_products, size=size, replace=False)]
+        if rng.random() < repeat:
+            purchases.append((purchases[int(rng.integers(size))][0], int(rng.integers(1, 4))))
+        pm[q] = purchases
+    return pm
+
+
+def _listed_twice(pm, q, k):
+    top = top_products(pm[q], k)
+    return len(set(top)) < len(top)
+
+
+class TestBatchedOracleMatchesScalar:
+    """oracle_best, all probes at once, against the one-probe-at-a-time references."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 20])
+    @pytest.mark.parametrize("pool", [1, 3, 25])
+    def test_random_maps(self, k, pool):
+        rng = rng_stream(64 + k)
+        pm = _messy_purchases(rng, 60, 25, 6)
+        candidates = [int(c) for c in rng.permutation(60)[:40]]
+        candidates.append(candidates[3])  # one candidate id listed twice
+        probes = [q for q in range(60) if q in pm][:16]
+        assert any(p in candidates for p in probes) and any(p not in candidates for p in probes)
+        assert any(c not in pm for c in candidates)
+        assert any(_listed_twice(pm, q, k) for q in probes) or k == 1
+        want = [_scalar_oracle([q], candidates, pm, k, 3, pool) for q in probes]
+        assert [oracle_best([q], candidates, pm, k, 3, pool) for q in probes] == want
+        assert want == [_reference_oracle(q, candidates, pm, k, 3, pool) for q in probes]
+        assert len(set(want)) > 1  # the maps do not saturate the oracle
+        assert oracle_best(probes, candidates, pm, k, 3, pool) == _scalar_oracle(
+            probes, candidates, pm, k, 3, pool
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_probes_joined_in_chunks(self, chunk, monkeypatch):
+        # a small join budget splits the probes over many chunks
+        rng = rng_stream(69)
+        pm = _messy_purchases(rng, 50, 10, 5)
+        candidates = [int(c) for c in rng.permutation(50)[:35]]
+        probes = [q for q in range(50) if q in pm]
+        want = oracle_best(probes, candidates, pm, 3, 3, 4)
+        assert want == _scalar_oracle(probes, candidates, pm, 3, 3, 4)
+        monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+        assert oracle_best(probes, candidates, pm, 3, 3, 4) == want
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 7])
+    def test_candidates_sharing_top_lists(self, pool):
+        # few products: many candidates share one top list, so the pool's cut
+        # falls inside such a group, and a probe's own rows sit inside one
+        rng = rng_stream(68)
+        pm = {}
+        for q in range(40):
+            size = int(rng.integers(1, 3))
+            pm[q] = [(int(p), int(rng.integers(1, 3))) for p in rng.choice(4, size, replace=False)]
+        candidates = [int(c) for c in rng.permutation(40)[:30]] + [5, 5, 11]
+        probes = list(range(0, 40, 3))
+        for k in (1, 2):
+            want = [_scalar_oracle([q], candidates, pm, k, 3, pool) for q in probes]
+            assert [oracle_best([q], candidates, pm, k, 3, pool) for q in probes] == want
+            assert oracle_best(probes, candidates, pm, k, 3, pool) == _scalar_oracle(
+                probes, candidates, pm, k, 3, pool
+            )
+
+    def test_unrestricted_pool_matches_enumeration(self):
+        rng = rng_stream(70)
+        pm = _messy_purchases(rng, 14, 12, 4, absent=0.0, repeat=0.0)
+        candidates = list(range(14))
+        for probe in range(5):
+            want = _unrestricted_oracle(probe, candidates, pm, 20, 3)
+            assert oracle_best([probe], candidates, pm, 20, 3, pool=14) == pytest.approx(want)
+            assert oracle_best([probe], candidates, pm, 20, 3, pool=14) == _scalar_oracle(
+                [probe], candidates, pm, 20, 3, 14
+            )
+
+    def test_k_70(self):
+        rng = rng_stream(71)
+        pm = {0: [(p, 1 + p % 3) for p in range(70)], 1: [(5, 1), (5, 2), (80, 1)]}
+        for c in range(2, 12):
+            pids = rng.choice(90, size=int(rng.integers(10, 40)), replace=False)
+            pm[c] = [(int(p), int(rng.integers(1, 4))) for p in pids]
+        candidates = list(range(1, 12)) + [20]
+        for pool in (1, 4, 12):
+            for probes in ([0], [0, 1], [1, 0, 3]):
+                got = oracle_best(probes, candidates, pm, 70, 3, pool)
+                assert got == _scalar_oracle(probes, candidates, pm, 70, 3, pool)
+        got = oracle_best([0], candidates, pm, 70, 3, pool=12)
+        assert got == pytest.approx(_unrestricted_oracle(0, candidates, pm, 70, 3))
+        assert 0.0 < got[1] < 1.0
+
+    def test_ties_at_the_pool_boundary_go_to_the_smaller_id(self):
+        # every candidate covers one of the probe's three products; the pool of
+        # two takes ids 4 and 5, which cover the same one
+        pm = {0: [(1, 1), (2, 1), (3, 1)], 4: [(1, 1)], 5: [(1, 2)], 6: [(2, 1)], 7: [(3, 1)]}
+        candidates = [7, 6, 5, 4]
+        assert oracle_best([0], candidates, pm, 20, 3, pool=2) == (1.0, 1 / 3)
+        assert oracle_best([0], candidates, pm, 20, 3, pool=3) == (1.0, 2 / 3)
+        for pool in (1, 2, 3, 4):
+            assert oracle_best([0], candidates, pm, 20, 3, pool) == _scalar_oracle(
+                [0], candidates, pm, 20, 3, pool
+            )
+
+    def test_more_reformulations_than_candidates(self):
+        pm = {0: [(1, 1), (2, 1)], 1: [(1, 1)], 2: [(2, 1)], 3: [(9, 1)]}
+        for candidates in ([1], [1, 2], [0, 1, 3], [2, 2]):
+            assert oracle_best([0], candidates, pm, 20, 5) == _scalar_oracle(
+                [0], candidates, pm, 20, 5
+            )
+        assert oracle_best([0], [1, 2], pm, 20, 5) == (0.4, 1.0)
+
+    def test_rejections_in_probe_order(self):
+        pm = {0: [(1, 1)], 1: [(1, 1)], 3: [(1, 1)]}
+        with pytest.raises(ValueError, match="no candidates"):
+            oracle_best([0], [0, 0], pm, 3)
+        with pytest.raises(ValueError, match="no candidates"):
+            oracle_best([1], [], pm, 3)
+        with pytest.raises(ValueError, match="probe 2 has no purchases"):
+            oracle_best([1, 2, 0], [0, 0], pm, 3)
+        with pytest.raises(ValueError, match="no candidates"):
+            oracle_best([1, 0, 2], [0, 0], pm, 3)
+        with pytest.raises(ValueError, match="probe"):
+            oracle_best([], [0, 1], pm, 3)
+        with pytest.raises(ValueError, match="n_reformulations and pool"):
+            oracle_best([0], [1, 3], pm, 3, n_reformulations=0)
+        for pool in (0, -1):  # -1 used to pool all candidates but the last
+            with pytest.raises(ValueError, match="n_reformulations and pool"):
+                oracle_best([0], [1, 3], pm, 3, pool=pool)
+        table = evaluation._top_table([0, 1], pm, 3)  # lacks candidate 3
+        assert oracle_best([0], [1], pm, 3, table=table) == oracle_best([0], [1], pm, 3)
+        with pytest.raises(ValueError, match="missing from the top-product table"):
+            oracle_best([0], [1, 3], pm, 3, table=table)
+
+
+def _ref_precision(q, refs, pm, k):
+    probe_top = set(top_products(pm.get(q, []), k))
+    return sum(1 for r in refs if probe_top & set(top_products(pm.get(r, []), k))) / len(refs)
+
+
+def _ref_recall(q, refs, pm, k):
+    probe_top = top_products(pm.get(q, []), k)
+    union = set()
+    for r in refs:
+        union.update(top_products(pm.get(r, []), k))
+    return len(union & set(probe_top)) / len(probe_top)
+
+
+class TestArrayMetricsMatchScalar:
+    @pytest.mark.parametrize("k", [1, 2, 5, 70])
+    def test_random_maps(self, k):
+        rng = rng_stream(72)
+        pm = _messy_purchases(rng, 40, 12, 8, repeat=0.6)
+        probes = [q for q in pm if _listed_twice(pm, q, 20)][:5] + [q for q in pm][:10]
+        for q in probes:
+            for _ in range(4):
+                refs = rng.integers(0, 45, size=int(rng.integers(1, 7))).tolist()
+                refs.append(refs[0])  # a reformulation listed twice counts twice
+                assert query_precision_at_k(q, refs, pm, k) == _ref_precision(q, refs, pm, k)
+                assert product_recall_at_k(q, refs, pm, k) == _ref_recall(q, refs, pm, k)
+
+    def test_repeated_probe_product_counts_once_above_twice_below(self):
+        pm = {0: [(4, 2), (6, 2), (4, 1)], 1: [(4, 1), (6, 1)]}
+        assert top_products(pm[0], 3) == [4, 6, 4]
+        assert product_recall_at_k(0, [1], pm, 3) == 2 / 3
+        assert product_recall_at_k(0, [], pm, 3) == 0.0
+        assert query_precision_at_k(0, [1, 2], pm, 3) == 0.5
+        with pytest.raises(ValueError, match="at least one reformulation"):
+            query_precision_at_k(0, [], pm, 3)
+
+
+def _reference_evaluate(store, queries, pm, probe_ids, k=20, n_reformulations=5,
+                        oracle_pool=25, model_name="model"):
+    """evaluate one probe at a time, from the scalar metrics and oracle."""
+    rows, per_f1 = [], []
+    for q in probe_ids:
+        refs = reformulate(store, int(q), n_reformulations, queries=queries)
+        p = _ref_precision(int(q), refs, pm, k)
+        r = _ref_recall(int(q), refs, pm, k)
+        rows.append(evaluation.EvalRow(int(q), tuple(refs), p, r))
+        per_f1.append(f1(p, r))
+    mean_p = float(np.mean([row.precision for row in rows]))
+    mean_r = float(np.mean([row.recall for row in rows]))
+    best_p, best_r = _scalar_oracle([int(q) for q in probe_ids], [int(i) for i in store.ids],
+                                    pm, k, n_reformulations, oracle_pool)
+    best = f1(best_p, best_r)
+    return EvalReport(
+        model_name=model_name, k=k, n_reformulations=n_reformulations, rows=tuple(rows),
+        mean_precision=mean_p, mean_recall=mean_r, f1_score=f1(mean_p, mean_r),
+        mean_f1_per_query=float(np.mean(per_f1)), best_precision=best_p, best_recall=best_r,
+        best_f1=best,
+        normalized_precision=mean_p / best_p if best_p > 0 else 0.0,
+        normalized_recall=mean_r / best_r if best_r > 0 else 0.0,
+        normalized_f1=f1(mean_p, mean_r) / best if best > 0 else 0.0,
+    )
+
+
+class TestEvaluateMatchesReference:
+    def _case(self, seed):
+        ds = _desk_toy_dataset(seed)
+        rng = rng_stream(seed + 100)
+        pm = _messy_purchases(rng, len(ds.queries), 15, 5)
+        store_ids = sorted(int(i) for i in rng.permutation(len(ds.queries))[:45])
+        probes = [q for q in rng.permutation(len(ds.queries)).tolist() if q in pm][:20]
+        assert any(q in store_ids for q in probes) and any(q not in store_ids for q in probes)
+        stores = [
+            EmbeddingStore(init_model(100, 8, 4, seed=seed), ds.queries.take(store_ids), store_ids),
+            TrigramHashStore(ds.queries.take(store_ids), store_ids),
+        ]
+        return ds, pm, probes, stores
+
+    @pytest.mark.parametrize("k,pool,chunk", [(1, 25, None), (3, 2, None), (20, 25, None),
+                                              (20, 3, 40)])
+    def test_field_by_field(self, k, pool, chunk, monkeypatch):
+        if chunk:  # a few probes per array pass
+            monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+        ds, pm, probes, stores = self._case(80)
+        for store in stores:
+            got = evaluate(store, ds.queries, pm, probes, k, 4, pool)
+            want = _reference_evaluate(store, ds.queries, pm, probes, k, 4, pool)
+            for field in dataclasses.fields(EvalReport):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+            assert 0.0 < got.best_recall < 1.0
+
+    def test_rows_hold_python_floats(self):
+        ds, pm, probes, stores = self._case(81)
+        for store in stores:
+            for row in evaluate(store, ds.queries, pm, probes).rows:
+                assert type(row.precision) is float and type(row.recall) is float
+
+    def test_numpy_probe_ids(self):
+        ds, pm, probes, stores = self._case(82)
+        store = stores[1]
+        want = evaluate(store, ds.queries, pm, probes)
+        assert evaluate(store, ds.queries, pm, np.array(probes)) == want
+        assert evaluate(store, ds.queries, pm, tuple(np.int64(q) for q in probes)) == want
+        with pytest.raises(ValueError, match="need at least one probe query"):
+            evaluate(store, ds.queries, pm, np.array([], dtype=np.int64))
+
+    def test_probe_without_purchases_rejected(self):
+        ds, pm, probes, stores = self._case(83)
+        missing = next(q for q in range(len(ds.queries)) if q not in pm)
+        with pytest.raises(ValueError, match=f"probe {missing} has no purchases"):
+            evaluate(stores[0], ds.queries, pm, [*probes[:3], missing, *probes[3:]])
+
+    def test_top_products_once_per_distinct_id(self, monkeypatch):
+        ds, pm, probes, stores = self._case(84)
+        calls = []
+        original = evaluation.top_products
+
+        def counting(purchases, k):
+            calls.append(k)
+            return original(purchases, k)
+
+        monkeypatch.setattr(evaluation, "top_products", counting)
+        for store in stores:
+            calls.clear()
+            evaluate(store, ds.queries, pm, probes + probes[:3])
+            assert len(calls) == len(set(probes) | set(store.ids.tolist()))
 
 
 def _desk_toy_dataset(seed=56):
