@@ -410,7 +410,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         args.out,
         RunManifest(
             command="validate",
-            seed=args.seed if args.seed is not None else theory.VALIDATE_SEED,
+            seed=suite_seeds[suites[0]],
             config=config_entries,
             inputs={},
             outputs={"report": os.path.abspath(report_path)},

@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .baseline import QueryStore, TrigramHashStore
 from .core import QueryTable
@@ -22,7 +23,7 @@ from .embedder import AttentionModel, embed_query, embed_table
 
 PurchaseMap = Mapping[int, Sequence[tuple[int, int]]]
 
-# elements (or joined rows) that one array pass over many probes holds at once
+# elements that one array pass over many probes holds at once
 _CHUNK = 1 << 20
 
 DEFAULT_K = 20
@@ -82,21 +83,32 @@ def _first_listed(tops: np.ndarray) -> np.ndarray:
     return (tops >= 0) & ~earlier
 
 
+def _hits(probe_tops: np.ndarray, ref_tops: np.ndarray) -> np.ndarray:
+    """Which first-listed products of each probe row each of its ref rows lists.
+
+    probe_tops is (n, w) and ref_tops (n, R, w'), both padded with -1; the
+    (n, R, w) result is False at pads and at a product's later listings.  The
+    comparison is made for about _CHUNK elements at once.
+    """
+    n, width = probe_tops.shape
+    per_row = width * max(ref_tops.shape[1] * ref_tops.shape[2], width)
+    step = max(1, _CHUNK // max(1, per_row))
+    hits = np.empty((n, ref_tops.shape[1], width), dtype=bool)
+    for lo in range(0, n, step):
+        probe, refs = probe_tops[lo : lo + step], ref_tops[lo : lo + step]
+        match = (refs[:, :, :, None] == probe[:, None, None, :]).any(axis=2)
+        hits[lo : lo + step] = match & _first_listed(probe)[:, None, :]
+    return hits
+
+
 def _overlaps(probe_tops: np.ndarray, ref_tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per probe row: how many of its reformulations share a top product with
     it, and how many of its distinct top products some reformulation lists.
 
-    probe_tops is (n, w) and ref_tops (n, R, w'), both padded with -1.  The
-    (R, w', w) comparison of each row is made for about _CHUNK elements at once.
+    probe_tops is (n, w) and ref_tops (n, R, w'), both padded with -1.
     """
-    step = max(1, _CHUNK // max(1, ref_tops[0].size * probe_tops.shape[1]))
-    relevant, covered = [], []
-    for lo in range(0, len(probe_tops), step):
-        probe, refs = probe_tops[lo : lo + step], ref_tops[lo : lo + step]
-        match = (refs[:, :, :, None] == probe[:, None, None, :]) & (probe >= 0)[:, None, None, :]
-        relevant.append(match.any(axis=(2, 3)).sum(axis=1))
-        covered.append((match.any(axis=(1, 2)) & _first_listed(probe)).sum(axis=1))
-    return np.concatenate(relevant), np.concatenate(covered)
+    hits = _hits(probe_tops, ref_tops)
+    return hits.any(axis=2).sum(axis=1), hits.any(axis=1).sum(axis=1)
 
 
 def _one_probe(q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int):
@@ -187,13 +199,18 @@ def reformulate(
 # best-possible (oracle) scores
 
 
-
-
 def _spans(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For spans of the given lengths laid end to end: each element's span and
     its offset within it."""
     owner = np.repeat(np.arange(count.size), count)
     return owner, np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+
+
+def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
+    """The 0/1 matrix with a 1 at each (row, col) given, however often."""
+    matrix = sparse.csr_array((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
+    matrix.data[:] = 1  # repeated pairs were summed
+    return matrix
 
 
 def _rank_within(keys: np.ndarray) -> np.ndarray:
@@ -238,11 +255,11 @@ def oracle_best(
     products over subsets of distinct coverage patterns, held as Python-int
     bitmasks, so k has no cap.
 
-    All probes are scored at once: an inverted index from product to the
-    candidates' distinct top lists gives every overlap, and masks are built
-    only for each probe's pool.  ``table`` is a TopTable that already
-    holds every probe and candidate (evaluate passes its own); without it,
-    one is built.
+    All probes are scored at once: every (probe, candidate top list)
+    overlap is one entry of a sparse product of a probe x product and a
+    product x top-list incidence, and masks are built only for each probe's
+    pool.  ``table`` is a TopTable that already holds every probe and
+    candidate (evaluate passes its own); without it, one is built.
     """
     probe_ids = np.asarray(probes, dtype=np.int64).reshape(-1)
     cand = np.asarray(candidate_ids, dtype=np.int64).reshape(-1)
@@ -254,9 +271,9 @@ def oracle_best(
         table = _top_table(np.concatenate([probe_ids, cand]), purchase_map, k)
     probe_tops = table.rows(probe_ids)
     n_top = np.count_nonzero(probe_tops >= 0, axis=1)
-    by_id = np.argsort(cand, kind="stable")
-    own = np.searchsorted(cand[by_id], probe_ids, "left")  # a probe's own rows in by_id
-    n_self = np.searchsorted(cand[by_id], probe_ids, "right") - own
+    sorted_cand = np.sort(cand)
+    n_self = np.searchsorted(sorted_cand, probe_ids, "right")
+    n_self -= np.searchsorted(sorted_cand, probe_ids)  # a probe's own rows
     available = cand.size - n_self
     bad = np.flatnonzero((n_top == 0) | (available == 0))
     if bad.size:
@@ -265,81 +282,58 @@ def oracle_best(
         raise ValueError("no candidates available")
 
     # candidate rows with equal top rows (one "pattern") overlap every probe
-    # equally, so probes are joined with the patterns.  members holds each
-    # pattern's rows in (id, row) order, so a probe's own rows sit together
+    # equally; member_id holds each pattern's ids in ascending order
     patterns, pattern_of = np.unique(table.rows(cand), axis=0, return_inverse=True)
     pattern_of = pattern_of.reshape(-1)
-    members = by_id[np.argsort(pattern_of[by_id], kind="stable")]
+    member_id = cand[np.lexsort((cand, pattern_of))]
     size = np.bincount(pattern_of, minlength=len(patterns))
     start = np.cumsum(size) - size
-    own_pattern = np.where(n_self > 0, pattern_of[by_id[np.minimum(own, cand.size - 1)]], -1)
-    # inverted index: each pattern under each distinct product it lists
-    row, col = np.nonzero(patterns >= 0)
-    index_product, index_pattern = np.unique(np.stack([patterns[row, col], row], 1), axis=0).T
-    # every distinct product of every probe, with its bit: the column it is
-    # first listed in.  A product listed twice has one bit, so full coverage
-    # of n_top bits is then out of reach, as full recall is
-    entry_probe, entry_bit = np.nonzero(_first_listed(probe_tops))
-    entry_product = probe_tops[entry_probe, entry_bit]
-    lo = np.searchsorted(index_product, entry_product, "left")
-    hits = np.searchsorted(index_product, entry_product, "right") - lo
+    # (has @ lists)[i, j] is how many distinct products probe i and pattern j share
+    probe_listed, pattern_listed = probe_tops >= 0, patterns >= 0
+    products, code = np.unique(
+        np.concatenate([probe_tops[probe_listed], patterns[pattern_listed]]), return_inverse=True
+    )
+    split = np.count_nonzero(probe_listed)
+    has = _incidence(np.nonzero(probe_listed)[0], code[:split], (probe_ids.size, products.size))
+    lists = _incidence(code[split:], np.nonzero(pattern_listed)[0], (products.size, len(patterns)))
 
     take = np.minimum(n_reformulations, available)
-    relevant = np.zeros(probe_ids.size, dtype=np.int64)
+    relevant = np.zeros(probe_ids.size)
     best_cover = np.zeros(probe_ids.size, dtype=np.int64)
-    # probes in chunks of about _CHUNK joined rows, so memory stays bounded
-    per_probe = np.bincount(entry_probe, weights=hits, minlength=probe_ids.size)
-    chunk = (np.cumsum(per_probe) - per_probe) // _CHUNK
-    cuts = np.searchsorted(entry_probe, np.flatnonzero(np.diff(chunk)) + 1)
-    for entries in np.split(np.arange(entry_probe.size), cuts):
-        # one joined row per (probe, product, pattern) sharing that product,
-        # grouped by (probe, pattern): the group sizes are the overlaps
-        span, offset = _spans(hits[entries])
-        e = entries[span]
-        probe, bit, pattern = entry_probe[e], entry_bit[e], index_pattern[lo[e] + offset]
-        order = np.lexsort((pattern, probe))
-        probe, bit, pattern = probe[order], bit[order], pattern[order]
-        starts = np.flatnonzero(np.diff(probe, prepend=-1) | np.diff(pattern, prepend=-1))
-        pair_probe, pair_pattern = probe[starts], pattern[starts]
-        overlap = np.diff(np.append(starts, probe.size))
-        own_rows = np.where(own_pattern[pair_probe] == pair_pattern, n_self[pair_probe], 0)
-        relevant += np.bincount(
-            pair_probe, weights=size[pair_pattern] - own_rows, minlength=probe_ids.size
-        ).astype(np.int64)
+    # probes in chunks of about _CHUNK elements: a probe's (product, pattern)
+    # joins bound its pairs, each pair pools at most min(size, pool + n_self)
+    # members, and the masks compare at most pool top rows with the probe's
+    weight = has @ (lists @ np.minimum(size, pool + n_self.max())) + pool * probe_tops.shape[1]
+    chunk = (np.cumsum(weight) - weight) // _CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), probe_ids.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pairs = (has[lo:hi] @ lists).tocoo()  # rows in probe order
+        probe, pattern, overlap = pairs.row + lo, pairs.col, pairs.data
+        relevant[lo:hi] = np.bincount(pairs.row, size[pattern], hi - lo)
 
         # The pool is each probe's first `pool` member rows by (overlap desc,
-        # id).  Rank the pairs by (overlap desc, id of their first member
-        # other than the probe): each pair ranked ahead of another puts a
-        # member ahead of all of the other's, so only the first `pool` pairs
-        # can reach the pool, and only with their first `pool` such members.
-        first = start[pair_pattern]
-        first = first + np.where(cand[members[first]] == probe_ids[pair_probe], own_rows, 0)
-        viable = np.flatnonzero(first < start[pair_pattern] + size[pair_pattern])
-        viable = viable[np.lexsort(
-            (cand[members[first[viable]]], -overlap[viable], pair_probe[viable])
-        )]
-        viable = viable[_rank_within(pair_probe[viable]) < pool]
-        span, offset = _spans(np.minimum(size[pair_pattern[viable]], pool + own_rows[viable]))
-        pair = viable[span]
-        member_id = cand[members[start[pair_pattern[pair]] + offset]]
-        keep = member_id != probe_ids[pair_probe[pair]]
-        pair, member_id = pair[keep], member_id[keep]
-        order = np.lexsort((member_id, -overlap[pair], pair_probe[pair]))
-        pooled = np.unique(pair[order[_rank_within(pair_probe[pair[order]]) < pool]])
+        # id).  Only a pattern's first pool + n_self ids can reach it: the
+        # probe's own rows are dropped, and equal overlaps go by id
+        span, offset = _spans(np.minimum(size[pattern], pool + n_self[probe]))
+        member = member_id[start[pattern[span]] + offset]
+        keep = member != probe_ids[probe[span]]
+        span, member = span[keep], member[keep]
+        order = np.lexsort((member, -overlap[span], probe[span]))
+        pooled = np.unique(span[order][_rank_within(probe[span[order]]) < pool])
 
-        # the masks of the pooled pairs, 63 bits per int64 word
-        masks = [0] * pooled.size
-        for w in range(int(bit.max(initial=0)) // 63 + 1):
-            words = np.where(bit // 63 == w, np.left_shift(1, bit % 63), 0)
-            part = np.add.reduceat(words, starts)[pooled] if starts.size else words
-            masks = [m | (p << (63 * w)) for m, p in zip(masks, part.tolist())]
-        owner = pair_probe[pooled]
+        # the pooled pairs' hits as Python-int bitmasks, bit j for column j.
+        # A product listed twice has one bit, so full coverage of n_top bits
+        # is then out of reach, as full recall is
+        hits = _hits(probe_tops[probe[pooled]], patterns[pattern[pooled], None])[:, 0]
+        masks = [int.from_bytes(row, "little") for row in np.packbits(hits, 1, bitorder="little")]
+        owner = probe[pooled]
         bounds = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             i = int(owner[a])
             unique_masks = sorted(set(masks[a:b]), reverse=True)
             best_cover[i] = _best_cover(unique_masks, int(take[i]), int(n_top[i]))
-    best_precision = np.minimum(relevant, take) / n_reformulations
+    # a probe's own rows lie in a pattern that overlaps it
+    best_precision = np.minimum(relevant - n_self, take) / n_reformulations
     best_recall = best_cover / n_top
     return float(best_precision.mean()), float(best_recall.mean())
 

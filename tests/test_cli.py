@@ -325,6 +325,26 @@ class TestValidate:
         assert manifest.seed == 5
         assert manifest.config["seed_blue"] == "5"
 
+    def test_figure1_records_its_own_seed(self, tmp_path, monkeypatch):
+        # a stub stands in for the 30-epoch train; it writes the three panels
+        seeds = []
+
+        def stub(seed, out_dir=None):
+            seeds.append(seed)
+            for name in (theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE,
+                         theory.BETA_PANEL_FILE):
+                Path(out_dir, name).write_text("position,value\n")
+            return dataclasses.make_dataclass("Stub", ["checks"])([])
+
+        monkeypatch.setattr(theory, "figure1_report", stub)
+        for extra, seed in (([], theory.DESK_SEED), (["--seed", "7"], 7)):
+            out = str(tmp_path / f"val{seed}")
+            assert main(["validate", "figure1", "--out", out, *extra]) == 0
+            manifest = read_manifest(os.path.join(out, "manifest.txt"))
+            assert manifest.seed == seed
+            assert manifest.config["seed_figure1"] == str(seed)
+        assert seeds == [theory.DESK_SEED, 7]
+
 
 class TestManifestConfigRoundTrip:
     """A manifest's config.* lines parse back to the config its command ran with."""

@@ -503,17 +503,19 @@ class TestBatchedOracleMatchesScalar:
             probes, candidates, pm, k, 3, pool
         )
 
-    @pytest.mark.parametrize("chunk", [1, 7, 50])
-    def test_probes_joined_in_chunks(self, chunk, monkeypatch):
-        # a small join budget splits the probes over many chunks
+    @pytest.mark.parametrize("chunk,k", [(1, 3), (7, 3), (50, 3), (1, 70), (7, 70), (50, 70)],
+                             ids=["1", "7", "50", "1-k70", "7-k70", "50-k70"])
+    def test_probes_joined_in_chunks(self, chunk, k, monkeypatch):
+        # a small join budget splits the probes over many chunks; at k = 70
+        # most probes list more than 64 distinct products
         rng = rng_stream(69)
-        pm = _messy_purchases(rng, 50, 10, 5)
+        pm = _messy_purchases(rng, 50, 10, 5) if k == 3 else _messy_purchases(rng, 50, 90, 75)
         candidates = [int(c) for c in rng.permutation(50)[:35]]
         probes = [q for q in range(50) if q in pm]
-        want = oracle_best(probes, candidates, pm, 3, 3, 4)
-        assert want == _scalar_oracle(probes, candidates, pm, 3, 3, 4)
+        want = oracle_best(probes, candidates, pm, k, 3, 4)
+        assert want == _scalar_oracle(probes, candidates, pm, k, 3, 4)
         monkeypatch.setattr(evaluation, "_CHUNK", chunk)
-        assert oracle_best(probes, candidates, pm, 3, 3, 4) == want
+        assert oracle_best(probes, candidates, pm, k, 3, 4) == want
 
     @pytest.mark.parametrize("pool", [1, 2, 3, 7])
     def test_candidates_sharing_top_lists(self, pool):
@@ -570,6 +572,25 @@ class TestBatchedOracleMatchesScalar:
             assert oracle_best([0], candidates, pm, 20, 3, pool) == _scalar_oracle(
                 [0], candidates, pm, 20, 3, pool
             )
+
+    def test_probe_listed_twice_inside_a_pattern_beyond_the_pool(self):
+        # ids 0, 0, 1, 5 share one top list; with a pool of one, the probe's
+        # two own rows come first in it and id 1 still makes the pool
+        pm = {0: [(1, 1), (2, 1)], 1: [(1, 1), (2, 1)], 5: [(1, 1), (2, 1)], 6: [(1, 1)],
+              7: [(2, 1)]}
+        candidates = [0, 5, 0, 1, 6, 7]
+        want = _scalar_oracle([0], candidates, pm, 20, 3, 1)
+        assert oracle_best([0], candidates, pm, 20, 3, pool=1) == want
+        assert want[1] == 1.0
+
+    def test_pattern_beyond_the_pool_listed_out_of_id_order(self):
+        # ids 9, 2, 1 share one top list and tie with id 3's: the pool of two
+        # is ids 1 and 2, which cover one product of three
+        pm = {0: [(1, 1), (2, 1), (3, 1)], 9: [(1, 1)], 2: [(1, 1)], 1: [(1, 1)], 3: [(2, 1)]}
+        candidates = [9, 2, 1, 3]
+        want = _scalar_oracle([0], candidates, pm, 20, 3, 2)
+        assert oracle_best([0], candidates, pm, 20, 3, pool=2) == want
+        assert want[1] == 1 / 3
 
     def test_more_reformulations_than_candidates(self):
         pm = {0: [(1, 1), (2, 1)], 1: [(1, 1)], 2: [(2, 1)], 3: [(9, 1)]}
