@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QueryTable
+from .core import QueryTable, query_row
 
 HASH_DIM = 300
 
@@ -36,13 +36,14 @@ def splitmix64_array(x) -> np.ndarray:
 
 
 def _buckets(ids, n_buckets: int) -> np.ndarray:
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
     return (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
 
 
 def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
-    """Bucketed trigram counts of one query; the total count equals its length."""
-    counts = np.bincount(_buckets(np.asarray(ids, dtype=np.int64), n_buckets),
-                         minlength=n_buckets)
+    """Bucketed trigram counts of one raw query; the total count equals its length."""
+    counts = np.bincount(_buckets(query_row(ids), n_buckets), minlength=n_buckets)
     return counts.astype(np.float64)
 
 

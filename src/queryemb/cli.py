@@ -337,7 +337,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(
         store,
         dataset.queries,
-        dataset.graph.purchase_map,
+        dataset.purchase_map,
         probe_ids,
         k=params.k,
         n_reformulations=params.n_reformulations,

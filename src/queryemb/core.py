@@ -283,6 +283,21 @@ def config_from_mapping(cls, kv: dict[str, str]):
     return cls(**kwargs)
 
 
+def query_row(q: Sequence[int]) -> np.ndarray:
+    """One raw query's trigram ids as int64, checked as a one-row QueryTable would be."""
+    ids = np.asarray(q)
+    if ids.ndim != 1:
+        raise ValueError(f"a query is a 1-d sequence of trigram ids, got shape {ids.shape}")
+    if ids.size == 0:
+        raise ValueError("a query must contain at least one trigram")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"trigram ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.min() < 0:
+        raise ValueError("trigram ids must be non-negative")
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class QueryTable:
     """Q queries as one padded table: trigram ids, lengths and products.
@@ -351,21 +366,14 @@ class QueryTable:
 
 
 class QueryGraph:
-    """Undirected graph on query ids with purchase side-information.
+    """Undirected graph on query ids.
 
     Stored in CSR form: the neighbours of q are ``indices[indptr[q]:indptr[q+1]]``,
     sorted and never containing q.  ``edges`` lists each undirected edge once
     as a ``(u, v)`` row with ``u < v``, so symmetry holds by construction.
-    ``purchase_map[q]`` lists (product_id, count) pairs recording purchases
-    attributed to query q.
     """
 
-    def __init__(
-        self,
-        n_queries: int,
-        edges: np.ndarray | Sequence[Sequence[int]],
-        purchase_map: dict[int, list[tuple[int, int]]],
-    ) -> None:
+    def __init__(self, n_queries: int, edges: np.ndarray | Sequence[Sequence[int]]) -> None:
         n = int(n_queries)
         edges = np.asarray(edges, dtype=np.int64)
         if edges.size == 0:
@@ -394,15 +402,6 @@ class QueryGraph:
         self.indices = keys
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(edges.ravel(), minlength=n), out=self.indptr[1:])
-        for q, purchases in purchase_map.items():
-            if not (0 <= q < n):
-                raise ValueError(f"purchase_map key {q} is not a query id")
-            for pid, count in purchases:
-                if pid < 0:
-                    raise ValueError("purchased product_id must be non-negative")
-                if count < 1:
-                    raise ValueError("purchase count must be >= 1")
-        self.purchase_map = {q: list(v) for q, v in purchase_map.items()}
 
     @property
     def n_queries(self) -> int:

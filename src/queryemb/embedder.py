@@ -27,6 +27,7 @@ from .core import (
     QueryGraph,
     QueryTable,
     ReplayStream,
+    query_row,
     rng_stream,
 )
 from .genmodel import SyntheticDataset, read_matrix_stream, write_matrix_stream
@@ -118,16 +119,7 @@ def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
 
 def embed_query(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
     """z of one raw query, checked as a one-row table would be and forwarded as one row."""
-    ids = np.asarray(q)
-    if ids.ndim != 1:
-        raise ValueError(f"a query is a 1-d sequence of trigram ids, got shape {ids.shape}")
-    if ids.size == 0:
-        raise ValueError("a query must contain at least one trigram")
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"trigram ids must be integers, got dtype {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False)
-    if ids.min() < 0:
-        raise ValueError("trigram ids must be non-negative")
+    ids = query_row(q)
     _check_fit(model, ids.size, int(ids.max()) + 1)
     return _forward_rows(model, ids[None, :], np.array([ids.size]))[0][0]
 

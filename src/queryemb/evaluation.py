@@ -32,9 +32,17 @@ DEFAULT_ORACLE_POOL = 25
 
 
 def top_products(purchases: Sequence[tuple[int, int]], k: int) -> list[int]:
-    """Product ids by descending purchase count (ties: ascending id), at most k."""
+    """Product ids by descending purchase count (ties: ascending id), at most k.
+
+    Every metric and the oracle read purchases here, so here they are checked.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    for pid, count in purchases:
+        if pid < 0:
+            raise ValueError(f"purchased product_id {pid} must be non-negative")
+        if count < 1:
+            raise ValueError(f"purchase count {count} must be >= 1")
     ranked = sorted(purchases, key=lambda pc: (-pc[1], pc[0]))
     return [pid for pid, _ in ranked[:k]]
 

@@ -213,6 +213,11 @@ class SyntheticDataset:
         if len(q) and q.product_ids.max() >= c.n_products:
             raise ValueError(f"product_id {q.product_ids.max()} out of range")
 
+    @property
+    def purchase_map(self) -> dict[int, list[tuple[int, int]]]:
+        """The eval's purchases, derived on each access: query q bought product_ids[q] once."""
+        return {q: [(pid, 1)] for q, pid in enumerate(self.queries.product_ids.tolist())}
+
 
 def product_adjacency(products: np.ndarray, epsilon_p: float) -> np.ndarray:
     """Boolean (P, P) matrix: products within epsilon_p of each other (self included)."""
@@ -258,12 +263,6 @@ def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
         keep = u < v
         blocks.append(np.column_stack([u[keep], v[keep]]))
     return np.concatenate(blocks)
-
-
-def _query_graph(queries: QueryTable, edges: np.ndarray) -> QueryGraph:
-    """The query graph; each query records one purchase of its own product."""
-    purchase_map = {qi: [(pid, 1)] for qi, pid in enumerate(queries.product_ids.tolist())}
-    return QueryGraph(len(queries), edges, purchase_map)
 
 
 class _StreamReader:
@@ -343,7 +342,7 @@ def generate_dataset(config: GeneratorConfig, threads: int = 1) -> SyntheticData
     ).reshape(config.n_products, config.dim)
     queries = _sample_queries(config, products, vocab, n_words=2 + 2 * config.max_len)
     edges = _query_edges(queries.product_ids, product_adjacency(products, config.epsilon_p))
-    return SyntheticDataset(config, vocab, products, queries, _query_graph(queries, edges))
+    return SyntheticDataset(config, vocab, products, queries, QueryGraph(len(queries), edges))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ def load_dataset(in_dir: str) -> SyntheticDataset:
         # an edge-free graph is saved as an empty edges.tsv
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         edges = np.loadtxt(os.path.join(in_dir, EDGES_FILENAME), dtype=np.int64, ndmin=2)
-    return SyntheticDataset(config, vocab, products, queries, _query_graph(queries, edges))
+    return SyntheticDataset(config, vocab, products, queries, QueryGraph(len(queries), edges))
 
 
 # ---------------------------------------------------------------------------

@@ -265,12 +265,12 @@ def test_08_attention_beats_trigram_hash(desk_run):
     store_queries = ds.queries.take(store_ids)
     att = evaluate(
         EmbeddingStore(desk_run.model, store_queries, ids=store_ids),
-        ds.queries, ds.graph.purchase_map, probe_ids, k=20, n_reformulations=5,
+        ds.queries, ds.purchase_map, probe_ids, k=20, n_reformulations=5,
         model_name="attention",
     )
     hsh = evaluate(
         TrigramHashStore(store_queries, ids=store_ids),
-        ds.queries, ds.graph.purchase_map, probe_ids, k=20, n_reformulations=5,
+        ds.queries, ds.purchase_map, probe_ids, k=20, n_reformulations=5,
         model_name="trigram_hash",
     )
     _report(

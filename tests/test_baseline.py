@@ -13,6 +13,7 @@ from queryemb.baseline import (
 from queryemb.core import QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query
 from queryemb.evaluation import EmbeddingStore, reformulate
+from test_embedder import BAD_RAW_QUERIES
 
 # Scalar references for the array baseline, also used by other test modules.
 
@@ -128,6 +129,23 @@ class TestHashQuery:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             bray_curtis(np.array([1.0, -1.0]), hash_query(_q(1), n_buckets=2))
+
+    @pytest.mark.parametrize("q, message", BAD_RAW_QUERIES)
+    def test_bad_raw_queries_rejected_as_embed_query_rejects_them(self, q, message):
+        store = TrigramHashStore(_table([_q(1, 2), _q(3)]))
+        with pytest.raises(ValueError, match=message):
+            hash_query(q)
+        with pytest.raises(ValueError, match=message):
+            store.rank(q, 1)
+        with pytest.raises(ValueError, match=message):
+            reformulate(store, q, 1)
+
+    @pytest.mark.parametrize("n_buckets", [0, -3])
+    def test_bucket_count_below_one_rejected(self, n_buckets):
+        with pytest.raises(ValueError, match="n_buckets"):
+            hash_query(_q(1), n_buckets)
+        with pytest.raises(ValueError, match="n_buckets"):
+            TrigramHashStore(_table([_q(1)]), n_buckets=n_buckets)
 
 
 class TestBrayCurtis:

@@ -307,17 +307,16 @@ class TestQuery:
 
 class TestQueryGraph:
     def test_basic_adjacency(self):
-        g = QueryGraph(3, [(0, 1), (1, 2)], {0: [(7, 2)]})
+        g = QueryGraph(3, [(0, 1), (1, 2)])
         assert g.n_queries == 3
         assert g.n_edges == 2
         assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
         assert not has_edge(g, 0, 2)
         assert g.degree(1) == 2
         assert g.edges().tolist() == [[0, 1], [1, 2]]
-        assert g.purchase_map[0] == [(7, 2)]
 
     def test_neighbors_sorted(self):
-        g = QueryGraph(3, [(0, 2), (0, 1)], {})
+        g = QueryGraph(3, [(0, 2), (0, 1)])
         assert list(g.neighbors(0)) == [1, 2]
 
     def test_csr_matches_edge_set(self):
@@ -325,7 +324,7 @@ class TestQueryGraph:
         rng = rng_stream(5)
         pairs = {(u, v) for u, v in rng.integers(n, size=(120, 2)).tolist() if u < v}
         edges = rng.permutation(np.array(sorted(pairs)))
-        g = QueryGraph(n, edges, {})
+        g = QueryGraph(n, edges)
         assert g.n_edges == len(pairs)
         assert g.edges().tolist() == [list(e) for e in sorted(pairs)]
         for q in range(n):
@@ -336,42 +335,34 @@ class TestQueryGraph:
                 assert has_edge(g, q, w) == ((min(q, w), max(q, w)) in pairs)
 
     def test_empty_and_isolated(self):
-        g = QueryGraph(0, [], {})
+        g = QueryGraph(0, [])
         assert g.n_queries == 0 and g.n_edges == 0
         assert g.edges().shape == (0, 2)
-        g = QueryGraph(4, [(1, 3)], {})
+        g = QueryGraph(4, [(1, 3)])
         assert g.degree(0) == 0 and g.neighbors(2).size == 0
         assert has_edge(g, 3, 1) and not has_edge(g, 0, 1)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            QueryGraph(1, [(0, 0)], {})
+            QueryGraph(1, [(0, 0)])
 
     def test_reversed_edge_rejected(self):
         with pytest.raises(ValueError, match="u < v"):
-            QueryGraph(2, [(1, 0)], {})
+            QueryGraph(2, [(1, 0)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
-            QueryGraph(3, [(0, 2), (0, 1), (0, 2)], {})
+            QueryGraph(3, [(0, 2), (0, 1), (0, 2)])
 
     def test_out_of_range_neighbor_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            QueryGraph(1, [(0, 5)], {})
+            QueryGraph(1, [(0, 5)])
         with pytest.raises(ValueError, match="out of range"):
-            QueryGraph(2, [(-1, 1)], {})
+            QueryGraph(2, [(-1, 1)])
 
     def test_bad_edge_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            QueryGraph(3, [(0, 1, 2)], {})
-
-    def test_bad_purchase_count_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            QueryGraph(2, [], {0: [(3, 0)]})
-
-    def test_bad_purchase_key_rejected(self):
-        with pytest.raises(ValueError, match="not a query id"):
-            QueryGraph(2, [], {2: [(3, 1)]})
+            QueryGraph(3, [(0, 1, 2)])
 
 
 _GEN_KV = {

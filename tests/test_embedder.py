@@ -171,8 +171,18 @@ def _singleton_queries(emb_rows):
     return QueryTable.from_rows([[i] for i in range(len(emb_rows))], [0] * len(emb_rows), 1)
 
 
+# raw queries that every one-query entry point rejects, with the error it gives
+BAD_RAW_QUERIES = (
+    ([], "at least one trigram"),
+    ([1, -1], "non-negative"),
+    ([[0, 1]], "1-d"),
+    ([1.7], "integers"),  # a one-row QueryTable truncated it to trigram 1
+    (["3"], "integers"),
+)
+
+
 def _graph(n, edges):
-    return QueryGraph(n, edges, {i: [(0, 1)] for i in range(n)})
+    return QueryGraph(n, edges)
 
 
 class TestEmbedQuery:
@@ -214,13 +224,7 @@ class TestEmbedQuery:
 
     def test_empty_negative_and_nested_queries_rejected(self):
         model = init_model(4, 2, 3, seed=5)
-        for q, message in (
-            ([], "at least one trigram"),
-            ([1, -1], "non-negative"),
-            ([[0, 1]], "1-d"),
-            ([1.7], "integers"),  # a one-row QueryTable truncated it to trigram 1
-            (["3"], "integers"),
-        ):
+        for q, message in BAD_RAW_QUERIES:
             with pytest.raises(ValueError, match=message):
                 embed_query(model, q)
 

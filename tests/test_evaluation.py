@@ -47,6 +47,34 @@ class TestTopProducts:
             top_products([(1, 1)], 0)
 
 
+# purchase maps the eval must reject wherever it reads them; before the checks,
+# the first scored precision 0.0 and oracle_best counted the second's purchases
+_BAD_PURCHASES = (
+    ({0: [(-2, 1)], 1: [(-2, 1)], 2: [(4, 1)]}, "product_id -2 must be non-negative"),
+    ({0: [(3, 0)], 1: [(3, 0)], 2: [(4, 1)]}, "purchase count 0 must be >= 1"),
+)
+
+
+class TestBadPurchasesRejected:
+    @pytest.mark.parametrize("pm, message", _BAD_PURCHASES)
+    def test_evaluate(self, pm, message):
+        queries = _table([_q(1), _q(1), _q(2)])
+        with pytest.raises(ValueError, match=message):
+            evaluate(TrigramHashStore(queries), queries, pm, [0], k=20, n_reformulations=2)
+
+    @pytest.mark.parametrize("pm, message", _BAD_PURCHASES)
+    def test_oracle_best(self, pm, message):
+        with pytest.raises(ValueError, match=message):
+            oracle_best([0], [1, 2], pm, 20)
+
+    @pytest.mark.parametrize("pm, message", _BAD_PURCHASES)
+    def test_one_probe_metrics(self, pm, message):
+        with pytest.raises(ValueError, match=message):
+            query_precision_at_k(0, [1], pm, 20)
+        with pytest.raises(ValueError, match=message):
+            product_recall_at_k(0, [1], pm, 20)
+
+
 class TestQueryPrecision:
     def test_all_share_single_product(self):
         pm = {0: [(9, 1)], 1: [(9, 3)], 2: [(9, 1)], 3: [(9, 2)]}
@@ -106,7 +134,7 @@ class TestProductRecall:
         refs = [1, 2, 3, 4, 5]
         for probe in (0, 7, 19):
             values = [
-                product_recall_at_k(probe, refs, ds.graph.purchase_map, k)
+                product_recall_at_k(probe, refs, ds.purchase_map, k)
                 for k in (1, 2, 5, 20)
             ]
             assert values == sorted(values)
@@ -764,7 +792,7 @@ class TestEvaluate:
         model = init_model(100, 8, 4, seed=57)
         store = EmbeddingStore(model, ds.queries)
         report = evaluate(
-            store, ds.queries, ds.graph.purchase_map, probe_ids=list(range(48, 60)),
+            store, ds.queries, ds.purchase_map, probe_ids=list(range(48, 60)),
             k=20, model_name="attention",
         )
         assert isinstance(report, EvalReport)
@@ -784,7 +812,7 @@ class TestEvaluate:
         ds = _desk_toy_dataset(seed=58)
         store = TrigramHashStore(ds.queries)
         report = evaluate(
-            store, ds.queries, ds.graph.purchase_map, probe_ids=list(range(10)),
+            store, ds.queries, ds.purchase_map, probe_ids=list(range(10)),
             k=20, oracle_pool=len(ds.queries), model_name="trigram_hash",
         )
         assert report.normalized_precision <= 1.0 + 1e-12
@@ -795,7 +823,7 @@ class TestEvaluate:
         ds = _desk_toy_dataset(seed=59)
         store = TrigramHashStore(ds.queries)
         with pytest.raises(ValueError, match="probe"):
-            evaluate(store, ds.queries, ds.graph.purchase_map, probe_ids=[])
+            evaluate(store, ds.queries, ds.purchase_map, probe_ids=[])
 
 
 class TestReportOutput:
@@ -803,7 +831,7 @@ class TestReportOutput:
         ds = _desk_toy_dataset(seed=60)
         store = TrigramHashStore(ds.queries)
         return evaluate(
-            store, ds.queries, ds.graph.purchase_map, probe_ids=[0, 1, 2],
+            store, ds.queries, ds.purchase_map, probe_ids=[0, 1, 2],
             model_name="trigram_hash",
         )
 

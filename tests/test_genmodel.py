@@ -368,7 +368,7 @@ class TestGenerateDataset:
     def test_purchase_map_assigns_generating_product(self):
         ds = generate_dataset(_config())
         for qi, pid in enumerate(ds.queries.product_ids.tolist()):
-            assert ds.graph.purchase_map[qi] == [(pid, 1)]
+            assert ds.purchase_map[qi] == [(pid, 1)]
 
     def test_determinism_across_runs(self):
         a = generate_dataset(_config())
@@ -543,7 +543,7 @@ class TestDatasetSerialization:
         assert np.array_equal(back.products, ds.products)
         assert back.queries == ds.queries
         assert np.array_equal(back.graph.edges(), ds.graph.edges())
-        assert back.graph.purchase_map == ds.graph.purchase_map
+        assert back.purchase_map == ds.purchase_map
 
     def test_save_is_byte_deterministic(self, tmp_path):
         cfg = _config()
