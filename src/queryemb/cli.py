@@ -88,29 +88,28 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _section(prefix: str, entries: dict[str, str]) -> str:
+    """The manifest lines "prefix.key = value", sorted by key."""
+    return "".join(f"{prefix}.{key} = {entries[key]}\n" for key in sorted(entries))
+
+
 def write_manifest(out_dir: str, manifest: RunManifest) -> str:
     path = os.path.join(out_dir, MANIFEST_FILENAME)
-    lines = [
-        f"command = {manifest.command}",
-        f"seed = {manifest.seed}",
-        f"duration_seconds = {manifest.duration_seconds!r}",
-    ]
-    for key in sorted(manifest.config):
-        lines.append(f"config.{key} = {manifest.config[key]}")
-    for key in sorted(manifest.inputs):
-        lines.append(f"input.{key} = {manifest.inputs[key]}")
-    for key in sorted(manifest.outputs):
-        lines.append(f"output.{key} = {manifest.outputs[key]}")
-    for key in sorted(manifest.checksums):
-        lines.append(f"checksum.{key} = {manifest.checksums[key]}")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"command = {manifest.command}\n"
+            f"seed = {manifest.seed}\n"
+            f"duration_seconds = {manifest.duration_seconds!r}\n"
+            + _section("config", manifest.config)
+            + _section("input", manifest.inputs)
+            + _section("output", manifest.outputs)
+            + _section("checksum", manifest.checksums)
+        )
     return path
 
 
 def read_manifest(path: str) -> RunManifest:
-    with open(path) as fh:
-        kv = parse_key_values(fh.read())
+    kv = _read_config_file(path)
     groups: dict[str, dict[str, str]] = {"config": {}, "input": {}, "output": {}, "checksum": {}}
     plain: dict[str, str] = {}
     for key, value in kv.items():
@@ -163,8 +162,20 @@ def dataset_digest(dataset_dir: str) -> str | None:
     if not os.path.exists(manifest_path):
         return None
     checksums = read_manifest(manifest_path).checksums
-    lines = "".join(f"checksum.{name} = {checksums[name]}\n" for name in sorted(checksums))
-    return hashlib.sha256(lines.encode()).hexdigest()
+    return hashlib.sha256(_section("checksum", checksums).encode()).hexdigest()
+
+
+def _record(
+    out_dir: str, command: str, seed: int, config: dict[str, str],
+    inputs: dict[str, str], outputs: dict[str, str], written: list[str], t0: float,
+) -> None:
+    """Write out_dir's manifest for a command started at t0 that wrote the
+    files named in written (relative to out_dir); each one is checksummed."""
+    checksums = {name: sha256_file(os.path.join(out_dir, name)) for name in written}
+    write_manifest(
+        out_dir,
+        RunManifest(command, seed, config, inputs, outputs, time.time() - t0, checksums),
+    )
 
 
 def _verified(kind: str, artifact_dir: str) -> bool:
@@ -198,6 +209,14 @@ def _read_config_file(path: str) -> dict[str, str]:
         return parse_key_values(fh.read())
 
 
+def _config(cls, path: str, seed: int | None):
+    """The config file at path parsed as cls, its seed replaced by --seed if given."""
+    mapping = _read_config_file(path)
+    if seed is not None:
+        mapping["seed"] = str(seed)
+    return config_from_mapping(cls, mapping)
+
+
 def split_query_ids(n_queries: int, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:
     """Deterministic (store_ids, probe_ids) split on its own RNG stream.
 
@@ -222,26 +241,13 @@ def split_query_ids(n_queries: int, test_fraction: float, seed: int) -> tuple[li
 
 def cmd_generate(args: argparse.Namespace) -> int:
     t0 = time.time()
-    mapping = _read_config_file(args.config)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
-    config = config_from_mapping(GeneratorConfig, mapping)
+    config = _config(GeneratorConfig, args.config, args.seed)
     dataset = generate_dataset(config)
     os.makedirs(args.out, exist_ok=True)
     written = save_dataset(dataset, args.out)
-    checksums = {name: sha256_file(os.path.join(args.out, name)) for name in written}
-    write_manifest(
-        args.out,
-        RunManifest(
-            command="generate",
-            seed=config.seed,
-            config=config_text(config),
-            inputs={"config": os.path.abspath(args.config)},
-            outputs={"dataset": os.path.abspath(args.out)},
-            duration_seconds=time.time() - t0,
-            checksums=checksums,
-        ),
-    )
+    inputs = {"config": os.path.abspath(args.config)}
+    outputs = {"dataset": os.path.abspath(args.out)}
+    _record(args.out, "generate", config.seed, config_text(config), inputs, outputs, written, t0)
     print(
         f"generated {len(dataset.queries)} queries over {config.n_products} products "
         f"({dataset.graph.n_edges} graph edges) -> {args.out}"
@@ -254,10 +260,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not _verified("dataset", args.dataset):
         return 2
     dataset = load_dataset(args.dataset)
-    mapping = _read_config_file(args.config)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
-    train_config = config_from_mapping(TrainConfig, mapping)
+    train_config = _config(TrainConfig, args.config, args.seed)
     model = init_model(
         dataset.config.vocab_size, dataset.config.dim, dataset.config.max_len, train_config.seed
     )
@@ -268,24 +271,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         inputs[DATASET_DIGEST_KEY] = digest
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, CHECKPOINT_FILENAME)
-    trace_path = os.path.join(args.out, LOSS_TRACE_FILENAME)
     save_checkpoint(trained, ckpt_path)
-    write_loss_trace(trace_path, trace)
-    checksums = {
-        CHECKPOINT_FILENAME: sha256_file(ckpt_path),
-        LOSS_TRACE_FILENAME: sha256_file(trace_path),
-    }
-    write_manifest(
-        args.out,
-        RunManifest(
-            command="train",
-            seed=train_config.seed,
-            config=config_text(train_config),
-            inputs=inputs,
-            outputs={"checkpoint": os.path.abspath(ckpt_path)},
-            duration_seconds=time.time() - t0,
-            checksums=checksums,
-        ),
+    write_loss_trace(os.path.join(args.out, LOSS_TRACE_FILENAME), trace)
+    _record(
+        args.out, "train", train_config.seed, config_text(train_config), inputs,
+        {"checkpoint": os.path.abspath(ckpt_path)}, [CHECKPOINT_FILENAME, LOSS_TRACE_FILENAME], t0,
     )
     if trace:
         first, last = trace[0][2], trace[-1][2]
@@ -345,27 +335,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         model_name=name,
     )
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, f"eval_{name}.csv")
+    csv_name = f"eval_{name}.csv"
+    csv_path = os.path.join(args.out, csv_name)
     summary_path = os.path.join(args.out, SUMMARY_FILENAME)
     write_eval_csv(report, csv_path)
     summary = format_summary([report])
     with open(summary_path, "w", newline="\n") as fh:
         fh.write(summary)
-    checksums = {
-        os.path.basename(csv_path): sha256_file(csv_path),
-        SUMMARY_FILENAME: sha256_file(summary_path),
-    }
-    write_manifest(
-        args.out,
-        RunManifest(
-            command="eval",
-            seed=seed,
-            config=config_text(params),
-            inputs={"dataset": os.path.abspath(args.dataset), "model": model_input},
-            outputs={"report": os.path.abspath(csv_path), "summary": os.path.abspath(summary_path)},
-            duration_seconds=time.time() - t0,
-            checksums=checksums,
-        ),
+    inputs = {"dataset": os.path.abspath(args.dataset), "model": model_input}
+    outputs = {"report": os.path.abspath(csv_path), "summary": os.path.abspath(summary_path)}
+    _record(
+        args.out, "eval", seed, config_text(params), inputs, outputs,
+        [csv_name, SUMMARY_FILENAME], t0,
     )
     print(summary, end="")
     print(f"per-query report -> {csv_path}")
@@ -401,23 +382,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         fh.write("\n".join(lines) + "\n")
     written.append(REPORT_FILENAME)
 
-    checksums = {name: sha256_file(os.path.join(args.out, name)) for name in written}
-    config_entries = {"suite": args.suite}
-    config_entries.update(
-        {f"seed_{name}": str(value) for name, value in suite_seeds.items()}
-    )
-    write_manifest(
-        args.out,
-        RunManifest(
-            command="validate",
-            seed=suite_seeds[suites[0]],
-            config=config_entries,
-            inputs={},
-            outputs={"report": os.path.abspath(report_path)},
-            duration_seconds=time.time() - t0,
-            checksums=checksums,
-        ),
-    )
+    config = {"suite": args.suite}
+    config.update({f"seed_{name}": str(value) for name, value in suite_seeds.items()})
+    outputs = {"report": os.path.abspath(report_path)}
+    _record(args.out, "validate", suite_seeds[suites[0]], config, {}, outputs, written, t0)
     for line in lines:
         print(line)
     n_failed = sum(not c.passed for c in checks)

@@ -10,6 +10,7 @@ reformulations from the store could have achieved.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
@@ -23,6 +24,8 @@ from .embedder import AttentionModel, embed_query, embed_table
 
 PurchaseMap = Mapping[int, Sequence[tuple[int, int]]]
 
+# the top-product table holds product ids as int64
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # elements that one array pass over many probes holds at once
 _CHUNK = 1 << 20
 
@@ -38,12 +41,22 @@ def top_products(purchases: Sequence[tuple[int, int]], k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    checked = []
     for pid, count in purchases:
+        try:  # numpy integers pass; a float or a string would be truncated or fail later
+            pid, count = operator.index(pid), operator.index(count)
+        except TypeError:
+            raise ValueError(
+                f"purchase ({pid!r}, {count!r}) must hold an integer product_id and count"
+            ) from None
         if pid < 0:
             raise ValueError(f"purchased product_id {pid} must be non-negative")
+        if pid > _INT64_MAX:
+            raise ValueError(f"purchased product_id {pid} does not fit int64")
         if count < 1:
             raise ValueError(f"purchase count {count} must be >= 1")
-    ranked = sorted(purchases, key=lambda pc: (-pc[1], pc[0]))
+        checked.append((pid, count))
+    ranked = sorted(checked, key=lambda pc: (-pc[1], pc[0]))
     return [pid for pid, _ in ranked[:k]]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import shutil
 import subprocess
@@ -284,6 +285,10 @@ class TestEval:
     def test_checkpoint_trained_on_this_dataset_evaluates(self, pipeline, tmp_path):
         manifest = read_manifest(os.path.join(pipeline["run"], "manifest.txt"))
         assert manifest.inputs["dataset_digest"] == dataset_digest(pipeline["data"])
+        # the digest hashes the dataset manifest's checksum lines exactly as written
+        lines = Path(pipeline["data"], "manifest.txt").read_text().splitlines(keepends=True)
+        literal = "".join(l for l in lines if l.startswith("checksum."))
+        assert dataset_digest(pipeline["data"]) == hashlib.sha256(literal.encode()).hexdigest()
         rc = main(["eval", pipeline["data"], "--model", pipeline["ckpt"], "--out", str(tmp_path / "x")])
         assert rc == 0
         # a checkpoint directory whose manifest predates the digest still evaluates
@@ -294,6 +299,16 @@ class TestEval:
         rc = main(["eval", pipeline["data"], "--model", str(old / "checkpoint.bin"),
                    "--out", str(tmp_path / "y")])
         assert rc == 0
+
+
+_PANELS = (theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE, theory.BETA_PANEL_FILE)
+
+
+def _figure1_stub(seed, out_dir=None):
+    """Stands in for figure1's 30-epoch train: writes the three panels, no checks."""
+    for name in _PANELS:
+        Path(out_dir, name).write_text("position,value\n")
+    return dataclasses.make_dataclass("Stub", ["checks"])([])
 
 
 class TestValidate:
@@ -326,15 +341,11 @@ class TestValidate:
         assert manifest.config["seed_blue"] == "5"
 
     def test_figure1_records_its_own_seed(self, tmp_path, monkeypatch):
-        # a stub stands in for the 30-epoch train; it writes the three panels
         seeds = []
 
         def stub(seed, out_dir=None):
             seeds.append(seed)
-            for name in (theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE,
-                         theory.BETA_PANEL_FILE):
-                Path(out_dir, name).write_text("position,value\n")
-            return dataclasses.make_dataclass("Stub", ["checks"])([])
+            return _figure1_stub(seed, out_dir)
 
         monkeypatch.setattr(theory, "figure1_report", stub)
         for extra, seed in (([], theory.DESK_SEED), (["--seed", "7"], 7)):
@@ -344,6 +355,63 @@ class TestValidate:
             assert manifest.seed == seed
             assert manifest.config["seed_figure1"] == str(seed)
         assert seeds == [theory.DESK_SEED, 7]
+
+
+class TestManifestLayout:
+    """Every command's manifest: command, seed and duration_seconds, then the
+    config.*, input.*, output.* and checksum.* lines, each section sorted by
+    key. The checksums name exactly the files the command wrote, and a re-run
+    into the same directory changes only the duration_seconds line."""
+
+    SECTIONS = ("config", "input", "output", "checksum")
+
+    def _assert_layout(self, argv, out, written):
+        assert main(argv) == 0
+        first = Path(out, "manifest.txt").read_text().splitlines()
+        assert main(argv) == 0
+        second = Path(out, "manifest.txt").read_text().splitlines()
+
+        keys = [line.partition(" = ")[0] for line in first]
+        assert keys[:3] == ["command", "seed", "duration_seconds"]
+        body = [key.partition(".") for key in keys[3:]]
+        prefixes = [prefix for prefix, _, _ in body]
+        assert prefixes == sorted(prefixes, key=self.SECTIONS.index)
+        for section in self.SECTIONS:
+            names = [name for prefix, _, name in body if prefix == section]
+            assert names == sorted(names)
+        assert [name for prefix, _, name in body if prefix == "checksum"] == sorted(written)
+
+        assert len(second) == len(first)
+        assert [i for i, (a, b) in enumerate(zip(first, second)) if a != b] in ([], [2])
+
+    def test_generate(self, pipeline, tmp_path):
+        out = str(tmp_path / "data")
+        self._assert_layout(["generate", "--config", pipeline["gen_cfg"], "--out", out], out,
+                            [name for name in os.listdir(pipeline["data"]) if name != "manifest.txt"])
+
+    def test_train(self, pipeline, tmp_path):
+        out = str(tmp_path / "run")
+        self._assert_layout(
+            ["train", pipeline["data"], "--config", pipeline["train_cfg"], "--out", out],
+            out, ["checkpoint.bin", "loss_trace.csv"],
+        )
+
+    @pytest.mark.parametrize("model, csv", [("ckpt", "eval_attention.csv"),
+                                            ("baseline", "eval_trigram_hash.csv")])
+    def test_eval(self, pipeline, tmp_path, model, csv):
+        out = str(tmp_path / "x")
+        model = pipeline.get(model, model)
+        self._assert_layout(["eval", pipeline["data"], "--model", model, "--out", out], out,
+                            [csv, "summary.txt"])
+
+    def test_validate(self, tmp_path):
+        out = str(tmp_path / "val")
+        self._assert_layout(["validate", "blue", "--out", out], out, ["report.txt"])
+
+    def test_validate_figure1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(theory, "figure1_report", _figure1_stub)
+        out = str(tmp_path / "val")
+        self._assert_layout(["validate", "figure1", "--out", out], out, ["report.txt", *_PANELS])
 
 
 class TestManifestConfigRoundTrip:

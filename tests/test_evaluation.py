@@ -42,16 +42,31 @@ class TestTopProducts:
     def test_fewer_than_k_uses_all(self):
         assert top_products([(4, 1)], 20) == [4]
 
+    def test_numpy_integers_accepted(self):
+        assert top_products([(np.int64(5), np.int32(2)), (np.uint8(1), 9)], 2) == [1, 5]
+
     def test_k_validation(self):
         with pytest.raises(ValueError, match="k"):
             top_products([(1, 1)], 0)
 
+
+_NOT_INTEGERS = "must hold an integer product_id and count"
 
 # purchase maps the eval must reject wherever it reads them; before the checks,
 # the first scored precision 0.0 and oracle_best counted the second's purchases
 _BAD_PURCHASES = (
     ({0: [(-2, 1)], 1: [(-2, 1)], 2: [(4, 1)]}, "product_id -2 must be non-negative"),
     ({0: [(3, 0)], 1: [(3, 0)], 2: [(4, 1)]}, "purchase count 0 must be >= 1"),
+    # before their checks, 1.5 was truncated to product 1 (precision 1.0, oracle
+    # (0.2, 1.0)), the string raised TypeError and 2**63 OverflowError
+    pytest.param({0: [(1.5, 1)], 1: [(1, 1)], 2: [(4, 1)]}, _NOT_INTEGERS, id="float-id"),
+    pytest.param({0: [("1", 1)], 1: [(1, 1)], 2: [(4, 1)]}, _NOT_INTEGERS, id="str-id"),
+    pytest.param({0: [(1, 1.5)], 1: [(1, 1)], 2: [(4, 1)]}, _NOT_INTEGERS, id="float-count"),
+    pytest.param(
+        {0: [(2**63, 1)], 1: [(2**63, 1)], 2: [(4, 1)]},
+        "product_id 9223372036854775808 does not fit int64",
+        id="id-past-int64",
+    ),
 )
 
 
