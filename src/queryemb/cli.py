@@ -55,7 +55,7 @@ SUMMARY_FILENAME = "summary.txt"
 # train manifest input: sha256 over the checksum lines of the dataset's manifest
 DATASET_DIGEST_KEY = "dataset_digest"
 
-VALIDATE_SUITES = ("mean", "variance", "partition", "pmi", "blue", "figure1")
+VALIDATE_SUITES = (*theory.SUITES, "figure1")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -380,7 +380,6 @@ class EvalReport:
     mean_precision: float
     mean_recall: float
     f1_score: float
-    mean_f1_per_query: float
     best_precision: float
     best_recall: float
     best_f1: float
@@ -435,7 +434,6 @@ def evaluate(
         mean_precision=mean_p,
         mean_recall=mean_r,
         f1_score=f1(mean_p, mean_r),
-        mean_f1_per_query=float(np.mean([f1(p, c) for p, c in zip(precision, recall)])),
         best_precision=best_p,
         best_recall=best_r,
         best_f1=best,

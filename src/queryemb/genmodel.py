@@ -202,6 +202,8 @@ class SyntheticDataset:
             raise ValueError(f"vocab shape {self.vocab.shape} != ({c.vocab_size}, {c.dim})")
         if self.products.shape != (c.n_products, c.dim):
             raise ValueError(f"products shape {self.products.shape} != ({c.n_products}, {c.dim})")
+        if not (np.all(np.isfinite(self.vocab)) and np.all(np.isfinite(self.products))):
+            raise ValueError("vocab and products must be finite")
         if len(q) != c.n_queries:
             raise ValueError(f"{len(q)} queries != configured {c.n_queries}")
         if self.graph.n_queries != len(q):

@@ -51,7 +51,7 @@ def blue_weights(variances: Sequence[float]) -> np.ndarray:
     v = np.asarray(variances, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("variances must be a non-empty 1-d sequence")
-    if np.any(v <= 0):
+    if not np.all(v > 0):  # NaN fails too
         raise ValueError("all variances must be positive")
     inv = 1.0 / v
     return inv / inv.sum()
@@ -60,7 +60,7 @@ def blue_weights(variances: Sequence[float]) -> np.ndarray:
 def estimator_variances(variances: Sequence[float]) -> tuple[float, float]:
     """(variance of the plain average, variance of the BLUE-weighted average)."""
     v = np.asarray(variances, dtype=np.float64)
-    if np.any(v <= 0):
+    if not np.all(v > 0):  # NaN fails too
         raise ValueError("all variances must be positive")
     k = v.size
     return float(v.sum() / (k * k)), float(1.0 / np.sum(1.0 / v))
@@ -121,7 +121,6 @@ class PmiEstimate:
     pairs: np.ndarray
     pmi: np.ndarray
     dot_over_d: np.ndarray
-    counts: np.ndarray
     std_errors: np.ndarray
     n_dropped: int
 
@@ -261,7 +260,6 @@ def estimate_pmi(
         pairs=np.stack([c1, c2], axis=1),
         pmi=np.log(p_joint / ((m1 / m_est) * (m2 / m_est))),
         dot_over_d=(qa[:, None, :] @ qb[:, :, None])[:, 0, 0] / c.dim,
-        counts=cnt,
         std_errors=np.sqrt(1.0 / cnt + 1.0 / m1 + 1.0 / m2),
         n_dropped=int(pair_keys.size - kept.sum()),
     )
@@ -322,9 +320,10 @@ class BlueReport:
     n_queries_used: int
 
     def __post_init__(self) -> None:
-        if np.any(self.variances < 0):
+        # written so that NaN fails them
+        if not np.all(self.variances >= 0):
             raise ValueError("variances must be non-negative")
-        if abs(float(self.blue.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.blue.sum()) - 1.0) <= 1e-12:
             raise ValueError("BLUE weights must sum to 1")
 
 
@@ -440,8 +439,6 @@ def mean_trigram_coefficient(
     c = dataset.config
     alpha = c.alphas[position - 1]
     b = c.betas[position - 1] if beta is None else beta
-    if b == 0.0:
-        return 0.0
     scores = _product_scores(dataset) if scores is None else scores
     z = np.mean(np.exp(b * scores).sum(axis=1))  # partition_function of every product
     return rho_from_partition(c.vocab_size, alpha, b, z)
@@ -451,7 +448,6 @@ def fit_betas(
     variances: Sequence[float],
     target_line: Sequence[float],
     dataset: SyntheticDataset,
-    beta_max: float = 8.0,
 ) -> FittedBetas:
     """Per-position beta recovering variance = envelope - rho(beta)^2.
 
@@ -459,7 +455,7 @@ def fit_betas(
     rho_i(beta)^2, where rho uses the configured alpha_i and the dataset's
     products and vocabulary.  rho is monotone increasing in beta here, so a
     bracketed root is unique; positions with a negative gap or a gap beyond
-    rho(beta_max)^2 are flagged infeasible (beta = NaN).
+    rho(FIT_BETA_MAX)^2 are flagged infeasible (beta = NaN).
     """
     var = np.asarray(variances, dtype=np.float64)
     line = np.asarray(target_line, dtype=np.float64)
@@ -473,18 +469,14 @@ def fit_betas(
         gap = float(line[i] - var[i])
         if gap < 0:
             continue
-        if gap == 0.0:
-            betas[i] = 0.0
-            feasible[i] = True
-            continue
         target_rho = np.sqrt(gap)
 
         def h(b: float, pos: int = i + 1) -> float:
             return mean_trigram_coefficient(dataset, pos, b, scores) - target_rho
 
-        if h(beta_max) < 0:
+        if h(FIT_BETA_MAX) < 0:
             continue
-        betas[i] = float(brentq(h, 0.0, beta_max, xtol=1e-10))
+        betas[i] = float(brentq(h, 0.0, FIT_BETA_MAX, xtol=1e-10))
         feasible[i] = True
     residuals = betas - np.asarray(c.betas[: var.size])
     return FittedBetas(betas=betas, residuals=residuals, feasible=feasible)
@@ -747,6 +739,7 @@ def suite_blue(seed: int) -> list[CheckResult]:
 
 FIGURE_CORRELATION_THRESHOLD = 0.8  # harness constant: "strong correlation"
 FIGURE_BETA_RESIDUAL_MAX = 0.5  # harness constant for recovered-beta deviation
+FIT_BETA_MAX = 8.0  # harness constant: upper end of fit_betas' root bracket
 
 WEIGHT_PANEL_FILE = "panel_weights.csv"
 VARIANCE_PANEL_FILE = "panel_variance.csv"
@@ -783,8 +776,6 @@ class Figure1Result:
     model: AttentionModel
     trace: list[tuple[int, int, float]]
     report: BlueReport
-    ideal_variance: np.ndarray
-    fitted: FittedBetas
 
 
 def _affine_fit(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -792,25 +783,17 @@ def _affine_fit(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.polyval(coeffs, positions)
 
 
-def figure1_report(
-    seed: int,
-    out_dir: str | None = None,
-    config: GeneratorConfig | None = None,
-    train_config: TrainConfig | None = None,
-) -> Figure1Result:
+def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
     """Train on the linear-variance benchmark and compare weights to BLUE.
 
     Emits the three panel CSVs when out_dir is given: attention vs BLUE
     weights, exact vs fitted-line variances, and recovered-beta
     residuals.
     """
-    if config is None:
-        config = default_benchmark_config(seed)
-    if train_config is None:
-        train_config = desk_train_config(seed)
+    config = default_benchmark_config(seed)
     dataset = generate_dataset(config)
     model0 = init_model(config.vocab_size, config.dim, config.max_len, seed)
-    model, trace = train(model0, dataset, train_config)
+    model, trace = train(model0, dataset, desk_train_config(seed))
     report = blue_report(model, dataset)
 
     positions = np.asarray(report.positions, dtype=np.float64)
@@ -873,8 +856,6 @@ def figure1_report(
         model=model,
         trace=trace,
         report=report,
-        ideal_variance=ideal,
-        fitted=fitted,
     )
 
 

@@ -22,7 +22,7 @@ from queryemb.cli import (
 )
 from queryemb.core import GeneratorConfig, config_from_mapping, config_text, parse_key_values
 from queryemb.embedder import TrainConfig, init_model, load_checkpoint
-from queryemb.genmodel import load_dataset
+from queryemb.genmodel import load_dataset, read_matrix, write_matrix
 
 GEN_CONFIG = """\
 # small end-to-end benchmark
@@ -192,6 +192,29 @@ class TestTrain:
         assert rc == 2
         assert "learning_rate must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_train_exits_2_without_checkpoint(self, pipeline, tmp_path, capsys):
+        cfg = _write(tmp_path / "t.cfg", TRAIN_CONFIG.replace("0.05", "1e300"))
+        out = tmp_path / "r"
+        rc = main(["train", pipeline["data"], "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, bad", [("vocab.bin", np.inf), ("products.bin", np.nan)])
+    def test_non_finite_dataset_exits_2(self, pipeline, tmp_path, capsys, name, bad):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        os.remove(data / "manifest.txt")  # a hand-built directory: nothing to verify against
+        arr = read_matrix(str(data / name))
+        arr[0, 0] = bad
+        write_matrix(str(data / name), arr)
+        for argv in (
+            ["train", str(data), "--config", pipeline["train_cfg"], "--out", str(tmp_path / "r")],
+            ["eval", str(data), "--model", "baseline", "--out", str(tmp_path / "e")],
+        ):
+            assert main(argv) == 2
+            assert "must be finite" in capsys.readouterr().err
 
 
 class TestEval:

@@ -705,13 +705,12 @@ class TestArrayMetricsMatchScalar:
 def _reference_evaluate(store, queries, pm, probe_ids, k=20, n_reformulations=5,
                         oracle_pool=25, model_name="model"):
     """evaluate one probe at a time, from the scalar metrics and oracle."""
-    rows, per_f1 = [], []
+    rows = []
     for q in probe_ids:
         refs = reformulate(store, int(q), n_reformulations, queries=queries)
         p = _ref_precision(int(q), refs, pm, k)
         r = _ref_recall(int(q), refs, pm, k)
         rows.append(evaluation.EvalRow(int(q), tuple(refs), p, r))
-        per_f1.append(f1(p, r))
     mean_p = float(np.mean([row.precision for row in rows]))
     mean_r = float(np.mean([row.recall for row in rows]))
     best_p, best_r = _scalar_oracle([int(q) for q in probe_ids], [int(i) for i in store.ids],
@@ -720,7 +719,7 @@ def _reference_evaluate(store, queries, pm, probe_ids, k=20, n_reformulations=5,
     return EvalReport(
         model_name=model_name, k=k, n_reformulations=n_reformulations, rows=tuple(rows),
         mean_precision=mean_p, mean_recall=mean_r, f1_score=f1(mean_p, mean_r),
-        mean_f1_per_query=float(np.mean(per_f1)), best_precision=best_p, best_recall=best_r,
+        best_precision=best_p, best_recall=best_r,
         best_f1=best,
         normalized_precision=mean_p / best_p if best_p > 0 else 0.0,
         normalized_recall=mean_r / best_r if best_r > 0 else 0.0,

@@ -628,6 +628,17 @@ class TestDatasetSerialization:
         with pytest.raises(ValueError, match="u < v"):
             load_dataset(out)
 
+    @pytest.mark.parametrize("name, bad", [("vocab.bin", np.inf), ("products.bin", np.nan)])
+    def test_non_finite_matrix_rejected(self, tmp_path, name, bad):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        path = os.path.join(out, name)
+        arr = read_matrix(path)
+        arr[0, 0] = bad
+        write_matrix(path, arr)
+        with pytest.raises(ValueError, match="must be finite"):
+            load_dataset(out)
+
 
 class TestLinearVarianceProfile:
     def test_variance_line_is_exact(self):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
 from queryemb.core import GeneratorConfig, rng_stream
+from queryemb.embedder import init_model
 from queryemb.genmodel import (
     default_benchmark_config,
     generate_dataset,
@@ -26,7 +27,9 @@ from queryemb.theory import (
     _sample_sequences,
     SUITES,
     TINY_MIN_COUNT,
+    FIT_BETA_MAX,
     VALIDATE_SEED,
+    BlueReport,
     CheckResult,
     blue_report,
     blue_weights,
@@ -104,6 +107,10 @@ class TestBlueWeights:
             blue_weights([1.0, 0.0])
         with pytest.raises(ValueError, match="positive"):
             blue_weights([1.0, -2.0])
+        with pytest.raises(ValueError, match="positive"):
+            blue_weights([1.0, np.nan])
+        with pytest.raises(ValueError, match="positive"):
+            estimator_variances([1.0, np.nan])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -403,8 +410,6 @@ class TestBlueReport:
         assert abs(report.blue.sum() - 1.0) <= 1e-12
 
     def test_untrained_model_rejected(self):
-        from queryemb.embedder import init_model
-
         cfg = GeneratorConfig(
             dim=4, vocab_size=50, max_len=3, lam=30.0,
             alphas=(0.9,) * 3, betas=(1.0,) * 3, epsilon_p=0.5,
@@ -416,6 +421,31 @@ class TestBlueReport:
             blue_report(model, ds)
         report = blue_report(model, ds, allow_untrained=True)
         assert_allclose(report.attention, 1.0 / 3.0, atol=1e-12)
+
+    def test_overflowing_betas_rejected_not_nan(self):
+        # exp(beta^2 / 2) overflows at these betas, so every exact variance is NaN
+        cfg = GeneratorConfig(
+            dim=4, vocab_size=50, max_len=3, lam=30.0,
+            alphas=(0.9,) * 3, betas=(200.0, 150.0, 100.0), epsilon_p=0.5,
+            n_products=5, n_queries=50, seed=13,
+        )
+        ds = generate_dataset(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(position_variances(ds, [1, 2, 3])).all()
+            with pytest.raises(ValueError, match="positive"):
+                blue_report(init_model(50, 4, 3, 13), ds, allow_untrained=True)
+
+    @pytest.mark.parametrize("field", ["variances", "blue"])
+    def test_nan_fields_rejected(self, field):
+        fields = dict(
+            positions=(1, 2), attention=np.array([0.5, 0.5]), variances=np.array([1.0, 1.0]),
+            blue=np.array([0.5, 0.5]), pearson_r=float("nan"), report_length=2,
+            n_queries_used=3,
+        )
+        BlueReport(**fields)
+        fields[field] = np.array([np.nan, 0.5])
+        with pytest.raises(ValueError):
+            BlueReport(**fields)
 
     def test_desk_attention_tracks_blue(self, desk_run):
         assert desk_run.report.pearson_r >= 0.8
@@ -530,6 +560,15 @@ class TestFitBetas:
         fitted = fit_betas(np.array([9.5, 8.0]), line, ds)
         assert not fitted.feasible[0] and np.isnan(fitted.betas[0])
         assert fitted.feasible[1]
+
+    def test_gap_beyond_search_bound_flagged_infeasible(self):
+        ds = self._flat_dataset([1.0, 1.0])
+        bound_gap = mean_trigram_coefficient(ds, 1, beta=FIT_BETA_MAX) ** 2
+        line = np.array([bound_gap + 10.0, bound_gap + 10.0])
+        fitted = fit_betas(line - np.array([2.0 * bound_gap, 0.5 * bound_gap]), line, ds)
+        assert not fitted.feasible[0] and np.isnan(fitted.betas[0])
+        assert np.isnan(fitted.residuals[0])
+        assert fitted.feasible[1] and 0.0 < fitted.betas[1] < FIT_BETA_MAX
 
     def test_shape_mismatch(self):
         ds = self._flat_dataset([1.0])
