@@ -32,7 +32,6 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -55,7 +54,7 @@ from .core import (
 )
 
 # edges.tsv is formatted this many rows at a time, which bounds the
-# transient Python ints of a write.
+# transient byte table of a write.
 _EDGE_WRITE_BLOCK = 1 << 16
 
 MATRIX_MAGIC = b"QEMBMAT1"
@@ -139,11 +138,9 @@ def sample_trigrams_batch(
     for dataset generation.
     """
     alpha, beta = _position_params(config, position)
-    cdf = np.cumsum(tilted_component_probs(p, beta, vocab))
+    cdf = np.cumsum(tilted_component_probs(p, beta, vocab))[None, :]
     pick_tilted = rng.random(n_samples) < alpha
-    tilted = np.minimum(
-        np.searchsorted(cdf, rng.random(n_samples), side="right"), config.vocab_size - 1
-    )
+    tilted = inverse_cdf_rows(cdf, np.zeros(n_samples, dtype=np.int64), rng.random(n_samples))
     uniform = rng.integers(config.vocab_size, size=n_samples)
     return np.where(pick_tilted, tilted, uniform).astype(np.int64)
 
@@ -236,17 +233,21 @@ def _groups(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(keys[order], np.arange(n_keys + 1))
 
 
-def inverse_cdf_by_group(
-    keys: np.ndarray, u: np.ndarray, n_keys: int, cdf_row: Callable[[int], np.ndarray]
-) -> np.ndarray:
-    """Draw j: u[j]'s inverse-CDF index in cdf_row(keys[j]); one row and one search per key."""
-    order, bounds = _groups(keys, n_keys)
-    out = np.empty(keys.size, dtype=np.int64)
-    for k in np.flatnonzero(np.diff(bounds)):
-        mine = order[bounds[k] : bounds[k + 1]]
-        cdf = cdf_row(int(k))
-        out[mine] = np.minimum(np.searchsorted(cdf, u[mine], side="right"), cdf.size - 1)
-    return out
+def inverse_cdf_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw j: min(searchsorted(cdfs[rows[j]], u[j], side="right"), m - 1), all draws at once.
+
+    Every row of the (K, m) table must be non-decreasing (a cumsum of
+    probabilities), so a binary lift over the flattened table counts exactly
+    the entries <= u[j]: about log2(m) gather-and-compare passes.
+    """
+    m, first = cdfs.shape[1], np.asarray(rows, dtype=np.int64) * cdfs.shape[1]
+    flat, at, span = cdfs.ravel(), first.copy(), m
+    while span > 1:  # the count lies in [at - first, at - first + span]
+        half = span // 2
+        at += half * (flat[at + half] <= u)
+        span -= half
+    at += flat[at] <= u
+    return np.minimum(at - first, m - 1)
 
 
 def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
@@ -318,14 +319,14 @@ def _sample_queries(
         tilted_u[rows[tilted], pos] = reader.random(rows[tilted])  # stays NaN where not tilted
         ids[rows[~tilted], pos] = reader.integers(rows[~tilted], config.vocab_size)
 
-    def tilted_cdf(k: int) -> np.ndarray:  # the generator's 1-D path, not the (P, dim) GEMM
-        p, beta = products[k // width], config.betas[k % width]
-        return np.cumsum(tilted_component_probs(p, beta, vocab))
-
     q, pos = np.nonzero(~np.isnan(tilted_u))
     slot = np.array([config.betas.index(b) for b in config.betas])  # equal betas, one CDF
-    keys = product_ids[q] * width + slot[pos]
-    ids[q, pos] = inverse_cdf_by_group(keys, tilted_u[q, pos], len(products) * width, tilted_cdf)
+    keys, row = np.unique(product_ids[q] * width + slot[pos], return_inverse=True)
+    cdfs = np.zeros((keys.size, config.vocab_size))
+    for r, k in enumerate(keys.tolist()):  # the generator's 1-D path, not the (P, dim) GEMM
+        p, beta = products[k // width], config.betas[k % width]
+        cdfs[r] = np.cumsum(tilted_component_probs(p, beta, vocab))
+    ids[q, pos] = inverse_cdf_rows(cdfs, row, tilted_u[q, pos])
     return QueryTable(ids, lengths, product_ids)
 
 
@@ -387,6 +388,23 @@ def read_matrix(path: str) -> np.ndarray:
     return arr
 
 
+def _digit_table(n: int) -> np.ndarray:
+    """(n, w) uint8 ASCII decimal digits of 0..n-1, left-aligned and padded with 0 bytes."""
+    width = len(str(max(n - 1, 0)))
+    return np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+
+
+def _tsv_bytes(digits: np.ndarray, fields: np.ndarray, present: np.ndarray) -> bytes:
+    """Each row's present cells (a prefix of the row) as decimal text, tab-separated and
+    newline-terminated; digits is a _digit_table covering every field value."""
+    cells = np.full((*fields.shape, digits.shape[1] + 1), ord("\t"), dtype=np.uint8)
+    cells[..., :-1] = digits[fields]
+    cells[np.arange(len(fields)), present.sum(axis=1) - 1, -1] = ord("\n")
+    cells[~present] = 0
+    text = cells.ravel()
+    return text[text != 0].tobytes()
+
+
 def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
     """Write the dataset directory; returns the relative file names written."""
     os.makedirs(out_dir, exist_ok=True)
@@ -394,15 +412,15 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
         fh.writelines(f"{k} = {v}\n" for k, v in sorted(config_text(dataset.config).items()))
     write_matrix(os.path.join(out_dir, VOCAB_FILENAME), dataset.vocab)
     write_matrix(os.path.join(out_dir, PRODUCTS_FILENAME), dataset.products)
-    q = dataset.queries
-    with open(os.path.join(out_dir, QUERIES_FILENAME), "w", newline="\n") as fh:
-        for pid, ids, n in zip(q.product_ids.tolist(), q.ids.tolist(), q.lengths.tolist()):
-            fh.write("\t".join(map(str, [pid, *ids[:n]])) + "\n")
-    edges = dataset.graph.edges()
-    with open(os.path.join(out_dir, EDGES_FILENAME), "w", newline="\n") as fh:
+    q, edges = dataset.queries, dataset.graph.edges()
+    digits = _digit_table(max(dataset.config.n_products, dataset.config.vocab_size, len(q)))
+    with open(os.path.join(out_dir, QUERIES_FILENAME), "wb") as fh:
+        fields = np.column_stack([q.product_ids, q.ids])  # the product id, then the trigram ids
+        fh.write(_tsv_bytes(digits, fields, np.arange(fields.shape[1]) <= q.lengths[:, None]))
+    with open(os.path.join(out_dir, EDGES_FILENAME), "wb") as fh:
         for lo in range(0, len(edges), _EDGE_WRITE_BLOCK):
             block = edges[lo : lo + _EDGE_WRITE_BLOCK]
-            fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_tsv_bytes(digits, block, np.ones(block.shape, bool)))
     return [CONFIG_FILENAME, VOCAB_FILENAME, PRODUCTS_FILENAME, QUERIES_FILENAME, EDGES_FILENAME]
 
 

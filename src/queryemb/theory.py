@@ -30,7 +30,7 @@ from .genmodel import (
     SyntheticDataset,
     default_benchmark_config,
     generate_dataset,
-    inverse_cdf_by_group,
+    inverse_cdf_rows,
     rho_from_partition,
     mixture_probs,
     partition_function,
@@ -160,7 +160,7 @@ def _sample_sequences(
         # single inverse-CDF draw from the full mixture (cdfs already fold in
         # the uniform component)
         u = rng.random(active.size)
-        ids = inverse_cdf_by_group(product_ids[active], u, c.n_products, lambda a: cdfs[pos, a])
+        ids = inverse_cdf_rows(cdfs[pos], product_ids[active], u)
         codes[active] += (ids + 1) * base**pos
     return codes
 
@@ -343,7 +343,7 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
     The position-i trigram of product p is vocabulary row v with mixture
     probability pi_v, so the scatter is the finite sum
     sum_v pi_v ||v - rho_i p||^2 = E||t||^2 - 2 rho_i <E t, p> + rho_i^2 ||p||^2.
-    Positions outside [1, max_len] raise ValueError.
+    Positions outside [1, max_len] and non-finite variances raise ValueError.
     """
     c = dataset.config
     products, vocab = dataset.products, dataset.vocab
@@ -358,6 +358,8 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
         rho = rho_from_partition(c.vocab_size, alpha, beta, z)
         along = np.einsum("ij,ij->i", pi @ vocab, products)
         out[j] = float(np.mean(pi @ vocab_sq - 2.0 * rho * along + rho * rho * product_sq))
+        if not np.isfinite(out[j]):  # rho_from_partition overflows at large beta
+            raise ValueError(f"variance at position {pos} (beta {beta}) is not finite: {out[j]}")
     return out
 
 
@@ -435,13 +437,19 @@ def mean_trigram_coefficient(
     dataset: SyntheticDataset, position: int, beta: float | None = None,
     scores: np.ndarray | None = None,
 ) -> float:
-    """rho at one position, averaged over the dataset's products (scores: _product_scores)."""
+    """rho at one position, averaged over the dataset's products (scores: _product_scores).
+
+    A non-finite rho (exp(beta^2 / 2) overflows near beta = 38) raises ValueError.
+    """
     c = dataset.config
     alpha = c.alphas[position - 1]
     b = c.betas[position - 1] if beta is None else beta
     scores = _product_scores(dataset) if scores is None else scores
     z = np.mean(np.exp(b * scores).sum(axis=1))  # partition_function of every product
-    return rho_from_partition(c.vocab_size, alpha, b, z)
+    rho = rho_from_partition(c.vocab_size, alpha, b, z)
+    if not np.isfinite(rho):
+        raise ValueError(f"rho at position {position} (beta {b}) is not finite: {rho}")
+    return rho
 
 
 def fit_betas(

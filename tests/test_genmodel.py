@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -16,13 +17,16 @@ from queryemb.core import (
     sample_unit_sphere,
     stream_words,
 )
+from queryemb import genmodel
 from queryemb.genmodel import (
+    _groups,
     _position_params,
     _sample_queries,
     _StreamReader,
     alphas_for_linear_variance,
     default_benchmark_config,
     generate_dataset,
+    inverse_cdf_rows,
     load_dataset,
     mixture_probs,
     partition_function,
@@ -468,6 +472,85 @@ class TestBulkDecoding:
         assert np.array_equal(reader.words, stream_words(42, streams, reader.words.shape[1]))
 
 
+# ---------------------------------------------------------------------------
+# Scalar reference for the row-wise inverse-CDF search: one CDF row and one
+# np.searchsorted per key that occurs.
+
+
+def inverse_cdf_by_group(keys, u, n_keys, cdf_row):
+    """Draw j: u[j]'s inverse-CDF index in cdf_row(keys[j]); one row and one search per key."""
+    order, bounds = _groups(keys, n_keys)
+    out = np.empty(keys.size, dtype=np.int64)
+    for k in np.flatnonzero(np.diff(bounds)):
+        mine = order[bounds[k] : bounds[k + 1]]
+        cdf = cdf_row(int(k))
+        out[mine] = np.minimum(np.searchsorted(cdf, u[mine], side="right"), cdf.size - 1)
+    return out
+
+
+def _cdf_table(rng, n_rows, m):
+    """Cumsummed probability rows with zero-probability runs; the last row is all zero."""
+    probs = rng.random((n_rows, m))
+    probs[rng.random((n_rows, m)) < 0.3] = 0.0
+    for row in probs:
+        start = rng.integers(m)
+        row[start : start + rng.integers(1, m // 4 + 2)] = 0.0  # a flat CDF stretch
+    probs[-1] = 0.0
+    sums = probs.sum(axis=1, keepdims=True)
+    return np.cumsum(probs / np.where(sums > 0, sums, 1.0), axis=1)
+
+
+def _hard_draws(rng, cdfs, n):
+    """Rows and uniforms hitting CDF entries exactly, 0, 1 and values past a row's end."""
+    rows = rng.integers(len(cdfs), size=n)
+    u = rng.random(n)
+    kind = rng.integers(5, size=n)
+    exact = cdfs[rows, rng.integers(cdfs.shape[1], size=n)]
+    u = np.where(kind == 1, exact, u)
+    u = np.where(kind == 2, 0.0, u)
+    u = np.where(kind == 3, 1.0, u)
+    past = np.nextafter(cdfs[rows, -1], np.inf) + rng.random(n) * (rng.random(n) < 0.5)
+    return rows, np.where(kind == 4, past, u)
+
+
+class TestInverseCdfRows:
+    @pytest.mark.parametrize("m", [1, 2, 3, 30, 2047, 2048, 2049])
+    def test_matches_scalar_reference_and_searchsorted(self, m):
+        rng = rng_stream(50 + m)
+        cdfs = _cdf_table(rng, 7, m)
+        rows, u = _hard_draws(rng, cdfs, 3000)
+        got = inverse_cdf_rows(cdfs, rows, u)
+        assert got.dtype == np.int64
+        want = inverse_cdf_by_group(rows, u, len(cdfs), lambda k: cdfs[k])
+        assert np.array_equal(got, want)
+        per_draw = [min(np.searchsorted(cdfs[r], x, side="right"), m - 1) for r, x in zip(rows, u)]
+        assert got.tolist() == per_draw
+
+    def test_entries_equal_to_u_are_counted(self):
+        cdfs = np.array([[0.0, 0.0, 0.25, 0.25, 0.5, 1.0]])
+        u = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.99, 1.0, 2.0])
+        got = inverse_cdf_rows(cdfs, np.zeros(u.size, dtype=np.int64), u)
+        assert got.tolist() == [2, 2, 4, 4, 5, 5, 5, 5]
+
+    def test_empty_draws(self):
+        cdfs = _cdf_table(rng_stream(51), 3, 30)
+        got = inverse_cdf_rows(cdfs, np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_batch_sampler_keeps_its_draw_order(self):
+        # the former sampler: pick, tilted uniform, integers, one searchsorted
+        cfg = _config(vocab_size=300)
+        vocab = rng_stream(19).standard_normal((300, cfg.dim))
+        p = sample_unit_sphere(rng_stream(20), cfg.dim)
+        rng = rng_stream(21)
+        alpha, beta = cfg.alphas[1], cfg.betas[1]
+        cdf = np.cumsum(tilted_component_probs(p, beta, vocab))
+        pick = rng.random(5000) < alpha
+        tilted = np.minimum(np.searchsorted(cdf, rng.random(5000), side="right"), 299)
+        want = np.where(pick, tilted, rng.integers(300, size=5000))
+        assert np.array_equal(sample_trigrams_batch(rng_stream(21), p, 2, cfg, vocab, 5000), want)
+
+
 class TestMatrixSerialization:
     def test_round_trip(self, tmp_path):
         arr = rng_stream(38).standard_normal((7, 3))
@@ -563,6 +646,47 @@ class TestDatasetSerialization:
         assert len(back.queries) == 0
         assert back.graph.n_edges == 0
         assert os.path.getsize(os.path.join(out, "edges.tsv")) == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # query ids past 999, trigram ids past 99, product ids past 9
+            dict(vocab_size=150, max_len=4, alphas=(0.6,) * 4, betas=(1.0,) * 4, n_products=12,
+                 n_queries=1100, epsilon_p=0.3),
+            dict(n_products=0, n_queries=0),
+            dict(),
+        ],
+        ids=["digit_boundaries", "empty", "lengths_1_to_max_len"],
+    )
+    def test_text_equals_reference_writer(self, tmp_path, monkeypatch, overrides):
+        ds = generate_dataset(_config(**overrides))
+        q, edges = ds.queries, ds.graph.edges()
+        if len(q):
+            assert {1, ds.config.max_len} <= set(q.lengths.tolist())
+        if overrides.get("n_queries", 0) > 1000:
+            assert edges.max() >= 1000 and q.ids.max() >= 100 and q.product_ids.max() >= 10
+            monkeypatch.setattr(genmodel, "_EDGE_WRITE_BLOCK", 777)  # blocks end mid-file
+        save_dataset(ds, str(tmp_path))
+        # the former writer: "\t".join of str per query line, "%d\t%d\n" per edge
+        queries = "".join(
+            "\t".join(map(str, [pid, *ids[:n]])) + "\n"
+            for pid, ids, n in zip(q.product_ids.tolist(), q.ids.tolist(), q.lengths.tolist())
+        )
+        edge_text = ("%d\t%d\n" * len(edges)) % tuple(edges.ravel().tolist())
+        assert (tmp_path / "queries.tsv").read_bytes() == queries.encode()
+        assert (tmp_path / "edges.tsv").read_bytes() == edge_text.encode()
+
+    def test_text_bytes_pinned(self, tmp_path):
+        # sha256 taken from the "%d"-formatting writer this one replaced
+        save_dataset(generate_dataset(_config()), str(tmp_path))
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("queries.tsv", "edges.tsv")
+        }
+        assert digests == {
+            "queries.tsv": "9f361ff7721eb5773c0998010a00c8a39846cf0c1ae6e88bb325bd1bc76139cd",
+            "edges.tsv": "7ddd4c3a6aa72b84b0d53039a8eb1a366809cf37e7aa4ab4488ac128768856a9",
+        }
 
     @pytest.mark.parametrize(
         "first_line, message",

@@ -431,8 +431,9 @@ class TestBlueReport:
         )
         ds = generate_dataset(cfg)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(position_variances(ds, [1, 2, 3])).all()
-            with pytest.raises(ValueError, match="positive"):
+            with pytest.raises(ValueError, match=r"position 1 \(beta 200.0\) is not finite: nan"):
+                position_variances(ds, [1, 2, 3])
+            with pytest.raises(ValueError, match="not finite"):
                 blue_report(init_model(50, 4, 3, 13), ds, allow_untrained=True)
 
     @pytest.mark.parametrize("field", ["variances", "blue"])
@@ -485,6 +486,24 @@ class TestPositionVariances:
         for bad in (0, cfg.max_len + 1):
             with pytest.raises(ValueError, match="position"):
                 position_variances(ds, [1, bad])
+
+    @pytest.mark.parametrize("beta, variance", [(30.0, "inf"), (38.0, "nan")])
+    def test_overflowing_rho_raises(self, beta, variance):
+        cfg = GeneratorConfig(
+            dim=4, vocab_size=50, max_len=1, lam=1.0, alphas=(0.9,), betas=(beta,),
+            epsilon_p=0.5, n_products=5, n_queries=20, seed=13,
+        )
+        ds = generate_dataset(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            message = rf"position 1 \(beta {beta}\) is not finite: {variance}"
+            with pytest.raises(ValueError, match=message):
+                position_variances(ds, [1])
+            if beta == 30.0:  # rho itself is finite; only its square overflows
+                assert 1e161 < mean_trigram_coefficient(ds, 1) < 1e162
+            else:
+                message = r"rho at position 1 \(beta 38.0\) is not finite: inf"
+                with pytest.raises(ValueError, match=message):
+                    mean_trigram_coefficient(ds, 1)
 
 
 class TestStackedPartitionSums:
