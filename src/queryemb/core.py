@@ -196,10 +196,10 @@ class GeneratorConfig:
             if not (0.5 < a <= 1.0):
                 raise ValueError(f"alphas[{i}]={a} outside (0.5, 1]")
         for i, b in enumerate(self.betas):
-            if b < 0.0:
-                raise ValueError(f"betas[{i}]={b} must be >= 0")
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+            if not (0.0 <= b < np.inf):  # NaN fails too
+                raise ValueError(f"betas[{i}]={b} must be finite and >= 0")
+        if not (0.0 < self.lam < np.inf):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if not (self.epsilon_p >= 0.0):
             # 0 is legal: the graph then degenerates to same-product cliques
             raise ValueError(f"epsilon_p must be >= 0, got {self.epsilon_p}")

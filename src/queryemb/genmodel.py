@@ -68,8 +68,8 @@ EDGES_FILENAME = "edges.tsv"
 
 def truncated_poisson_pmf(lam: float, max_len: int) -> np.ndarray:
     """Pmf of Poisson(lam) conditioned on 1 <= k <= max_len; entry j is k=j+1."""
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    if not (0.0 < lam < np.inf):
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     k = np.arange(1, max_len + 1, dtype=np.float64)

@@ -28,6 +28,7 @@ from .core import (
 from .embedder import AttentionModel, TrainConfig, _check_table, _forward_rows, init_model, train
 from .genmodel import (
     SyntheticDataset,
+    _position_params,
     default_benchmark_config,
     generate_dataset,
     inverse_cdf_rows,
@@ -353,7 +354,7 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
     out = np.zeros(len(positions))
     for j, pos in enumerate(positions):
         pi = mixture_probs(products, pos, c, vocab)
-        alpha, beta = c.alphas[pos - 1], c.betas[pos - 1]
+        alpha, beta = _position_params(c, pos)
         z = np.exp(beta * scores).sum(axis=1)  # partition_function of every product
         rho = rho_from_partition(c.vocab_size, alpha, beta, z)
         along = np.einsum("ij,ij->i", pi @ vocab, products)
@@ -439,11 +440,12 @@ def mean_trigram_coefficient(
 ) -> float:
     """rho at one position, averaged over the dataset's products (scores: _product_scores).
 
-    A non-finite rho (exp(beta^2 / 2) overflows near beta = 38) raises ValueError.
+    A position outside [1, max_len] or a non-finite rho (exp(beta^2 / 2)
+    overflows near beta = 38) raises ValueError.
     """
     c = dataset.config
-    alpha = c.alphas[position - 1]
-    b = c.betas[position - 1] if beta is None else beta
+    alpha, b = _position_params(c, position)
+    b = b if beta is None else beta
     scores = _product_scores(dataset) if scores is None else scores
     z = np.mean(np.exp(b * scores).sum(axis=1))  # partition_function of every product
     rho = rho_from_partition(c.vocab_size, alpha, b, z)
@@ -519,31 +521,32 @@ MEAN_CHECK_PARAMS = ((0.9, 0.5), (0.8, 1.0), (0.7, 1.5))
 MEAN_CHECK_DIM = 16
 MEAN_CHECK_VOCAB = 10_000
 MEAN_CHECK_SAMPLES = 100_000
+VARIANCE_CHECK_SAMPLES = 100_000
 
 
-def _mean_check_dataset(seed: int) -> SyntheticDataset:
-    alphas, betas = zip(*MEAN_CHECK_PARAMS)
-    config = GeneratorConfig(
-        dim=MEAN_CHECK_DIM,
-        vocab_size=MEAN_CHECK_VOCAB,
-        max_len=len(MEAN_CHECK_PARAMS),
-        lam=1.0,
-        alphas=alphas,
-        betas=betas,
-        epsilon_p=1.0,
-        n_products=1,
-        n_queries=0,
-        seed=seed,
+def _one_product_dataset(seed: int, params: Sequence[tuple[float, float]]) -> SyntheticDataset:
+    """A one-product, query-free check universe with one (alpha, beta) pair per position."""
+    alphas, betas = zip(*params)
+    return generate_dataset(GeneratorConfig(
+        dim=MEAN_CHECK_DIM, vocab_size=MEAN_CHECK_VOCAB, max_len=len(params), lam=1.0,
+        alphas=alphas, betas=betas, epsilon_p=1.0, n_products=1, n_queries=0, seed=seed,
+    ))
+
+
+def _scatter(ds: SyntheticDataset, pos: int, seed: int, stream: int) -> float:
+    """Sampled E||t - rho p||^2 of ds's one product at pos, on validate stream offset `stream`."""
+    return trigram_empirical_variance(
+        ds.products[0], pos, ds.config, ds.vocab, VARIANCE_CHECK_SAMPLES,
+        rng_stream(seed, STREAM_VALIDATE + stream),
     )
-    return generate_dataset(config)
 
 
 def suite_mean(seed: int) -> list[CheckResult]:
     """Sampled trigram means align with rho * p at each tested position."""
-    ds = _mean_check_dataset(seed)
+    ds = _one_product_dataset(seed, MEAN_CHECK_PARAMS)
     p = ds.products[0]
     out = []
-    for pos in range(1, ds.config.max_len + 1):
+    for pos, (alpha, beta) in enumerate(MEAN_CHECK_PARAMS, start=1):
         rng = rng_stream(seed, STREAM_VALIDATE + pos)
         ids = sample_trigrams_batch(rng, p, pos, ds.config, ds.vocab, MEAN_CHECK_SAMPLES)
         mean_vec = ds.vocab[ids].mean(axis=0)
@@ -555,8 +558,8 @@ def suite_mean(seed: int) -> list[CheckResult]:
                 name=f"trigram_mean_position_{pos}",
                 passed=(cos > 0.95 and mag_rel <= 0.10),
                 details={
-                    "alpha": ds.config.alphas[pos - 1],
-                    "beta": ds.config.betas[pos - 1],
+                    "alpha": alpha,
+                    "beta": beta,
                     "cosine": cos,
                     "rho": rho,
                     "magnitude_rel_err": mag_rel,
@@ -566,44 +569,26 @@ def suite_mean(seed: int) -> list[CheckResult]:
     return out
 
 
-VARIANCE_CHECK_SAMPLES = 100_000
-
-
 def suite_variance(seed: int) -> list[CheckResult]:
     """Trigram scatter around rho*p: anchor value and parameter dependence."""
-    out = []
     d = MEAN_CHECK_DIM
 
     # anchor: beta = 0, alpha = 1 -> scatter is E||t||^2 = d for a standard
     # Gaussian vocabulary
-    cfg = GeneratorConfig(
-        dim=d, vocab_size=MEAN_CHECK_VOCAB, max_len=1, lam=1.0, alphas=(1.0,),
-        betas=(0.0,), epsilon_p=1.0, n_products=1, n_queries=0, seed=seed,
-    )
-    ds = generate_dataset(cfg)
-    est = trigram_empirical_variance(
-        ds.products[0], 1, cfg, ds.vocab, VARIANCE_CHECK_SAMPLES,
-        rng_stream(seed, STREAM_VALIDATE),
-    )
-    out.append(
+    est = _scatter(_one_product_dataset(seed, ((1.0, 0.0),)), 1, seed, 0)
+    out = [
         CheckResult(
             name="variance_anchor_beta0",
             passed=abs(est / d - 1.0) <= 0.05,
             details={"estimate": est, "expected": float(d), "rel_err": abs(est / d - 1.0)},
         )
-    )
+    ]
 
     # agreement with d + alpha beta^2 (1 - alpha) at separated settings
-    ds3 = _mean_check_dataset(seed)
-    preds = []
-    for pos in range(1, ds3.config.max_len + 1):
-        a, b = ds3.config.alphas[pos - 1], ds3.config.betas[pos - 1]
-        est = trigram_empirical_variance(
-            ds3.products[0], pos, ds3.config, ds3.vocab, VARIANCE_CHECK_SAMPLES,
-            rng_stream(seed, STREAM_VALIDATE + 10 + pos),
-        )
+    ds = _one_product_dataset(seed, MEAN_CHECK_PARAMS)
+    for pos, (a, b) in enumerate(MEAN_CHECK_PARAMS, start=1):
+        est = _scatter(ds, pos, seed, 10 + pos)
         pred = d + a * b * b * (1.0 - a)
-        preds.append((est, pred))
         out.append(
             CheckResult(
                 name=f"variance_formula_position_{pos}",
@@ -613,19 +598,8 @@ def suite_variance(seed: int) -> list[CheckResult]:
         )
 
     # identical parameters at two positions give matching estimates
-    cfg2 = GeneratorConfig(
-        dim=d, vocab_size=MEAN_CHECK_VOCAB, max_len=2, lam=1.0, alphas=(0.8, 0.8),
-        betas=(1.0, 1.0), epsilon_p=1.0, n_products=1, n_queries=0, seed=seed,
-    )
-    ds2 = generate_dataset(cfg2)
-    e1 = trigram_empirical_variance(
-        ds2.products[0], 1, cfg2, ds2.vocab, VARIANCE_CHECK_SAMPLES,
-        rng_stream(seed, STREAM_VALIDATE + 20),
-    )
-    e2 = trigram_empirical_variance(
-        ds2.products[0], 2, cfg2, ds2.vocab, VARIANCE_CHECK_SAMPLES,
-        rng_stream(seed, STREAM_VALIDATE + 21),
-    )
+    ds = _one_product_dataset(seed, ((0.8, 1.0),) * 2)
+    e1, e2 = _scatter(ds, 1, seed, 20), _scatter(ds, 2, seed, 21)
     out.append(
         CheckResult(
             name="variance_identical_positions",
@@ -842,21 +816,17 @@ def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_csv(
-            os.path.join(out_dir, WEIGHT_PANEL_FILE),
-            "position,attention_weight,blue_weight",
-            zip(report.positions, report.attention, report.blue),
+        panels = (
+            (WEIGHT_PANEL_FILE, "position,attention_weight,blue_weight",
+             (report.attention, report.blue)),
+            (VARIANCE_PANEL_FILE, "position,variance,ideal_variance", (report.variances, ideal)),
+            (BETA_PANEL_FILE, "position,beta_residual", (fitted.residuals,)),
         )
-        _write_csv(
-            os.path.join(out_dir, VARIANCE_PANEL_FILE),
-            "position,variance,ideal_variance",
-            zip(report.positions, report.variances, ideal),
-        )
-        _write_csv(
-            os.path.join(out_dir, BETA_PANEL_FILE),
-            "position,beta_residual",
-            zip(report.positions, fitted.residuals),
-        )
+        for name, header, columns in panels:
+            with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+                fh.write(header + "\n")
+                for row in zip(report.positions, *columns):
+                    fh.write(",".join(map(_fmt, row)) + "\n")
 
     return Figure1Result(
         checks=checks,
@@ -865,13 +835,6 @@ def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
         trace=trace,
         report=report,
     )
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {

@@ -21,7 +21,7 @@ from queryemb.cli import (
     verify_checksums,
 )
 from queryemb.core import GeneratorConfig, config_from_mapping, config_text, parse_key_values
-from queryemb.embedder import TrainConfig, init_model, load_checkpoint
+from queryemb.embedder import TrainConfig, init_model, load_checkpoint, save_checkpoint
 from queryemb.genmodel import load_dataset, read_matrix, write_matrix
 
 GEN_CONFIG = """\
@@ -133,6 +133,18 @@ class TestGenerate:
         cfg = _write(tmp_path / "g.cfg", GEN_CONFIG + "typo_key = 1\n")
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, bad", [("lam = 3.0", "lam = inf"), ("betas = 1.5", "betas = nan")],
+        ids=["lam", "betas"],
+    )
+    def test_non_finite_lam_or_beta_exits_2_without_dataset(self, tmp_path, capsys, line, bad):
+        cfg = _write(tmp_path / "g.cfg", GEN_CONFIG.replace(line, bad))
+        out = tmp_path / "data"
+        rc = main(["generate", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["generate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")])
@@ -295,6 +307,19 @@ class TestEval:
         rc = main(["eval", other, "--model", pipeline["ckpt"], "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "does not fit" in capsys.readouterr().err
+        # hand-built checkpoint directories: no manifest, so only the shape check refuses them
+        for (vocab, max_len), shape in (
+            ((301, 4), "vocab 301 vs 300, max_len 4 vs 4"),
+            ((300, 3), "vocab 300 vs 300, max_len 3 vs 4"),
+        ):
+            ckpt = tmp_path / f"bare_{vocab}_{max_len}" / "checkpoint.bin"
+            ckpt.parent.mkdir()
+            save_checkpoint(init_model(vocab, 6, max_len, 0), str(ckpt))
+            out = tmp_path / f"y_{vocab}_{max_len}"
+            rc = main(["eval", pipeline["data"], "--model", str(ckpt), "--out", str(out)])
+            assert rc == 2
+            assert f"checkpoint shape does not fit the dataset: {shape}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_checkpoint_trained_on_other_dataset_exits_2(self, pipeline, tmp_path, capsys):
         # same shape, other seed: only the recorded dataset digest tells them apart

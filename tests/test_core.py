@@ -17,6 +17,7 @@ from queryemb.core import (
     stream_words,
 )
 from queryemb.embedder import TrainConfig
+from queryemb.genmodel import truncated_poisson_pmf
 
 
 class TestRngStream:
@@ -219,9 +220,10 @@ class TestGeneratorConfig:
     def test_alpha_one_is_legal(self):
         _config(alphas=(1.0, 1.0, 1.0))
 
-    def test_negative_beta_rejected(self):
+    @pytest.mark.parametrize("beta", [-0.1, np.inf, np.nan])
+    def test_negative_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="betas"):
-            _config(betas=(1.0, -0.1, 0.0))
+            _config(betas=(1.0, beta, 0.0))
 
     def test_beta_zero_is_legal(self):
         _config(betas=(0.0, 0.0, 0.0))
@@ -230,9 +232,12 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError, match="max_len entries"):
             _config(alphas=(0.9, 0.8))
 
-    def test_nonpositive_lam_rejected(self):
+    @pytest.mark.parametrize("lam", [0.0, np.inf, np.nan])
+    def test_nonpositive_lam_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
-            _config(lam=0.0)
+            _config(lam=lam)
+        with pytest.raises(ValueError, match="lam"):
+            truncated_poisson_pmf(lam, 3)
 
     def test_queries_require_products(self):
         with pytest.raises(ValueError, match="without products"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,15 +21,22 @@ from queryemb.genmodel import (
     truncated_poisson_pmf,
 )
 from queryemb.theory import (
+    _affine_fit,
     _decode_codes,
+    _fmt,
     _position_probs,
     _product_scores,
     _query_vectors,
     _sample_sequences,
+    BETA_PANEL_FILE,
+    DESK_SEED,
+    FIGURE_BETA_RESIDUAL_MAX,
     SUITES,
     TINY_MIN_COUNT,
     FIT_BETA_MAX,
     VALIDATE_SEED,
+    VARIANCE_PANEL_FILE,
+    WEIGHT_PANEL_FILE,
     BlueReport,
     CheckResult,
     blue_report,
@@ -461,6 +469,46 @@ class TestBlueReport:
             assert check.passed, check.line()
 
 
+# sha256 of the three panels that the desk run writes at DESK_SEED 0
+_PINNED_PANELS = {
+    WEIGHT_PANEL_FILE: "0b3294cdfd8c26522858442f09ae97b59b1a4615821dd8b9b2428d60489d86ad",
+    VARIANCE_PANEL_FILE: "f48d7b0f83b33cf86199b0f60abff8432cfe021db153d43eb80612f7504826c3",
+    BETA_PANEL_FILE: "3c4234c346f9792e062c2140469445484492c02cc3016c177c7b7ab3e43e635d",
+}
+
+
+class TestFigure1Panels:
+    def _rows(self, path, header, n_rows):
+        lines = path.read_text().split("\n")
+        assert lines[0] == header and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert len(rows) == n_rows
+        return rows
+
+    def test_panels_hold_the_report(self, desk_run, desk_panel_dir):
+        report = desk_run.report
+        ideal = _affine_fit(np.asarray(report.positions, dtype=float), report.variances)
+        panels = (
+            (WEIGHT_PANEL_FILE, "position,attention_weight,blue_weight",
+             (report.attention, report.blue)),
+            (VARIANCE_PANEL_FILE, "position,variance,ideal_variance", (report.variances, ideal)),
+        )
+        for name, header, columns in panels:
+            rows = self._rows(desk_panel_dir / name, header, len(report.positions))
+            for row, pos, *values in zip(rows, report.positions, *columns):
+                assert row == [str(pos), *(_fmt(float(v)) for v in values)]
+        rows = self._rows(
+            desk_panel_dir / BETA_PANEL_FILE, "position,beta_residual", len(report.positions)
+        )
+        assert [row[0] for row in rows] == [str(pos) for pos in report.positions]
+        assert all(abs(float(row[1])) <= FIGURE_BETA_RESIDUAL_MAX for row in rows)
+
+    def test_panel_bytes_pinned(self, desk_run, desk_panel_dir):
+        assert DESK_SEED == 0
+        for name, digest in _PINNED_PANELS.items():
+            assert hashlib.sha256((desk_panel_dir / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestPositionVariances:
     def test_exact_matches_monte_carlo(self):
         cfg = GeneratorConfig(
@@ -486,6 +534,13 @@ class TestPositionVariances:
         for bad in (0, cfg.max_len + 1):
             with pytest.raises(ValueError, match="position"):
                 position_variances(ds, [1, bad])
+
+    @pytest.mark.parametrize("position", [0, -1, 4])
+    def test_mean_coefficient_rejects_positions_outside_range(self, position):
+        # max_len is 3: position 0 and -1 must not wrap to the last positions
+        ds = generate_dataset(tiny_universe_config(3))
+        with pytest.raises(ValueError, match=rf"position {position} outside \[1, 3\]"):
+            mean_trigram_coefficient(ds, position)
 
     @pytest.mark.parametrize("beta, variance", [(30.0, "inf"), (38.0, "nan")])
     def test_overflowing_rho_raises(self, beta, variance):
@@ -615,4 +670,25 @@ class TestSuites:
         assert [check.line() for check in SUITES["pmi"](VALIDATE_SEED)] == [
             "PASS pmi_dot_correlation: pearson_r=0.874437 n_pairs=478 n_dropped=62479",
             "PASS pmi_sampling_matches_enumeration: max_z=2.60007 n_pairs=478",
+        ]
+
+    def test_mean_report_text_at_pinned_seed(self):
+        assert [check.line() for check in SUITES["mean"](VALIDATE_SEED)] == [
+            "PASS trigram_mean_position_1: alpha=0.9 beta=0.5 cosine=0.994976 rho=0.44973"
+            " magnitude_rel_err=0.000198077",
+            "PASS trigram_mean_position_2: alpha=0.8 beta=1 cosine=0.997371 rho=0.801014"
+            " magnitude_rel_err=0.00592526",
+            "PASS trigram_mean_position_3: alpha=0.7 beta=1.5 cosine=0.997279 rho=1.05579"
+            " magnitude_rel_err=0.0132484",
+        ]
+
+    def test_variance_report_text_at_pinned_seed(self):
+        assert [check.line() for check in SUITES["variance"](VALIDATE_SEED)] == [
+            "PASS variance_anchor_beta0: estimate=15.9675 expected=16 rel_err=0.00203031",
+            "PASS variance_formula_position_1: alpha=0.9 beta=0.5 estimate=15.9827"
+            " predicted=16.0225",
+            "PASS variance_formula_position_2: alpha=0.8 beta=1 estimate=16.1962 predicted=16.16",
+            "PASS variance_formula_position_3: alpha=0.7 beta=1.5 estimate=16.5415"
+            " predicted=16.4725",
+            "PASS variance_identical_positions: position_1=16.1703 position_2=16.2105",
         ]
