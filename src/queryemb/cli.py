@@ -55,7 +55,7 @@ SUMMARY_FILENAME = "summary.txt"
 # train manifest input: sha256 over the checksum lines of the dataset's manifest
 DATASET_DIGEST_KEY = "dataset_digest"
 
-VALIDATE_SUITES = (*theory.SUITES, "figure1")
+VALIDATE_SUITES = tuple(theory.SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -356,36 +356,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     t0 = time.time()
     suites = VALIDATE_SUITES if args.suite == "all" else (args.suite,)
-    os.makedirs(args.out, exist_ok=True)
-
     checks = []
-    written: list[str] = []
     suite_seeds: dict[str, int] = {}
     for suite in suites:
-        if suite == "figure1":
-            # The training benchmark and the statistical suites have
-            # separately pinned default seeds (see theory.DESK_SEED).
-            seed = args.seed if args.seed is not None else theory.DESK_SEED
-            result = theory.figure1_report(seed, out_dir=args.out)
-            checks.extend(result.checks)
-            written.extend(
-                [theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE, theory.BETA_PANEL_FILE]
-            )
-        else:
-            seed = args.seed if args.seed is not None else theory.VALIDATE_SEED
-            checks.extend(theory.SUITES[suite](seed))
+        seed = args.seed if args.seed is not None else theory.SEEDS[suite]
+        checks.extend(theory.SUITES[suite](seed))
         suite_seeds[suite] = seed
 
     lines = [c.line() for c in checks]
-    report_path = os.path.join(args.out, REPORT_FILENAME)
-    with open(report_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    written.append(REPORT_FILENAME)
+    files = {REPORT_FILENAME: "\n".join(lines) + "\n", **dict(c.panel for c in checks if c.panel)}
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(args.out, name), "w", newline="\n") as fh:
+            fh.write(text)
 
     config = {"suite": args.suite}
     config.update({f"seed_{name}": str(value) for name, value in suite_seeds.items()})
-    outputs = {"report": os.path.abspath(report_path)}
-    _record(args.out, "validate", suite_seeds[suites[0]], config, {}, outputs, written, t0)
+    outputs = {"report": os.path.abspath(os.path.join(args.out, REPORT_FILENAME))}
+    _record(args.out, "validate", suite_seeds[suites[0]], config, {}, outputs, list(files), t0)
     for line in lines:
         print(line)
     n_failed = sum(not c.passed for c in checks)

@@ -56,6 +56,9 @@ from .core import (
 # edges.tsv is formatted this many rows at a time, which bounds the
 # transient byte table of a write.
 _EDGE_WRITE_BLOCK = 1 << 16
+# The tilted draws' CDF table is built and searched at most this many floats
+# (8 MiB) at a time; the desk and dense tables (200 keys x 2000) fit in one.
+_CDF_BLOCK_FLOATS = 1 << 20
 
 MATRIX_MAGIC = b"QEMBMAT1"
 
@@ -322,11 +325,16 @@ def _sample_queries(
     q, pos = np.nonzero(~np.isnan(tilted_u))
     slot = np.array([config.betas.index(b) for b in config.betas])  # equal betas, one CDF
     keys, row = np.unique(product_ids[q] * width + slot[pos], return_inverse=True)
-    cdfs = np.zeros((keys.size, config.vocab_size))
-    for r, k in enumerate(keys.tolist()):  # the generator's 1-D path, not the (P, dim) GEMM
-        p, beta = products[k // width], config.betas[k % width]
-        cdfs[r] = np.cumsum(tilted_component_probs(p, beta, vocab))
-    ids[q, pos] = inverse_cdf_rows(cdfs, row, tilted_u[q, pos])
+    u, per_block = tilted_u[q, pos], max(1, _CDF_BLOCK_FLOATS // config.vocab_size)
+    for lo in range(0, keys.size, per_block):
+        block = keys[lo : lo + per_block]
+        cdfs = np.zeros((block.size, config.vocab_size))
+        for r, k in enumerate(block.tolist()):  # the generator's 1-D path, not the (P, dim) GEMM
+            p, beta = products[k // width], config.betas[k % width]
+            cdfs[r] = np.cumsum(tilted_component_probs(p, beta, vocab))
+        # the draws whose key is in this block: all of them when one block holds every key
+        j = slice(None) if block.size == keys.size else (row >= lo) & (row < lo + block.size)
+        ids[q[j], pos[j]] = inverse_cdf_rows(cdfs, row[j] - lo, u[j])
     return QueryTable(ids, lengths, product_ids)
 
 
@@ -451,15 +459,14 @@ def load_dataset(in_dir: str) -> SyntheticDataset:
 # benchmark configuration
 
 
-def alphas_for_linear_variance(
-    dim: int, max_len: int, beta: float, variance_span: float
-) -> tuple[float, ...]:
+def alphas_for_linear_variance(max_len: int, beta: float, variance_span: float) -> tuple[float, ...]:
     """Mixture weights making the per-position trigram variance exactly affine.
 
     The position-i variance is dim + beta^2 * a_i (1 - a_i); solving
     a(1-a) = s for the larger root makes the variance run linearly from
     dim (position 1) to dim + variance_span (last position) while keeping
-    every a_i in (1/2, 1].
+    every a_i in (1/2, 1].  The dim offset is the same at every position,
+    so the weights do not depend on it.
     """
     if variance_span < 0 or variance_span > beta * beta / 4.0 * 0.999999:
         raise ValueError("variance_span must lie in [0, beta^2/4)")
@@ -495,7 +502,7 @@ def default_benchmark_config(seed: int) -> GeneratorConfig:
         vocab_size=2000,
         max_len=max_len,
         lam=1200.0,
-        alphas=alphas_for_linear_variance(16, max_len, beta, variance_span=1.5),
+        alphas=alphas_for_linear_variance(max_len, beta, variance_span=1.5),
         betas=(beta,) * max_len,
         epsilon_p=0.5,
         n_products=200,

@@ -7,12 +7,13 @@ per-position attention-vs-BLUE reports for trained models, and the
 figure-style summary (weights panel, variance panel, beta-recovery panel).
 
 Each check returns a CheckResult rather than raising, so the CLI can print
-one pass/fail line per check and exit non-zero only at the end.
+one pass/fail line per check and exit non-zero only at the end.  A check
+may carry the table behind it as a panel (file name, CSV text); this module
+only computes, and the CLI writes every report and panel file.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -501,6 +502,7 @@ class CheckResult:
     name: str
     passed: bool
     details: dict
+    panel: tuple[str, str] | None = None  # (file name, CSV text)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -514,6 +516,12 @@ def _fmt(v) -> str:
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ",".join(_fmt(float(x)) for x in np.asarray(v).ravel()) + "]"
     return str(v)
+
+
+def _panel(name: str, header: str, *columns: Sequence) -> tuple[str, str]:
+    """A panel (file name, CSV text): the header, then one row per zipped column entry."""
+    rows = "".join(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+    return name, f"{header}\n{rows}"
 
 
 # Harness constants for the mean-law check: three separated mixture settings.
@@ -765,12 +773,11 @@ def _affine_fit(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.polyval(coeffs, positions)
 
 
-def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
+def figure1_report(seed: int) -> Figure1Result:
     """Train on the linear-variance benchmark and compare weights to BLUE.
 
-    Emits the three panel CSVs when out_dir is given: attention vs BLUE
-    weights, exact vs fitted-line variances, and recovered-beta
-    residuals.
+    Each check carries its panel: attention vs BLUE weights, exact vs
+    fitted-line variances, and recovered-beta residuals.
     """
     config = default_benchmark_config(seed)
     dataset = generate_dataset(config)
@@ -797,11 +804,15 @@ def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
                 "report_length": report.report_length,
                 "n_queries": report.n_queries_used,
             },
+            panel=_panel(WEIGHT_PANEL_FILE, "position,attention_weight,blue_weight",
+                         report.positions, report.attention, report.blue),
         ),
         CheckResult(
             name="variance_grows_linearly",
             passed=var_r >= FIGURE_CORRELATION_THRESHOLD,
             details={"pearson_r": var_r},
+            panel=_panel(VARIANCE_PANEL_FILE, "position,variance,ideal_variance",
+                         report.positions, report.variances, ideal),
         ),
         CheckResult(
             name="beta_recovery_flat",
@@ -811,22 +822,10 @@ def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
                 "n_feasible": int(fitted.feasible.sum()),
                 "n_positions": fitted.feasible.size,
             },
+            panel=_panel(BETA_PANEL_FILE, "position,beta_residual",
+                         report.positions, fitted.residuals),
         ),
     ]
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        panels = (
-            (WEIGHT_PANEL_FILE, "position,attention_weight,blue_weight",
-             (report.attention, report.blue)),
-            (VARIANCE_PANEL_FILE, "position,variance,ideal_variance", (report.variances, ideal)),
-            (BETA_PANEL_FILE, "position,beta_residual", (fitted.residuals,)),
-        )
-        for name, header, columns in panels:
-            with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-                fh.write(header + "\n")
-                for row in zip(report.positions, *columns):
-                    fh.write(",".join(map(_fmt, row)) + "\n")
 
     return Figure1Result(
         checks=checks,
@@ -837,10 +836,18 @@ def figure1_report(seed: int, out_dir: str | None = None) -> Figure1Result:
     )
 
 
+def suite_figure1(seed: int) -> list[CheckResult]:
+    """The desk training run's checks, each carrying its panel (see figure1_report)."""
+    return figure1_report(seed).checks
+
+
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
     "mean": suite_mean,
     "variance": suite_variance,
     "partition": suite_partition,
     "pmi": suite_pmi,
     "blue": suite_blue,
+    "figure1": suite_figure1,
 }
+# Each suite's default seed: the desk training run has its own (DESK_SEED).
+SEEDS: dict[str, int] = {**dict.fromkeys(SUITES, VALIDATE_SEED), "figure1": DESK_SEED}

@@ -352,11 +352,13 @@ class TestEval:
 _PANELS = (theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE, theory.BETA_PANEL_FILE)
 
 
-def _figure1_stub(seed, out_dir=None):
-    """Stands in for figure1's 30-epoch train: writes the three panels, no checks."""
-    for name in _PANELS:
-        Path(out_dir, name).write_text("position,value\n")
-    return dataclasses.make_dataclass("Stub", ["checks"])([])
+def _figure1_stub(seed):
+    """Stands in for figure1's 30-epoch train: one passing check per panel."""
+    return [
+        theory.CheckResult(name=f"stub_{name}", passed=True, details={"seed": seed},
+                           panel=(name, f"position,value\n1,{seed}\n"))
+        for name in _PANELS
+    ]
 
 
 class TestValidate:
@@ -389,20 +391,23 @@ class TestValidate:
         assert manifest.config["seed_blue"] == "5"
 
     def test_figure1_records_its_own_seed(self, tmp_path, monkeypatch):
-        seeds = []
-
-        def stub(seed, out_dir=None):
-            seeds.append(seed)
-            return _figure1_stub(seed, out_dir)
-
-        monkeypatch.setattr(theory, "figure1_report", stub)
+        monkeypatch.setitem(theory.SUITES, "figure1", _figure1_stub)
         for extra, seed in (([], theory.DESK_SEED), (["--seed", "7"], 7)):
             out = str(tmp_path / f"val{seed}")
             assert main(["validate", "figure1", "--out", out, *extra]) == 0
             manifest = read_manifest(os.path.join(out, "manifest.txt"))
             assert manifest.seed == seed
             assert manifest.config["seed_figure1"] == str(seed)
-        assert seeds == [theory.DESK_SEED, 7]
+            for name in _PANELS:
+                assert Path(out, name).read_text() == f"position,value\n1,{seed}\n"
+
+    def test_checksums_name_only_this_runs_files(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(theory.SUITES, "figure1", _figure1_stub)
+        out = str(tmp_path / "val")
+        assert main(["validate", "figure1", "--out", out]) == 0
+        assert main(["validate", "blue", "--out", out]) == 0
+        assert all(Path(out, name).exists() for name in _PANELS)  # stale, left in place
+        assert list(read_manifest(os.path.join(out, "manifest.txt")).checksums) == ["report.txt"]
 
 
 class TestManifestLayout:
@@ -457,7 +462,7 @@ class TestManifestLayout:
         self._assert_layout(["validate", "blue", "--out", out], out, ["report.txt"])
 
     def test_validate_figure1(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(theory, "figure1_report", _figure1_stub)
+        monkeypatch.setitem(theory.SUITES, "figure1", _figure1_stub)
         out = str(tmp_path / "val")
         self._assert_layout(["validate", "figure1", "--out", out], out, ["report.txt", *_PANELS])
 

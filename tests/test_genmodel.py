@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,36 @@ class TestBulkDecoding:
         assert np.array_equal(reader.words, stream_words(42, streams, reader.words.shape[1]))
 
 
+class TestCdfBlocks:
+    """The tilted draws' CDF table is built and searched in blocks of keys."""
+
+    @pytest.mark.parametrize("keys_per_block", [1, 7])
+    def test_blocks_match_one_table_and_scalar_reference(self, monkeypatch, keys_per_block):
+        cfg = _config(n_queries=200, n_products=9, betas=(1.0, 0.5, 1.5))
+        whole = generate_dataset(cfg)
+        monkeypatch.setattr(genmodel, "_CDF_BLOCK_FLOATS", keys_per_block * cfg.vocab_size)
+        assert generate_dataset(cfg).queries == whole.queries
+        assert whole.queries == reference_queries(cfg, whole.products, whole.vocab)
+
+    def test_desk_and_dense_tables_fit_in_one_block(self):
+        cfg = default_benchmark_config(0)  # one beta: one key per product
+        assert cfg.n_products * cfg.vocab_size <= genmodel._CDF_BLOCK_FLOATS
+
+    def test_many_betas_peak_allocation_is_bounded(self):
+        # 12 betas x 500 products: one dense table would be 6000 x 2000 floats (92 MiB)
+        betas = tuple(2.0 + 0.05 * i for i in range(12))
+        cfg = dataclasses.replace(
+            default_benchmark_config(0), betas=betas, n_products=500, n_queries=2000
+        )
+        tracemalloc.start()
+        try:
+            generate_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * genmodel._CDF_BLOCK_FLOATS, peak  # 32 MiB
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference for the row-wise inverse-CDF search: one CDF row and one
 # np.searchsorted per key that occurs.
@@ -767,7 +798,7 @@ class TestDatasetSerialization:
 class TestLinearVarianceProfile:
     def test_variance_line_is_exact(self):
         beta, span, dim, n = 2.0, 0.96, 16, 12
-        alphas = alphas_for_linear_variance(dim, n, beta, span)
+        alphas = alphas_for_linear_variance(n, beta, span)
         sigma2 = [dim + a * beta * beta * (1 - a) for a in alphas]
         expected = [dim + span * i / (n - 1) for i in range(n)]
         assert_allclose(sigma2, expected, atol=1e-12)
@@ -776,7 +807,7 @@ class TestLinearVarianceProfile:
 
     def test_span_cap_enforced(self):
         with pytest.raises(ValueError, match="variance_span"):
-            alphas_for_linear_variance(16, 12, 2.0, 1.01)
+            alphas_for_linear_variance(12, 2.0, 1.01)
 
     def test_default_benchmark_is_valid_and_constant_beta(self):
         cfg = default_benchmark_config(0)
