@@ -356,6 +356,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     t0 = time.time()
     suites = VALIDATE_SUITES if args.suite == "all" else (args.suite,)
+    os.makedirs(args.out, exist_ok=True)
     checks = []
     suite_seeds: dict[str, int] = {}
     for suite in suites:
@@ -365,7 +366,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     lines = [c.line() for c in checks]
     files = {REPORT_FILENAME: "\n".join(lines) + "\n", **dict(c.panel for c in checks if c.panel)}
-    os.makedirs(args.out, exist_ok=True)
     for name, text in files.items():
         with open(os.path.join(args.out, name), "w", newline="\n") as fh:
             fh.write(text)

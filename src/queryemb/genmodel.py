@@ -332,8 +332,7 @@ def _sample_queries(
         for r, k in enumerate(block.tolist()):  # the generator's 1-D path, not the (P, dim) GEMM
             p, beta = products[k // width], config.betas[k % width]
             cdfs[r] = np.cumsum(tilted_component_probs(p, beta, vocab))
-        # the draws whose key is in this block: all of them when one block holds every key
-        j = slice(None) if block.size == keys.size else (row >= lo) & (row < lo + block.size)
+        j = (row >= lo) & (row < lo + block.size)  # the draws whose key is in this block
         ids[q[j], pos[j]] = inverse_cdf_rows(cdfs, row[j] - lo, u[j])
     return QueryTable(ids, lengths, product_ids)
 

@@ -409,6 +409,13 @@ class TestValidate:
         assert all(Path(out, name).exists() for name in _PANELS)  # stale, left in place
         assert list(read_manifest(os.path.join(out, "manifest.txt")).checksums) == ["report.txt"]
 
+    def test_uncreatable_out_exits_2_before_any_suite_runs(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setitem(theory.SUITES, "figure1", lambda seed: ran.append(seed) or [])
+        (tmp_path / "file").write_text("")
+        assert main(["validate", "figure1", "--out", str(tmp_path / "file")]) == 2
+        assert ran == []
+
 
 class TestManifestLayout:
     """Every command's manifest: command, seed and duration_seconds, then the
