@@ -280,6 +280,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if trace:
         first, last = trace[0][2], trace[-1][2]
         print(f"trained {train_config.epochs} epochs, batch loss {first:.4f} -> {last:.4f}")
+    elif train_config.epochs:
+        print(
+            f"trained {train_config.epochs} epochs, 0 updates: no anchor has a neighbour "
+            "(checkpoint equals initialization)"
+        )
     else:
         print("trained 0 epochs (checkpoint equals initialization)")
     print(f"checkpoint -> {ckpt_path}")

@@ -223,41 +223,16 @@ def loss_and_gradient(
 # sampling
 
 
-def sample_positives(
-    graph: QueryGraph,
-    q: int,
-    mode: str,
-    stream: ReplayStream,
-    n_samples: int = 5,
-    walk_length: int = 3,
-    walks_per_node: int = 10,
-) -> list[int]:
-    """Positive examples for anchor q.
+def sample_positives(graph: QueryGraph, q: int, n_samples: int, stream: ReplayStream) -> list[int]:
+    """n_samples i.i.d. uniform draws from the neighbours of anchor q.
 
-    mode="uniform": n_samples i.i.d. uniform draws from the neighbours of q.
-    mode="walks": every node visited on walks_per_node random walks of
-    walk_length steps started at q (visits to q itself are dropped).
-    Each draw is one stream.integers(degree) call.  Isolated anchors yield
-    an empty list and draw nothing.
+    Each draw is one stream.integers(degree) call.  An isolated anchor yields
+    an empty list and draws nothing.
     """
     nbrs = graph.neighbors(q)
     if nbrs.size == 0:
         return []
-    if mode == "uniform":
-        return [int(nbrs[stream.integers(nbrs.size)]) for _ in range(n_samples)]
-    if mode == "walks":
-        out: list[int] = []
-        for _ in range(walks_per_node):
-            cur = q
-            for _ in range(walk_length):
-                cur_nbrs = graph.neighbors(cur)
-                if cur_nbrs.size == 0:
-                    break
-                cur = int(cur_nbrs[stream.integers(cur_nbrs.size)])
-                if cur != q:
-                    out.append(cur)
-        return out
-    raise ValueError(f"unknown positive-sampling mode {mode!r}")
+    return [int(nbrs[stream.integers(nbrs.size)]) for _ in range(n_samples)]
 
 
 def sample_negatives(graph: QueryGraph, q: int, k: int, stream: ReplayStream) -> list[int]:
@@ -291,13 +266,9 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     n_negatives: int = 5
-    positive_mode: str = "walks"
     n_positives: int = 5
-    walk_length: int = 3
-    walks_per_node: int = 10
     batch_size: int = 32
     seed: int = 0
-    optimizer: str = "sgd"
     lr_decay: float = 1.0
     uniform_attention: bool = False
 
@@ -306,13 +277,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        for name in ("n_negatives", "n_positives", "walk_length", "walks_per_node", "batch_size"):
+        for name in ("n_negatives", "n_positives", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.positive_mode not in ("uniform", "walks"):
-            raise ValueError(f"positive_mode must be 'uniform' or 'walks', got {self.positive_mode!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must be in (0, 1]")
 
@@ -328,26 +295,13 @@ def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGro
     """
     rng = rng_stream(config.seed, STREAM_TRAIN)
     order = rng.permutation(graph.n_queries)
-    per_anchor = (
-        config.n_positives
-        if config.positive_mode == "uniform"
-        else config.walks_per_node * config.walk_length
-    )
-    draws = order.size * per_anchor * (1 + config.n_negatives)
+    draws = order.size * config.n_positives * (1 + config.n_negatives)
     stream = ReplayStream(rng.bit_generator, draws * 9 // 16)  # two draws a word, 1/8 for redraws
     kept, n_pos, n_neg = [], [], []
     others = array.array("q")  # 8 bytes a pair id, where a list would hold an int object each
     for j, a in enumerate(order.tolist()):
         # looked up at call time, so a wrapper installed on the module sees every anchor
-        pos = sample_positives(
-            graph,
-            a,
-            config.positive_mode,
-            stream,
-            n_samples=config.n_positives,
-            walk_length=config.walk_length,
-            walks_per_node=config.walks_per_node,
-        )
+        pos = sample_positives(graph, a, config.n_positives, stream)
         if not pos:
             continue
         neg = sample_negatives(graph, a, config.n_negatives * len(pos), stream)
@@ -378,8 +332,12 @@ def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGro
 def train(
     model: AttentionModel, dataset: SyntheticDataset, config: TrainConfig
 ) -> tuple[AttentionModel, list[tuple[int, int, float]]]:
-    """SGD (or Adam) over a fixed set of training groups of up to batch_size
-    anchors each; returns (trained copy, loss trace).
+    """Adam over a fixed set of training groups of up to batch_size anchors
+    each; returns (trained copy, loss trace).
+
+    Adam rather than plain SGD: the loss surface couples coordinates at very
+    different scales (trigram embeddings vs attention scores), and SGD needs
+    absurd step sizes to move the attention rows at all.
 
     The anchor order and each anchor's positive/negative samples are drawn
     once up front (see _training_groups) and reused every epoch, so training
@@ -399,12 +357,10 @@ def train(
     _check_table(model, queries)
     groups = _training_groups(dataset.graph, config)
     trace: list[tuple[int, int, float]] = []
-
-    adam_m = adam_v = None
-    adam_t = 0
-    if config.optimizer == "adam":
-        adam_m = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
-        adam_v = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
+    # Adam's first and second moment estimates of each parameter block
+    moment1 = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
+    moment2 = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
+    step = 0
 
     lr = config.learning_rate
     for epoch in range(config.epochs):
@@ -417,23 +373,16 @@ def train(
                 )
             if config.uniform_attention:
                 acc.attn[:] = 0.0
-            if config.optimizer == "sgd":
-                model.emb -= lr * acc.emb
-                model.attn -= lr * acc.attn
-            else:
-                adam_t += 1
-                b1, b2 = ADAM_BETA1, ADAM_BETA2
-                for slot in ("emb", "attn"):
-                    g = getattr(acc, slot)
-                    m_ = getattr(adam_m, slot)
-                    v_ = getattr(adam_v, slot)
-                    m_ *= b1
-                    m_ += (1 - b1) * g
-                    v_ *= b2
-                    v_ += (1 - b2) * g * g
-                    m_hat = m_ / (1 - b1**adam_t)
-                    v_hat = v_ / (1 - b2**adam_t)
-                    getattr(model, slot)[:] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            step += 1
+            for slot in ("emb", "attn"):
+                g, m, v = getattr(acc, slot), getattr(moment1, slot), getattr(moment2, slot)
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * g * g
+                m_hat = m / (1 - ADAM_BETA1**step)
+                v_hat = v / (1 - ADAM_BETA2**step)
+                getattr(model, slot)[:] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             trace.append((epoch, batch_idx, mean_loss))
         lr *= config.lr_decay
     # every update but the last is followed by a loss check; the last one is checked here

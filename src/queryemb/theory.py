@@ -739,9 +739,6 @@ BETA_PANEL_FILE = "panel_beta.csv"
 def desk_train_config(seed: int) -> TrainConfig:
     """Pinned training recipe for the desk benchmark runs.
 
-    Adam rather than SGD: the loss surface couples coordinates at very
-    different scales (trigram embeddings vs attention scores), and plain
-    SGD needs absurd step sizes to move the attention rows at all.
     batch_size 500 makes exactly ten batches per epoch on the 5000-query
     benchmark, so each window of the window-10 smoothed trace lines up
     with one full pass over the fixed batch set.
@@ -750,11 +747,9 @@ def desk_train_config(seed: int) -> TrainConfig:
         learning_rate=0.02,
         epochs=30,
         n_negatives=5,
-        positive_mode="uniform",
         n_positives=5,
         batch_size=500,
         seed=seed,
-        optimizer="adam",
         lr_decay=0.92,
     )
 

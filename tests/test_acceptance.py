@@ -384,11 +384,9 @@ seed = 11
 TRAIN_CFG = """\
 learning_rate = 0.05
 epochs = 2
-positive_mode = uniform
 n_positives = 3
 n_negatives = 3
 batch_size = 100
-optimizer = adam
 seed = 11
 """
 

@@ -41,11 +41,9 @@ seed = 7
 TRAIN_CONFIG = """\
 learning_rate = 0.05
 epochs = 3
-positive_mode = uniform
 n_positives = 3
 n_negatives = 3
 batch_size = 100
-optimizer = adam
 seed = 7
 """
 
@@ -193,6 +191,43 @@ class TestTrain:
         rc = main(["train", pipeline["data"], "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["positive_mode = walks", "walk_length = 3", "walks_per_node = 10", "optimizer = sgd"],
+    )
+    def test_removed_recipe_key_exits_2_without_checkpoint(self, pipeline, tmp_path, capsys, line):
+        # uniform positives with Adam is the only recipe; the keys of the
+        # random-walk positives and of the optimizer choice are unknown
+        cfg = _write(tmp_path / "t.cfg", TRAIN_CONFIG + line + "\n")
+        out = tmp_path / "r"
+        rc = main(["train", pipeline["data"], "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown TrainConfig keys" in err and line.split(" = ")[0] in err
+        assert not out.exists()
+
+    def test_edge_free_dataset_reports_no_updates(self, tmp_path, capsys):
+        # two queries on two products farther apart than epsilon_p: no anchor
+        # has a positive, so every epoch runs and makes no update
+        gen = GEN_CONFIG.replace("n_products = 30", "n_products = 2")
+        cfg = _write(tmp_path / "g.cfg", gen.replace("n_queries = 400", "n_queries = 2"))
+        data = str(tmp_path / "data")
+        assert main(["generate", "--config", cfg, "--out", data]) == 0
+        graph = load_dataset(data).graph
+        assert graph.degree(0) == graph.degree(1) == 0
+        out = str(tmp_path / "run")
+        train_cfg = _write(tmp_path / "t.cfg", TRAIN_CONFIG)
+        capsys.readouterr()
+        assert main(["train", data, "--config", train_cfg, "--out", out]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "trained 3 epochs, 0 updates: no anchor has a neighbour "
+            "(checkpoint equals initialization)"
+        )
+        got = load_checkpoint(os.path.join(out, "checkpoint.bin"))
+        assert np.array_equal(got.emb, init_model(300, 6, 4, 7).emb)
+        with open(os.path.join(out, "loss_trace.csv")) as fh:
+            assert fh.read() == "epoch,batch,loss\n"
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_exits_2_without_checkpoint(

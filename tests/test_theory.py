@@ -401,9 +401,8 @@ def small_trained():
     )
     ds = generate_dataset(cfg)
     tc = TrainConfig(
-        learning_rate=0.02, epochs=10, positive_mode="uniform",
-        n_positives=5, n_negatives=5, batch_size=200, seed=12,
-        optimizer="adam", lr_decay=0.92,
+        learning_rate=0.02, epochs=10, n_positives=5, n_negatives=5,
+        batch_size=200, seed=12, lr_decay=0.92,
     )
     model, _ = train(init_model(500, 8, 6, 12), ds, tc)
     return ds, model
