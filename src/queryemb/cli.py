@@ -25,8 +25,10 @@ from .core import (
     GeneratorConfig,
     config_from_mapping,
     config_text,
-    parse_key_values,
+    key_values_text,
+    read_key_values,
     rng_stream,
+    write_key_values,
 )
 from .embedder import (
     TrainConfig,
@@ -62,24 +64,6 @@ VALIDATE_SUITES = tuple(theory.SUITES)
 # run manifests
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record for one command invocation.
-
-    checksums map file names (relative to the manifest's directory) to
-    sha256 hex digests, so a later command can verify the artifacts it is
-    about to consume.
-    """
-
-    command: str
-    seed: int
-    config: dict[str, str]
-    inputs: dict[str, str]
-    outputs: dict[str, str]
-    duration_seconds: float
-    checksums: dict[str, str]
-
-
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -88,48 +72,35 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _section(prefix: str, entries: dict[str, str]) -> str:
-    """The manifest lines "prefix.key = value", sorted by key."""
-    return "".join(f"{prefix}.{key} = {entries[key]}\n" for key in sorted(entries))
+def _section(prefix: str, entries: dict[str, str]) -> dict[str, str]:
+    """The manifest entries "prefix.key" of entries, sorted by key."""
+    return {f"{prefix}.{key}": entries[key] for key in sorted(entries)}
 
 
-def write_manifest(out_dir: str, manifest: RunManifest) -> str:
-    path = os.path.join(out_dir, MANIFEST_FILENAME)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            f"command = {manifest.command}\n"
-            f"seed = {manifest.seed}\n"
-            f"duration_seconds = {manifest.duration_seconds!r}\n"
-            + _section("config", manifest.config)
-            + _section("input", manifest.inputs)
-            + _section("output", manifest.outputs)
-            + _section("checksum", manifest.checksums)
-        )
-    return path
+def _checksums(manifest: dict[str, str]) -> dict[str, str]:
+    """A manifest's checksum.* entries as {file name relative to its directory: sha256}."""
+    keys = ((key.partition("."), value) for key, value in manifest.items())
+    return {name: value for (prefix, _, name), value in keys if prefix == "checksum" and name}
 
 
-def read_manifest(path: str) -> RunManifest:
-    kv = _read_config_file(path)
-    groups: dict[str, dict[str, str]] = {"config": {}, "input": {}, "output": {}, "checksum": {}}
-    plain: dict[str, str] = {}
-    for key, value in kv.items():
-        prefix, _, rest = key.partition(".")
-        if rest and prefix in groups:
-            groups[prefix][rest] = value
-        else:
-            plain[key] = value
-    for field in ("command", "seed", "duration_seconds"):
-        if field not in plain:
-            raise ValueError(f"manifest {path!r} is missing {field!r}")
-    return RunManifest(
-        command=plain["command"],
-        seed=int(plain["seed"]),
-        config=groups["config"],
-        inputs=groups["input"],
-        outputs=groups["output"],
-        duration_seconds=float(plain["duration_seconds"]),
-        checksums=groups["checksum"],
-    )
+def write_manifest(out_dir: str, entries: dict[str, str]) -> None:
+    write_key_values(os.path.join(out_dir, MANIFEST_FILENAME), entries)
+
+
+def read_manifest(artifact_dir: str) -> dict[str, str] | None:
+    """artifact_dir's manifest entries in file order; None when it has no manifest.
+
+    command, seed (an int) and duration_seconds (a float) are required.
+    """
+    path = os.path.join(artifact_dir, MANIFEST_FILENAME)
+    if not os.path.exists(path):
+        return None
+    entries = read_key_values(path)
+    for key, parse in (("command", str), ("seed", int), ("duration_seconds", float)):
+        if key not in entries:
+            raise ValueError(f"manifest {path!r} is missing {key!r}")
+        parse(entries[key])  # ValueError unless the value has the key's type
+    return entries
 
 
 def verify_checksums(artifact_dir: str) -> list[str]:
@@ -138,12 +109,8 @@ def verify_checksums(artifact_dir: str) -> list[str]:
     A missing manifest is not an error (hand-built directories are legal
     inputs); a manifest whose recorded files are absent or altered is.
     """
-    manifest_path = os.path.join(artifact_dir, MANIFEST_FILENAME)
-    if not os.path.exists(manifest_path):
-        return []
-    manifest = read_manifest(manifest_path)
     problems = []
-    for name, expected in manifest.checksums.items():
+    for name, expected in _checksums(read_manifest(artifact_dir) or {}).items():
         path = os.path.join(artifact_dir, name)
         if not os.path.exists(path):
             problems.append(f"{name}: recorded in manifest but missing on disk")
@@ -158,11 +125,11 @@ def dataset_digest(dataset_dir: str) -> str | None:
     The checksums are a function of the config and seed, unlike the
     manifest's duration_seconds, so the digest names the dataset's content.
     """
-    manifest_path = os.path.join(dataset_dir, MANIFEST_FILENAME)
-    if not os.path.exists(manifest_path):
+    manifest = read_manifest(dataset_dir)
+    if manifest is None:
         return None
-    checksums = read_manifest(manifest_path).checksums
-    return hashlib.sha256(_section("checksum", checksums).encode()).hexdigest()
+    lines = key_values_text(_section("checksum", _checksums(manifest)))
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def _record(
@@ -172,10 +139,11 @@ def _record(
     """Write out_dir's manifest for a command started at t0 that wrote the
     files named in written (relative to out_dir); each one is checksummed."""
     checksums = {name: sha256_file(os.path.join(out_dir, name)) for name in written}
-    write_manifest(
-        out_dir,
-        RunManifest(command, seed, config, inputs, outputs, time.time() - t0, checksums),
-    )
+    write_manifest(out_dir, {
+        "command": command, "seed": str(seed), "duration_seconds": repr(time.time() - t0),
+        **_section("config", config), **_section("input", inputs),
+        **_section("output", outputs), **_section("checksum", checksums),
+    })
 
 
 def _verified(kind: str, artifact_dir: str) -> bool:
@@ -204,14 +172,9 @@ class EvalParams:
             raise ValueError("test_fraction must lie in [0, 1)")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_key_values(fh.read())
-
-
 def _config(cls, path: str, seed: int | None):
     """The config file at path parsed as cls, its seed replaced by --seed if given."""
-    mapping = _read_config_file(path)
+    mapping = read_key_values(path)
     if seed is not None:
         mapping["seed"] = str(seed)
     return config_from_mapping(cls, mapping)
@@ -299,7 +262,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.model != "baseline" and not _verified("checkpoint", checkpoint_dir):
         return 2
     dataset = load_dataset(args.dataset)
-    params = config_from_mapping(EvalParams, _read_config_file(args.config) if args.config else {})
+    params = config_from_mapping(EvalParams, read_key_values(args.config) if args.config else {})
     seed = args.seed if args.seed is not None else 0
     store_ids, probe_ids = split_query_ids(len(dataset.queries), params.test_fraction, seed)
     store_queries = dataset.queries.take(store_ids)
@@ -316,15 +279,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"vocab {model.vocab_size} vs {dataset.config.vocab_size}, "
                 f"max_len {model.max_len} vs {dataset.config.max_len}"
             )
-        manifest_path = os.path.join(checkpoint_dir, MANIFEST_FILENAME)
-        if os.path.exists(manifest_path):
-            trained_on = read_manifest(manifest_path).inputs.get(DATASET_DIGEST_KEY)
-            digest = dataset_digest(args.dataset)
-            if trained_on is not None and trained_on != digest:
-                raise ValueError(
-                    "checkpoint was trained on a different dataset: its manifest records "
-                    f"dataset digest {trained_on}, {args.dataset} has {digest or 'no manifest'}"
-                )
+        trained_on = (read_manifest(checkpoint_dir) or {}).get(f"input.{DATASET_DIGEST_KEY}")
+        digest = dataset_digest(args.dataset)
+        if trained_on is not None and trained_on != digest:
+            raise ValueError(
+                "checkpoint was trained on a different dataset: its manifest records "
+                f"dataset digest {trained_on}, {args.dataset} has {digest or 'no manifest'}"
+            )
         store = EmbeddingStore(model, store_queries, ids=store_ids)
         name = "attention"
         model_input = os.path.abspath(args.model)

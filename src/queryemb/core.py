@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -228,6 +228,23 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
+def key_values_text(entries: Mapping[str, str]) -> str:
+    """The ``key = value`` lines of entries, one per entry, in the mapping's order."""
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+def write_key_values(path: str, entries: Mapping[str, str]) -> None:
+    """Write key_values_text(entries) to path, with Unix line ends on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(key_values_text(entries))
+
+
+def read_key_values(path: str) -> dict[str, str]:
+    """The ``key = value`` file at path, parsed by parse_key_values, in file order."""
+    with open(path) as fh:
+        return parse_key_values(fh.read())
+
+
 def _parse_bool(raw: str) -> bool:
     if raw not in ("true", "false"):
         raise ValueError(f"expected true or false, got {raw!r}")
@@ -283,6 +300,22 @@ def config_from_mapping(cls, kv: dict[str, str]):
     return cls(**kwargs)
 
 
+def _check_integers(arr: np.ndarray, what: str = "trigram ids") -> None:
+    """Refuse a non-empty array whose dtype is not an integer type (np.asarray([]) is float64)."""
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """values as a new int64 array, refused unless integers. np.asarray makes a list
+    float64 or object if it holds a Python int past int64, which raises OverflowError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+        np.array(values, dtype=np.int64)  # the OverflowError, if any
+    _check_integers(arr, what)
+    return arr.astype(np.int64)
+
+
 def query_row(q: Sequence[int]) -> np.ndarray:
     """One raw query's trigram ids as int64, checked as a one-row QueryTable would be."""
     ids = np.asarray(q)
@@ -290,8 +323,7 @@ def query_row(q: Sequence[int]) -> np.ndarray:
         raise ValueError(f"a query is a 1-d sequence of trigram ids, got shape {ids.shape}")
     if ids.size == 0:
         raise ValueError("a query must contain at least one trigram")
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"trigram ids must be integers, got dtype {ids.dtype}")
+    _check_integers(ids)
     ids = ids.astype(np.int64, copy=False)
     if ids.min() < 0:
         raise ValueError("trigram ids must be non-negative")
@@ -314,8 +346,9 @@ class QueryTable:
     id_bound: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("ids", "lengths", "product_ids"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
+        for name, what in (("ids", "trigram ids"), ("lengths", "lengths"),
+                           ("product_ids", "product ids")):
+            arr = _int64_array(getattr(self, name), what)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         ids, lengths = self.ids, self.lengths
@@ -340,7 +373,9 @@ class QueryTable:
         if np.any(lengths > width):
             raise ValueError(f"query length {lengths.max()} exceeds max_len {width}")
         ids = np.zeros((lengths.size, width), dtype=np.int64)
-        ids[np.arange(width) < lengths[:, None]] = [t for r in rows for t in r]
+        ids[np.arange(width) < lengths[:, None]] = _int64_array(
+            [t for r in rows for t in r], "trigram ids"
+        )
         return cls(ids, lengths, product_ids)
 
     @property

@@ -46,11 +46,12 @@ from .core import (
     config_from_mapping,
     config_text,
     lemire_draw,
-    parse_key_values,
+    read_key_values,
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
     stream_words,
+    write_key_values,
 )
 
 # edges.tsv is formatted this many rows at a time, which bounds the
@@ -376,10 +377,10 @@ def read_matrix_stream(fh, context: str = "matrix") -> np.ndarray:
     if magic != MATRIX_MAGIC:
         raise ValueError(f"{context}: bad magic {magic!r}")
     expected = rows * cols * 8
-    payload = fh.read(expected)
-    if len(payload) != expected:
-        raise ValueError(f"{context}: payload {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    available = os.fstat(fh.fileno()).st_size - fh.tell()  # checked before a read of that size
+    if available < expected:
+        raise ValueError(f"{context}: payload {available} bytes, expected {expected}")
+    return np.frombuffer(fh.read(expected), dtype="<f8").reshape(rows, cols).astype(np.float64)
 
 
 def write_matrix(path: str, arr: np.ndarray) -> None:
@@ -415,8 +416,8 @@ def _tsv_bytes(digits: np.ndarray, fields: np.ndarray, present: np.ndarray) -> b
 def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
     """Write the dataset directory; returns the relative file names written."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, CONFIG_FILENAME), "w", newline="\n") as fh:
-        fh.writelines(f"{k} = {v}\n" for k, v in sorted(config_text(dataset.config).items()))
+    config = dict(sorted(config_text(dataset.config).items()))
+    write_key_values(os.path.join(out_dir, CONFIG_FILENAME), config)
     write_matrix(os.path.join(out_dir, VOCAB_FILENAME), dataset.vocab)
     write_matrix(os.path.join(out_dir, PRODUCTS_FILENAME), dataset.products)
     q, edges = dataset.queries, dataset.graph.edges()
@@ -432,8 +433,8 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
 
 
 def load_dataset(in_dir: str) -> SyntheticDataset:
-    with open(os.path.join(in_dir, CONFIG_FILENAME)) as fh:
-        config = config_from_mapping(GeneratorConfig, parse_key_values(fh.read()))
+    path = os.path.join(in_dir, CONFIG_FILENAME)
+    config = config_from_mapping(GeneratorConfig, read_key_values(path))
     vocab = read_matrix(os.path.join(in_dir, VOCAB_FILENAME))
     products = read_matrix(os.path.join(in_dir, PRODUCTS_FILENAME))
 

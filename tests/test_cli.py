@@ -88,6 +88,12 @@ def pipeline(tmp_path_factory):
     }
 
 
+def _manifest_section(out_dir, prefix):
+    """The prefix.* entries of out_dir's manifest, keyed without the prefix."""
+    entries = read_manifest(out_dir).items()
+    return {key[len(prefix) + 1 :]: value for key, value in entries if key.startswith(prefix + ".")}
+
+
 def _dir_hashes(path, skip=("manifest.txt",)):
     return {
         name: sha256_file(os.path.join(path, name))
@@ -101,11 +107,11 @@ class TestGenerate:
         data = pipeline["data"]
         names = set(os.listdir(data))
         assert "manifest.txt" in names
-        manifest = read_manifest(os.path.join(data, "manifest.txt"))
-        assert manifest.command == "generate"
-        assert manifest.seed == 7
-        assert manifest.config["n_queries"] == "400"
-        assert set(manifest.checksums) == names - {"manifest.txt"}
+        manifest = read_manifest(data)
+        assert manifest["command"] == "generate"
+        assert manifest["seed"] == "7"
+        assert manifest["config.n_queries"] == "400"
+        assert set(_manifest_section(data, "checksum")) == names - {"manifest.txt"}
         assert verify_checksums(data) == []
         ds = load_dataset(data)
         assert len(ds.queries) == 400
@@ -118,7 +124,7 @@ class TestGenerate:
     def test_seed_override_changes_output(self, pipeline, tmp_path):
         out = str(tmp_path / "data_seed9")
         assert main(["generate", "--config", pipeline["gen_cfg"], "--out", out, "--seed", "9"]) == 0
-        assert read_manifest(os.path.join(out, "manifest.txt")).seed == 9
+        assert read_manifest(out)["seed"] == "9"
         assert _dir_hashes(out) != _dir_hashes(pipeline["data"])
 
     def test_empty_dataset(self, tmp_path):
@@ -154,9 +160,9 @@ class TestTrain:
     def test_artifacts(self, pipeline):
         run = pipeline["run"]
         assert sorted(os.listdir(run)) == ["checkpoint.bin", "loss_trace.csv", "manifest.txt"]
-        manifest = read_manifest(os.path.join(run, "manifest.txt"))
-        assert manifest.command == "train"
-        assert manifest.config["epochs"] == "3"
+        manifest = read_manifest(run)
+        assert manifest["command"] == "train"
+        assert manifest["config.epochs"] == "3"
         assert verify_checksums(run) == []
 
     def test_byte_identical_rerun(self, pipeline, tmp_path):
@@ -185,6 +191,43 @@ class TestTrain:
         rc = main(["train", bad, "--config", pipeline["train_cfg"], "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "checksum mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, replacement, message",
+        [("command = generate\n", "", "is missing 'command'"),
+         ("\nseed = 7\n", "\nseed = x\n", "'x'")],
+        ids=["no-command", "seed-x"],
+    )
+    def test_malformed_dataset_manifest_exits_2(
+        self, pipeline, tmp_path, capsys, line, replacement, message
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        text = (data / "manifest.txt").read_text()
+        assert line in text
+        (data / "manifest.txt").write_text(text.replace(line, replacement, 1))
+        out = tmp_path / "r"
+        rc = main(["train", str(data), "--config", pipeline["train_cfg"], "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_matrix_header_exits_2(self, pipeline, tmp_path, capsys):
+        # rows = cols = 0xFFFFFFFF: the payload size is checked before any read
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        os.remove(data / "manifest.txt")  # a hand-built directory: nothing to verify against
+        with open(data / "vocab.bin", "r+b") as fh:
+            fh.seek(8)
+            fh.write(b"\xff" * 8)
+        out = tmp_path / "r"
+        rc = main(["train", str(data), "--config", pipeline["train_cfg"], "--out", str(out)])
+        assert rc == 2
+        payload = 300 * 6 * 8  # vocab_size x dim float64s
+        assert f"vocab.bin: payload {payload} bytes, expected {0xFFFFFFFF**2 * 8}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_missing_required_key_exits_2(self, pipeline, tmp_path, capsys):
         cfg = _write(tmp_path / "t.cfg", "learning_rate = 0.05\n")
@@ -333,6 +376,19 @@ class TestEval:
         assert "checksum mismatch" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_oversized_checkpoint_matrix_header_exits_2(self, pipeline, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()  # no manifest: only load_checkpoint's own checks apply
+        ckpt = run / "checkpoint.bin"
+        data = bytearray(Path(pipeline["ckpt"]).read_bytes())
+        data[24 + 8 : 24 + 16] = b"\xff" * 8  # the emb block's rows and cols
+        ckpt.write_bytes(bytes(data))
+        out = tmp_path / "x"
+        rc = main(["eval", pipeline["data"], "--model", str(ckpt), "--out", str(out)])
+        assert rc == 2
+        assert "checkpoint.bin:emb: payload" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_dataset_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         cfg = _write(
             tmp_path / "g.cfg", GEN_CONFIG.replace("vocab_size = 300", "vocab_size = 200")
@@ -366,8 +422,8 @@ class TestEval:
         assert not os.path.exists(tmp_path / "x")
 
     def test_checkpoint_trained_on_this_dataset_evaluates(self, pipeline, tmp_path):
-        manifest = read_manifest(os.path.join(pipeline["run"], "manifest.txt"))
-        assert manifest.inputs["dataset_digest"] == dataset_digest(pipeline["data"])
+        manifest = read_manifest(pipeline["run"])
+        assert manifest["input.dataset_digest"] == dataset_digest(pipeline["data"])
         # the digest hashes the dataset manifest's checksum lines exactly as written
         lines = Path(pipeline["data"], "manifest.txt").read_text().splitlines(keepends=True)
         literal = "".join(l for l in lines if l.startswith("checksum."))
@@ -382,6 +438,15 @@ class TestEval:
         rc = main(["eval", pipeline["data"], "--model", str(old / "checkpoint.bin"),
                    "--out", str(tmp_path / "y")])
         assert rc == 0
+
+    def test_timing_lines_leave_dataset_digest(self, pipeline, tmp_path):
+        # the digest hashes only the checksum.* lines: per-stage timings cannot move it
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        with open(data / "manifest.txt", "a") as fh:
+            fh.write("timing.generate_s = 0.1\n")
+        assert dataset_digest(str(data)) == dataset_digest(pipeline["data"])
+        assert verify_checksums(str(data)) == []
 
 
 _PANELS = (theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE, theory.BETA_PANEL_FILE)
@@ -405,9 +470,9 @@ class TestValidate:
         with open(os.path.join(out, "report.txt")) as fh:
             lines = fh.read().strip().splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
-        manifest = read_manifest(os.path.join(out, "manifest.txt"))
-        assert manifest.config["suite"] == "blue"
-        assert manifest.config["seed_blue"] == str(theory.VALIDATE_SEED)
+        manifest = read_manifest(out)
+        assert manifest["config.suite"] == "blue"
+        assert manifest["config.seed_blue"] == str(theory.VALIDATE_SEED)
 
     def test_failing_suite_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(
@@ -421,18 +486,18 @@ class TestValidate:
     def test_seed_override_recorded(self, tmp_path):
         out = str(tmp_path / "val")
         assert main(["validate", "blue", "--out", out, "--seed", "5"]) == 0
-        manifest = read_manifest(os.path.join(out, "manifest.txt"))
-        assert manifest.seed == 5
-        assert manifest.config["seed_blue"] == "5"
+        manifest = read_manifest(out)
+        assert manifest["seed"] == "5"
+        assert manifest["config.seed_blue"] == "5"
 
     def test_figure1_records_its_own_seed(self, tmp_path, monkeypatch):
         monkeypatch.setitem(theory.SUITES, "figure1", _figure1_stub)
         for extra, seed in (([], theory.DESK_SEED), (["--seed", "7"], 7)):
             out = str(tmp_path / f"val{seed}")
             assert main(["validate", "figure1", "--out", out, *extra]) == 0
-            manifest = read_manifest(os.path.join(out, "manifest.txt"))
-            assert manifest.seed == seed
-            assert manifest.config["seed_figure1"] == str(seed)
+            manifest = read_manifest(out)
+            assert manifest["seed"] == str(seed)
+            assert manifest["config.seed_figure1"] == str(seed)
             for name in _PANELS:
                 assert Path(out, name).read_text() == f"position,value\n1,{seed}\n"
 
@@ -442,7 +507,7 @@ class TestValidate:
         assert main(["validate", "figure1", "--out", out]) == 0
         assert main(["validate", "blue", "--out", out]) == 0
         assert all(Path(out, name).exists() for name in _PANELS)  # stale, left in place
-        assert list(read_manifest(os.path.join(out, "manifest.txt")).checksums) == ["report.txt"]
+        assert list(_manifest_section(out, "checksum")) == ["report.txt"]
 
     def test_uncreatable_out_exits_2_before_any_suite_runs(self, tmp_path, monkeypatch):
         ran = []
@@ -513,7 +578,7 @@ class TestManifestConfigRoundTrip:
     """A manifest's config.* lines parse back to the config its command ran with."""
 
     def _manifest_config(self, cls, out_dir):
-        return config_from_mapping(cls, read_manifest(os.path.join(out_dir, "manifest.txt")).config)
+        return config_from_mapping(cls, _manifest_section(out_dir, "config"))
 
     def _write_config(self, path, config):
         return _write(path, "".join(f"{k} = {v}\n" for k, v in config_text(config).items()))

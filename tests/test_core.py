@@ -283,6 +283,23 @@ class TestQuery:
         with pytest.raises(ValueError, match="shapes"):
             QueryTable(ids=[1, 7], lengths=[2], product_ids=[0])
 
+    def test_non_integer_ids_rejected(self):
+        # each was truncated to integers: ids [[1, 2, 0]], and [[1, 0]] with product 0
+        with pytest.raises(ValueError, match="trigram ids must be integers, got dtype float64"):
+            QueryTable.from_rows([[1.7, 2.2]], [0], 3)
+        with pytest.raises(ValueError, match="trigram ids must be integers, got dtype float64"):
+            QueryTable(np.array([[1.9, 0.0]]), [1], [0])
+        with pytest.raises(ValueError, match="product ids must be integers, got dtype float64"):
+            QueryTable(np.array([[1, 0]]), [1], [0.5])
+        with pytest.raises(ValueError, match="lengths must be integers"):
+            QueryTable([[1, 0]], [1.0], [0])
+        with pytest.raises(ValueError, match="integers"):
+            QueryTable(np.array([[np.nan]]), [1], [0])  # refused, not cast with a warning
+        empty = QueryTable(np.zeros((0, 3)), [], [])  # np.asarray([]) is float64: still loads
+        assert len(empty) == 0 and empty.ids.dtype == np.int64
+        with pytest.raises(OverflowError):  # an int past int64, not a misnamed float dtype
+            QueryTable.from_rows([[1, 2**63]], [0], 2)
+
     def test_arrays_are_read_only_copies(self):
         ids = np.array([[4, 5]])
         t = QueryTable(ids=ids, lengths=[2], product_ids=[1])

@@ -614,6 +614,17 @@ class TestMatrixSerialization:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # the size is checked against the file before a read of that size,
+        # which for this header raised OverflowError
+        path = os.path.join(tmp_path, "huge.bin")
+        write_matrix(path, np.ones((1, 1)))
+        with open(path, "r+b") as fh:
+            fh.seek(8)
+            fh.write(b"\xff" * 8)  # rows = cols = 0xFFFFFFFF
+        with pytest.raises(ValueError, match=f"payload 8 bytes, expected {0xFFFFFFFF**2 * 8}"):
+            read_matrix(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         arr = np.ones((2, 2))
         path = os.path.join(tmp_path, "trail.bin")
