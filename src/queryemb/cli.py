@@ -99,7 +99,12 @@ def read_manifest(artifact_dir: str) -> dict[str, str] | None:
     for key, parse in (("command", str), ("seed", int), ("duration_seconds", float)):
         if key not in entries:
             raise ValueError(f"manifest {path!r} is missing {key!r}")
-        parse(entries[key])  # ValueError unless the value has the key's type
+        try:
+            parse(entries[key])
+        except ValueError:
+            raise ValueError(
+                f"manifest {path!r}: {key!r} is not parsable as {parse.__name__}: {entries[key]!r}"
+            ) from None
     return entries
 
 

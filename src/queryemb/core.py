@@ -109,24 +109,51 @@ class ReplayStream:
             if accepted:
                 return value
 
+    @property
+    def position(self) -> int:
+        """The number of halves read so far, the kept half included."""
+        return self._cursor
+
+    def skip(self, count: int) -> None:
+        """Read the next count held halves (as peek returned them) without decoding them."""
+        if not 0 <= count <= self._halves.size - self._cursor:
+            held = self._halves.size - self._cursor
+            raise ValueError(f"can skip 0 to {held} halves, not {count}")
+        self._cursor += count
+
+    def peek(self, n: int, size: int) -> tuple[list[int], list[int]]:
+        """Up to size held halves from the cursor, left unread: each as its 32-bit
+        value and as the integers(n) it gives, -1 where Lemire's rule redraws.
+
+        Fewer come back near the end of what is held; nothing is read ahead.
+        """
+        start = self._cursor
+        return (self._halves[start : start + size].tolist(),
+                self._decoded(n)[start : start + size].tolist())
+
+    def _decoded(self, n: int) -> np.ndarray:
+        """Every held half decoded for range n in one array pass, -1 where Lemire's rule redraws."""
+        if not 1 < n < 2**32:
+            raise ValueError(f"range must lie in [2, 2**32), got {n}")
+        if self._bulk_n != n:
+            value, accepted = lemire_draw(self._halves, n)
+            self._bulk_n, self._bulk = n, value.view(np.int64)  # values < 2**32
+            self._bulk[~accepted] = -1
+        return self._bulk
+
     def integers_outside(self, n: int, k: int, excluded: set[int]) -> list[int]:
         """The first k results of repeated integers(n) calls that are not in excluded.
 
-        Every half is decoded for range n in one array pass (-1 where Lemire's
-        rule redraws); the scan then needs only a set lookup per draw.
+        The halves come decoded for range n (_decoded); the scan then needs
+        only a set lookup per draw.
         """
-        if not 1 < n < 2**32:
-            raise ValueError(f"range must lie in [2, 2**32), got {n}")
         out: list[int] = []
         while len(out) < k:
             start, size = self._cursor, 2 * (k - len(out)) + 16
             self._reach(start + size)
-            if self._bulk_n != n:
-                value, accepted = lemire_draw(self._halves, n)
-                self._bulk_n, self._bulk = n, value.view(np.int64)  # values < 2**32
-                self._bulk[~accepted] = -1
+            bulk = self._decoded(n)
             self._cursor += size
-            for i, value in enumerate(self._bulk[start : start + size].tolist()):
+            for i, value in enumerate(bulk[start : start + size].tolist()):
                 if value >= 0 and value not in excluded:
                     out.append(value)
                     if len(out) == k:

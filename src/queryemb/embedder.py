@@ -136,6 +136,15 @@ class ModelGradient:
     attn: np.ndarray
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of integer keys, narrowed first to the
+    smallest type that holds them (numpy radix-sorts types of 16 bits or less)."""
+    if keys.size:
+        lo, hi = np.min_scalar_type(keys.min()), np.min_scalar_type(keys.max())
+        keys = keys.astype(np.result_type(lo, hi))
+    return np.argsort(keys, kind="stable")
+
+
 class TrainingGroup(NamedTuple):
     """Pair arrays of one training group: one entry per (anchor, positive) and
     (anchor, negative) pair, each anchor's positives before its negatives.
@@ -144,8 +153,14 @@ class TrainingGroup(NamedTuple):
     so weighted sums are means over the group of each anchor's loss.
     distinct holds the group's query ids once each, ascending, and inverse
     the index into distinct of every anchor, then of every other, so a group
-    pass forwards each query once without sorting the ids again.  Build
-    groups with TrainingGroup.build.
+    pass forwards each query once without sorting the ids again.
+
+    plan orders those 2P positions (anchor side q < P, other side P + q of
+    pair q) by their rank among the positions of the same id, ties by id,
+    and plan[cuts[r-1]:cuts[r]] holds the positions of rank r: each id at
+    most once, and each id's positions in ascending order across the slices.
+    plan is held in the smallest unsigned type that holds 2P.
+    Build groups with TrainingGroup.build.
     """
 
     anchor: np.ndarray
@@ -154,12 +169,43 @@ class TrainingGroup(NamedTuple):
     positive: np.ndarray
     distinct: np.ndarray
     inverse: np.ndarray
+    plan: np.ndarray
+    cuts: np.ndarray
 
     @classmethod
     def build(cls, anchor: np.ndarray, other: np.ndarray, weight: np.ndarray,
               positive: np.ndarray) -> "TrainingGroup":
-        distinct, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
-        return cls(anchor, other, weight, positive, distinct, inverse)
+        ids = np.concatenate([anchor, other])
+        order = _stable_order(ids)
+        ids = ids[order]
+        first = np.empty(ids.size, dtype=bool)  # the first position of each id
+        first[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        run = np.cumsum(first) - 1
+        inverse = np.empty_like(order)
+        inverse[order] = run
+        rank = np.arange(ids.size) - np.flatnonzero(first)[run]
+        plan = order[_stable_order(rank)].astype(np.min_scalar_type(ids.size))
+        return cls(anchor, other, weight, positive, ids[first], inverse, plan,
+                   np.cumsum(np.bincount(rank)))
+
+
+def _upstream(z: np.ndarray, g: np.ndarray, inverse: np.ndarray, plan: np.ndarray,
+              cuts: np.ndarray) -> np.ndarray:
+    """u = dL/dz of a group's rows: pair q adds g_q z_o to its anchor's row and
+    g_q z_a to its other's.  Each row's terms are added in ascending position
+    order (anchors, then others), as np.add.at over a, then o, would add
+    them; a plan slice holds each row at most once, so one fancy-indexed add
+    per slice does it."""
+    rows = inverse[plan]
+    terms = z[np.roll(inverse, g.size)[plan]]  # the z of each position's partner
+    terms *= np.tile(g, 2)[plan, None]
+    u = np.zeros_like(z)
+    lo = 0
+    for hi in cuts.tolist():
+        u[rows[lo:hi]] += terms[lo:hi]
+        lo = hi
+    return u
 
 
 def loss_and_gradient(
@@ -180,7 +226,7 @@ def loss_and_gradient(
     over the valid slots i of the query.
     """
     _check_table(model, queries)
-    anchor, _, weight, positive, distinct, inverse = group
+    anchor, _, weight, positive, distinct, inverse, plan, cuts = group
     if anchor.size == 0:
         raise ValueError("a training group needs at least one anchor")
     if distinct[0] < 0 or distinct[-1] >= len(queries):
@@ -195,9 +241,7 @@ def loss_and_gradient(
     e = np.exp(-np.abs(x))
     sig = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     g = np.where(np.abs(x) < SCORE_CLAMP, (sig - positive) * weight, 0.0)
-    u = np.zeros_like(z)
-    np.add.at(u, a, g[:, None] * z[o])
-    np.add.at(u, o, g[:, None] * z[a])
+    u = _upstream(z, g, inverse, plan, cuts)
 
     width = V.shape[1]
     c = np.einsum("bld,bd->bl", V, u)
@@ -284,6 +328,37 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
 
 
+# Halves of the train stream turned into Python ints at a time by _training_groups
+REPLAY_WINDOW = 4096
+
+
+def _replayed_samples(
+    nbrs: list[int], q: int, n_samples: int, k: int, halves: list[int], values: list[int], at: int
+) -> tuple[list[int], list[int]] | None:
+    """(positives, negatives) of anchor q read straight off a window of the
+    stream: halves[at:] are the 32-bit halves from q's first draw on and
+    values[at:] their integers(n_queries), -1 where Lemire's rule redraws.
+
+    None when sample_positives would redraw a positive, or when one of the k
+    halves after the positives is a redraw, q or a neighbour of q.
+    """
+    degree = len(nbrs)
+    positives = nbrs * n_samples  # integers(1) reads nothing
+    if degree > 1:
+        positives = []
+        limit = 2**32 % degree  # Lemire's rule redraws below this
+        for x in halves[at : at + n_samples]:
+            m = x * degree
+            if m & 0xFFFFFFFF < limit:
+                return None
+            positives.append(nbrs[m >> 32])
+        at += n_samples
+    negatives = values[at : at + k]
+    excluded = set(nbrs)
+    excluded.update((q, -1))
+    return (positives, negatives) if excluded.isdisjoint(negatives) else None
+
+
 def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGroup]:
     """Every anchor's samples, drawn once from rng_stream(seed, STREAM_TRAIN), as pair arrays.
 
@@ -292,37 +367,57 @@ def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGro
     draws, replayed from the stream's remaining words.  Anchor j of the
     permutation belongs to group j // batch_size; anchors without positives
     are skipped and groups left empty are dropped.
+
+    Most anchors are read straight off a window of REPLAY_WINDOW peeked
+    halves (_replayed_samples).  An anchor that would redraw or reject a
+    draw, that has fewer non-neighbours than negatives, or whose draws run
+    past the window goes through sample_positives and sample_negatives from
+    the same stream position, so both paths give the same draws.
     """
     rng = rng_stream(config.seed, STREAM_TRAIN)
     order = rng.permutation(graph.n_queries)
-    draws = order.size * config.n_positives * (1 + config.n_negatives)
+    n, n_samples = graph.n_queries, config.n_positives
+    k = config.n_negatives * n_samples  # an anchor with positives has n_samples of them
+    draws = order.size * (n_samples + k)
     stream = ReplayStream(rng.bit_generator, draws * 9 // 16)  # two draws a word, 1/8 for redraws
-    kept, n_pos, n_neg = [], [], []
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    halves, values, base = [], [], 0  # the window starts at stream position base
+    kept = []
     others = array.array("q")  # 8 bytes a pair id, where a list would hold an int object each
     for j, a in enumerate(order.tolist()):
-        # looked up at call time, so a wrapper installed on the module sees every anchor
-        pos = sample_positives(graph, a, config.n_positives, stream)
-        if not pos:
-            continue
-        neg = sample_negatives(graph, a, config.n_negatives * len(pos), stream)
+        lo, hi = indptr[a], indptr[a + 1]
+        if lo == hi:
+            continue  # an isolated anchor draws nothing
+        need = k + (n_samples if hi - lo > 1 else 0)  # integers(1) reads nothing
+        at = stream.position - base
+        if at + need > len(halves):
+            base, at = stream.position, 0
+            halves, values = stream.peek(n, max(REPLAY_WINDOW, need))
+        samples = None
+        if hi - lo < n - k and need <= len(halves) - at:
+            nbrs = indices[lo:hi].tolist()
+            samples = _replayed_samples(nbrs, a, n_samples, k, halves, values, at)
+        if samples is None:
+            # looked up at call time, so a wrapper installed on the module sees these anchors
+            samples = (sample_positives(graph, a, n_samples, stream),
+                       sample_negatives(graph, a, k, stream))
+        else:
+            stream.skip(need)
         kept.append(j)
-        n_pos.append(len(pos))
-        n_neg.append(len(neg))
-        others.extend(pos)
-        others.extend(neg)
+        for ids in samples:
+            others.fromlist(ids)
     del stream
     if not kept:
         return []
     other = np.array(others, dtype=np.int64)
     del others
-    n_pos, n_neg, group = np.array(n_pos), np.array(n_neg), np.array(kept) // config.batch_size
-    sizes = n_pos + n_neg
-    anchor = np.repeat(order[kept], sizes)
-    slot = np.arange(anchor.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    positive = slot < np.repeat(n_pos, sizes)
-    weight = 1.0 / np.where(positive, np.repeat(n_pos, sizes), np.repeat(n_neg, sizes))
-    weight /= np.repeat(np.bincount(group)[group], sizes)  # the group's anchor count
-    cuts = np.flatnonzero(np.diff(np.repeat(group, sizes))) + 1
+    size = n_samples + k  # pairs per anchor
+    group = np.array(kept) // config.batch_size
+    anchor = np.repeat(order[kept], size)
+    positive = np.tile(np.arange(size) < n_samples, len(kept))
+    weight = np.where(positive, 1.0 / n_samples, 1.0 / k)
+    weight /= np.repeat(np.bincount(group)[group], size)  # the group's anchor count
+    cuts = (np.flatnonzero(np.diff(group)) + 1) * size
     return [
         TrainingGroup.build(*parts)
         for parts in zip(*(np.split(arr, cuts) for arr in (anchor, other, weight, positive)))

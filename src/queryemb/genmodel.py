@@ -116,9 +116,17 @@ def mixture_probs(
     """
     alpha, beta = _position_params(config, position)
     probs = tilted_component_probs(products, beta, vocab)
-    probs *= alpha
-    probs += (1.0 - alpha) / config.vocab_size
-    return probs
+    return mix_uniform(probs, alpha, config.vocab_size, out=probs)
+
+
+def mix_uniform(
+    tilted: np.ndarray, alpha: float, vocab_size: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """alpha * tilted + (1 - alpha) / vocab_size: a position's mixture of its
+    tilted component with the uniform one, written into out when given."""
+    out = np.multiply(tilted, alpha, out=out)
+    out += (1.0 - alpha) / vocab_size
+    return out
 
 
 def _position_params(config: GeneratorConfig, position: int) -> tuple[float, float]:

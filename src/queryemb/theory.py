@@ -33,12 +33,13 @@ from .genmodel import (
     default_benchmark_config,
     generate_dataset,
     inverse_cdf_rows,
-    rho_from_partition,
-    mixture_probs,
+    mix_uniform,
     partition_function,
     product_adjacency,
     query_lengths,
+    rho_from_partition,
     sample_trigrams_batch,
+    tilted_component_probs,
     trigram_empirical_variance,
     trigram_mean_coefficient,
     truncated_poisson_pmf,
@@ -131,12 +132,32 @@ class PmiEstimate:
             raise ValueError("retained PMI values must be finite")
 
 
+def _mixtures(dataset: SyntheticDataset, positions: Sequence[int]):
+    """Yields (j, alpha, beta, probs) for every positions[j], grouped by beta,
+    where probs is mixture_probs(products, positions[j], ...) bit for bit.
+
+    Each distinct beta's tilted table is built once, and every mixture is
+    written into one buffer that the next one overwrites.  A position
+    outside [1, max_len] raises ValueError before any table is built.
+    """
+    c = dataset.config
+    params = [_position_params(c, pos) for pos in positions]
+    probs = None
+    for beta in dict.fromkeys(b for _, b in params):
+        tilted = tilted_component_probs(dataset.products, beta, dataset.vocab)
+        for j, (alpha, b) in enumerate(params):
+            if b == beta:
+                probs = mix_uniform(tilted, alpha, c.vocab_size, out=probs)
+                yield j, alpha, beta, probs
+
+
 def _position_probs(dataset: SyntheticDataset) -> np.ndarray:
     """(max_len, n_products, vocab_size): probs[pos, a, t] of trigram t at position pos+1."""
     c = dataset.config
-    return np.stack([
-        mixture_probs(dataset.products, pos, c, dataset.vocab) for pos in range(1, c.max_len + 1)
-    ])
+    probs = np.empty((c.max_len, c.n_products, c.vocab_size))
+    for j, _, _, mixture in _mixtures(dataset, range(1, c.max_len + 1)):
+        probs[j] = mixture
+    return probs
 
 
 def _sample_sequences(
@@ -353,15 +374,19 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
     product_sq = np.einsum("ij,ij->i", products, products)
     scores = _product_scores(dataset)
     out = np.zeros(len(positions))
-    for j, pos in enumerate(positions):
-        pi = mixture_probs(products, pos, c, vocab)
-        alpha, beta = _position_params(c, pos)
-        z = np.exp(beta * scores).sum(axis=1)  # partition_function of every product
+    z_beta = None
+    for j, alpha, beta, pi in _mixtures(dataset, positions):
+        if beta != z_beta:  # partition_function of every product, once per beta
+            z_beta, z = beta, np.exp(beta * scores).sum(axis=1)
         rho = rho_from_partition(c.vocab_size, alpha, beta, z)
         along = np.einsum("ij,ij->i", pi @ vocab, products)
         out[j] = float(np.mean(pi @ vocab_sq - 2.0 * rho * along + rho * rho * product_sq))
-        if not np.isfinite(out[j]):  # rho_from_partition overflows at large beta
-            raise ValueError(f"variance at position {pos} (beta {beta}) is not finite: {out[j]}")
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:  # rho_from_partition overflows at large beta
+        pos = positions[bad[0]]
+        raise ValueError(
+            f"variance at position {pos} (beta {c.betas[pos - 1]}) is not finite: {out[bad[0]]}"
+        )
     return out
 
 

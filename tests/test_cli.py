@@ -193,13 +193,13 @@ class TestTrain:
         assert "checksum mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, replacement, message",
-        [("command = generate\n", "", "is missing 'command'"),
-         ("\nseed = 7\n", "\nseed = x\n", "'x'")],
+        "line, replacement, messages",
+        [("command = generate\n", "", ("manifest.txt", "is missing 'command'")),
+         ("\nseed = 7\n", "\nseed = x\n", ("manifest.txt", "'seed' is not parsable as int: 'x'"))],
         ids=["no-command", "seed-x"],
     )
     def test_malformed_dataset_manifest_exits_2(
-        self, pipeline, tmp_path, capsys, line, replacement, message
+        self, pipeline, tmp_path, capsys, line, replacement, messages
     ):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
@@ -209,7 +209,8 @@ class TestTrain:
         out = tmp_path / "r"
         rc = main(["train", str(data), "--config", pipeline["train_cfg"], "--out", str(out)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(message in err for message in messages)
         assert not out.exists()
 
     def test_oversized_matrix_header_exits_2(self, pipeline, tmp_path, capsys):
@@ -515,6 +516,18 @@ class TestValidate:
         (tmp_path / "file").write_text("")
         assert main(["validate", "figure1", "--out", str(tmp_path / "file")]) == 2
         assert ran == []
+
+
+@pytest.mark.parametrize(
+    "key, value, kind", [("seed", "x", "int"), ("duration_seconds", "1.5s", "float")]
+)
+def test_unparsable_manifest_value_names_file_and_key(tmp_path, key, value, kind):
+    entries = {"command": "generate", "seed": "7", "duration_seconds": "0.25", key: value}
+    (tmp_path / "manifest.txt").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    path = str(tmp_path / "manifest.txt")
+    with pytest.raises(ValueError) as info:
+        read_manifest(str(tmp_path))
+    assert str(info.value) == f"manifest {path!r}: {key!r} is not parsable as {kind}: {value!r}"
 
 
 class TestManifestLayout:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -35,7 +36,7 @@ from queryemb.embedder import (
     train,
     write_loss_trace,
 )
-from queryemb.genmodel import SyntheticDataset, generate_dataset
+from queryemb.genmodel import SyntheticDataset, default_benchmark_config, generate_dataset
 from queryemb.theory import desk_train_config
 
 
@@ -605,6 +606,94 @@ class TestGroupPass:
         assert_allclose(report.attention, expected, rtol=0, atol=1e-12)
 
 
+def _add_at_loss_and_gradient(model, group, queries):
+    """loss_and_gradient with u summed by two np.add.at scatters, anchors then
+    others: the summation order the plan slices must reproduce."""
+    anchor, _, weight, positive, distinct, inverse = group[:6]
+    a, o = inverse[: anchor.size], inverse[anchor.size :]
+    ids, lengths = queries.ids[distinct], queries.lengths[distinct]
+    z, w, V = embedder._forward_rows(model, ids, lengths)
+    x = np.einsum("pd,pd->p", z[a], z[o])
+    t = np.clip(np.where(positive, x, -x), -SCORE_CLAMP, SCORE_CLAMP)
+    value = float(weight @ (np.log1p(np.exp(-np.abs(t))) - np.minimum(t, 0.0)))
+    e = np.exp(-np.abs(x))
+    sig = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    g = np.where(np.abs(x) < SCORE_CLAMP, (sig - positive) * weight, 0.0)
+    u = np.zeros_like(z)
+    np.add.at(u, a, g[:, None] * z[o])
+    np.add.at(u, o, g[:, None] * z[a])
+    width = V.shape[1]
+    c = np.einsum("bld,bd->bl", V, u)
+    b = w * (c - np.einsum("bl,bl->b", w, c)[:, None])
+    grad = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
+    grad.attn[:width] = np.einsum("bl,bld->ld", b, V)
+    rows, slots = np.nonzero(np.arange(width) < lengths[:, None])
+    trigram = ids[rows, slots]
+    w_valid = w[rows, slots]
+    for j in range(model.dim):
+        grad.emb[:, j] = np.bincount(trigram, weights=w_valid * u[rows, j], minlength=model.vocab_size)
+    b_table = np.bincount(
+        trigram * width + slots, weights=b[rows, slots], minlength=model.vocab_size * width
+    )
+    grad.emb += b_table.reshape(model.vocab_size, width) @ model.attn[:width]
+    return value, grad
+
+
+def _assert_pass_bytes_equal(model, group, queries):
+    value, grad = loss_and_gradient(model, group, queries)
+    ref_value, ref_grad = _add_at_loss_and_gradient(model, group, queries)
+    assert struct.pack("<d", value) == struct.pack("<d", ref_value)
+    assert grad.emb.tobytes() == ref_grad.emb.tobytes()
+    assert grad.attn.tobytes() == ref_grad.attn.tobytes()
+
+
+def _assert_unique_ids(group):
+    distinct, inverse = np.unique(np.concatenate([group.anchor, group.other]), return_inverse=True)
+    assert np.array_equal(group.distinct, distinct)
+    assert np.array_equal(group.inverse, inverse)
+
+
+@pytest.fixture(scope="module")
+def desk_groups():
+    """The desk dataset at seed 2 and the groups of a 1-epoch desk-recipe train."""
+    ds = generate_dataset(default_benchmark_config(2))
+    config = dataclasses.replace(desk_train_config(2), epochs=1)
+    return ds, embedder._training_groups(ds.graph, config)
+
+
+class TestPlannedScatter:
+    """The group pass's plan-slice scatter against np.add.at, byte for byte."""
+
+    def test_handmade_group_plan(self):
+        # ids 0 and 3 are anchors and others, 1 and 2 are others three times each
+        group = _group_pairs(_HANDMADE_GROUP)
+        _assert_unique_ids(group)
+        positions = np.concatenate([group.anchor, group.other])
+        lo = 0
+        for hi in group.cuts.tolist():
+            ids = positions[group.plan[lo:hi]]
+            assert np.unique(ids).size == ids.size
+            lo = hi
+        assert sorted(group.plan.tolist()) == list(range(positions.size))
+        for q in np.unique(positions):  # each id's positions, slice by slice, ascending
+            mine = [p for p in group.plan.tolist() if positions[p] == q]
+            assert mine == sorted(mine)
+        queries = _mixed_dataset().queries
+        for seed in (52, 53):
+            _assert_pass_bytes_equal(_random_model(seed), group, queries)
+
+    def test_desk_groups_match_add_at(self, desk_groups):
+        ds, groups = desk_groups
+        assert len(groups) == 10
+        c = ds.config
+        rng = rng_stream(54)
+        model = AttentionModel(rng.standard_normal((c.vocab_size, c.dim)) / np.sqrt(c.dim),
+                               rng.standard_normal((c.max_len, c.dim)) * 0.3)
+        for group in groups:
+            _assert_unique_ids(group)
+            _assert_pass_bytes_equal(model, group, ds.queries)
+
+
 class TestSamplePositives:
     def test_single_neighbor_always_chosen(self):
         g = _graph(3, [(0, 1)])
@@ -866,6 +955,49 @@ class TestTrainingSamplesMatchReference:
         groups = embedder._training_groups(g, cfg)
         _assert_same_groups(groups, ref_training_groups(g, cfg))
         assert sum(np.unique(x.anchor).size for x in groups) == 38  # isolated 0 and 1 skipped
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_desk_groups_match_reference(self, seed, monkeypatch):
+        ds = generate_dataset(default_benchmark_config(seed))
+        cfg = dataclasses.replace(desk_train_config(seed), epochs=1)
+        calls = []
+
+        def counting(graph, q, k, stream):
+            calls.append(q)
+            return sample_negatives(graph, q, k, stream)
+
+        monkeypatch.setattr(embedder, "sample_negatives", counting)
+        groups = embedder._training_groups(ds.graph, cfg)
+        _assert_same_groups(groups, ref_training_groups(ds.graph, cfg))
+        # both paths ran: some anchors were replayed by sample_negatives, most were not
+        kept = sum(np.unique(g.anchor).size for g in groups)
+        assert 0 < len(calls) < kept
+
+    def test_anchor_with_too_few_non_neighbours_raises_before_any_draw(self, monkeypatch):
+        # anchor 6 has 9 non-neighbours and needs 2 * 5 negatives
+        g = _edge_case_graph()
+        seen = []
+
+        def watching(graph, q, k, stream):
+            seen.append((q, k, stream, stream.position))
+            return sample_negatives(graph, q, k, stream)
+
+        monkeypatch.setattr(embedder, "sample_negatives", watching)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, n_positives=2, n_negatives=5, seed=1)
+        with pytest.raises(ValueError, match="only 9 non-neighbours available, need 10"):
+            embedder._training_groups(g, cfg)
+        q, k, stream, position = seen[-1]
+        assert (q, k) == (6, 10)
+        assert stream.position == position
+
+    def test_too_few_non_neighbours_raise_where_the_draws_would_pass(self):
+        # anchors 0 and 1 have 2 non-neighbours each and need 3 negatives; at
+        # seed 23 the stream's draws after the permutation are 3, 2, 2, 3, 2, 2,
+        # none of them 0 or 1
+        g = _graph(4, [(0, 1)])
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, n_positives=1, n_negatives=3, seed=23)
+        with pytest.raises(ValueError, match="only 2 non-neighbours available, need 3"):
+            embedder._training_groups(g, cfg)
 
     @pytest.mark.parametrize("seed", [1, 3, 7], ids=["1-uniform", "3-uniform", "7-uniform"])
     def test_dataset_groups_match_reference(self, seed):

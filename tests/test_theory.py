@@ -16,6 +16,7 @@ from queryemb.genmodel import (
     mixture_probs,
     partition_function,
     product_adjacency,
+    rho_from_partition,
     trigram_empirical_variance,
     trigram_mean_coefficient,
     truncated_poisson_pmf,
@@ -548,6 +549,30 @@ class TestPositionVariances:
         for bad in (0, cfg.max_len + 1):
             with pytest.raises(ValueError, match="position"):
                 position_variances(ds, [1, bad])
+
+    def test_per_beta_tables_match_per_position_mixtures(self):
+        # three distinct betas, positions 2 and 4 share one and 1 and 5 another
+        cfg = GeneratorConfig(
+            dim=8, vocab_size=200, max_len=5, lam=2.0, alphas=(0.9, 0.7, 0.6, 0.8, 0.75),
+            betas=(1.5, 1.0, 2.0, 1.0, 1.5), epsilon_p=0.5, n_products=10, n_queries=0, seed=31,
+        )
+        ds = generate_dataset(cfg)
+        products, vocab = ds.products, ds.vocab
+        mixtures = {pos: mixture_probs(products, pos, cfg, vocab) for pos in range(1, 6)}
+        assert _position_probs(ds).tobytes() == np.stack(list(mixtures.values())).tobytes()
+
+        positions = [3, 1, 5, 2, 4, 1]
+        scores = _product_scores(ds)
+        expected = []
+        for pos in positions:  # the exact variance one position at a time
+            pi = mixtures[pos]
+            alpha, beta = cfg.alphas[pos - 1], cfg.betas[pos - 1]
+            rho = rho_from_partition(cfg.vocab_size, alpha, beta, np.exp(beta * scores).sum(axis=1))
+            along = np.einsum("ij,ij->i", pi @ vocab, products)
+            expected.append(float(np.mean(pi @ np.einsum("ij,ij->i", vocab, vocab)
+                                          - 2.0 * rho * along
+                                          + rho * rho * np.einsum("ij,ij->i", products, products))))
+        assert position_variances(ds, positions).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("position", [0, -1, 4])
     def test_mean_coefficient_rejects_positions_outside_range(self, position):
