@@ -45,16 +45,56 @@ def stream_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
 
 
+# Philox4x64-10's multipliers and key increments (Salmon, Moraes, Dror & Shaw,
+# "Parallel random numbers: as easy as 1, 2, 3", SC'11), as numpy's Philox uses them.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# stream_words runs the rounds on at most this many (stream, block) cells at a
+# time, so each temporary (128 KiB) stays in cache: 2x faster on 20000 streams.
+_PHILOX_CELLS = 1 << 14
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit product a * m (uint64 a, 64-bit m).
+
+    The high word is summed from the 32-bit halves' products, none of which
+    overflows (Warren, Hacker's Delight, 8-2).
+    """
+    a0, a1, m0, m1 = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
+    t = a1 * m0 + (a0 * m0 >> 32)
+    w = (t & 0xFFFFFFFF) + a0 * m1
+    return a1 * m1 + (t >> 32) + (w >> 32), a * m
+
+
 def stream_words(seed: int, streams: Sequence[int], n_words: int) -> np.ndarray:
-    """(len(streams), n_words) uint64: the first raw words of each rng_stream(seed, stream)."""
-    bits = np.random.Philox(key=stream_key(seed, 0))  # re-keyed: 3x cheaper than one per stream
-    fresh = bits.state  # counter 0, empty buffer, no kept 32-bit half
-    out = np.empty((len(streams), n_words), dtype=np.uint64)
-    for j, stream in enumerate(streams):
-        fresh["state"]["key"] = stream_key(seed, int(stream))
-        bits.state = fresh
-        out[j] = bits.random_raw(n_words)
-    return out
+    """(len(streams), n_words) uint64: the first raw words of each rng_stream(seed, stream).
+
+    Philox4x64-10 for many streams at once, in uint64 array arithmetic, bit for
+    bit as numpy's Philox: it bumps the counter before each 4-word block, so
+    block b is the counter (b + 1, 0, 0, 0) under the key stream_key(seed, stream).
+    """
+    if n_words < 0:
+        raise ValueError(f"n_words must be >= 0, got {n_words}")
+    if isinstance(streams, np.ndarray) and streams.dtype.kind in "iu":
+        keys = streams.astype(np.uint64)  # two's complement: each stream mod 2**64
+    else:
+        keys = np.array([int(s) & _MASK64 for s in streams], dtype=np.uint64)
+    blocks = -(-n_words // 4)
+    # round 1 multiplies the counter words alone, and three of them are 0
+    hi, lo = _mulhilo(np.arange(1, blocks + 1, dtype=np.uint64), _PHILOX_M[0])
+    out = np.empty((keys.size, blocks, 4), dtype=np.uint64)
+    step = max(1, _PHILOX_CELLS // max(blocks, 1))
+    for start in range(0, keys.size, step):
+        k0, k1 = seed & _MASK64, keys[start : start + step, None]
+        x0 = np.full((k1.size, blocks), k0, dtype=np.uint64)
+        x1, x2, x3 = np.zeros_like(x0), hi ^ k1, np.broadcast_to(lo, x0.shape)
+        for _ in range(9):
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        out[start : start + step] = np.stack([x0, x1, x2, x3], axis=-1)
+    return np.ascontiguousarray(out.reshape(keys.size, 4 * blocks)[:, :n_words])
 
 
 def lemire_draw(x, n: int):
@@ -393,18 +433,6 @@ class QueryTable:
             raise ValueError("product_id must be non-negative")
         object.__setattr__(self, "id_bound", int(ids.max(initial=-1)) + 1)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], product_ids: Sequence[int], width: int):
-        """Table of variable-length id rows, padded with 0 to ``width``."""
-        lengths = np.array([len(r) for r in rows], dtype=np.int64)
-        if np.any(lengths > width):
-            raise ValueError(f"query length {lengths.max()} exceeds max_len {width}")
-        ids = np.zeros((lengths.size, width), dtype=np.int64)
-        ids[np.arange(width) < lengths[:, None]] = _int64_array(
-            [t for r in rows for t in r], "trigram ids"
-        )
-        return cls(ids, lengths, product_ids)
-
     @property
     def width(self) -> int:
         return self.ids.shape[1]
@@ -453,7 +481,9 @@ class QueryGraph:
                 raise ValueError(f"self-loop at query {a}")
             raise ValueError(f"edge ({a}, {b}) violates u < v ordering")
         # one key q * n + w per directed edge; sorted, the keys run through
-        # the CSR rows in order and key % n is the neighbour
+        # the CSR rows in order and key % n is the neighbour.  The keys are
+        # at most n * n - 1, so up to n = 2**16 they sort as uint32.
+        u, v = edges.T.astype(np.uint32 if n <= 1 << 16 else np.uint64)
         keys = np.concatenate([u * n + v, v * n + u])
         keys.sort()
         dup = np.flatnonzero(keys[1:] == keys[:-1])
@@ -461,7 +491,7 @@ class QueryGraph:
             a, b = sorted(divmod(int(keys[dup[0]]), n))
             raise ValueError(f"duplicate edge ({a}, {b})")
         keys %= max(n, 1)
-        self.indices = keys
+        self.indices = keys.astype(np.int64)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(edges.ravel(), minlength=n), out=self.indptr[1:])
 

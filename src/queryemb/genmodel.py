@@ -57,6 +57,9 @@ from .core import (
 # edges.tsv is formatted this many rows at a time, which bounds the
 # transient byte table of a write.
 _EDGE_WRITE_BLOCK = 1 << 16
+_TAB, _NEWLINE = ord("\t"), ord("\n")
+# The most digits a queries.tsv field may have: 19 of them stay below 2**64.
+_MAX_DIGITS = 19
 # The tilted draws' CDF table is built and searched at most this many floats
 # (8 MiB) at a time; the desk and dense tables (200 keys x 2000) fit in one.
 _CDF_BLOCK_FLOATS = 1 << 20
@@ -440,21 +443,70 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
     return [CONFIG_FILENAME, VOCAB_FILENAME, PRODUCTS_FILENAME, QUERIES_FILENAME, EDGES_FILENAME]
 
 
+def _read_queries(path: str, width: int) -> QueryTable:
+    """The QueryTable of a queries.tsv file, parsed in byte-level array passes.
+
+    It accepts exactly the bytes save_dataset writes: lines that end in "\\n",
+    of decimal fields in ASCII digits without a leading 0, each followed by
+    one tab or the line's end; a line is a product id and then 1 to width
+    trigram ids.  Anything else raises ValueError naming the file and the
+    first bad line.
+    """
+    text = np.fromfile(path, dtype=np.uint8)
+    ends = np.flatnonzero((text == _TAB) | (text == _NEWLINE))  # each field's terminator
+    newline = text[ends] == _NEWLINE
+    if text.size and text[-1] != _NEWLINE:
+        raise ValueError(f"{path} line {newline.sum() + 1}: no final newline")
+    starts = np.concatenate([[0], ends + 1])[:-1]
+    size = ends - starts
+    first = np.concatenate([[0], np.flatnonzero(newline) + 1])  # each line's first field
+    count = np.diff(first)
+    line = np.repeat(np.arange(count.size), count)
+
+    digits = text - ord("0")  # uint8: below 10 exactly for the ASCII digits
+    values = np.zeros(ends.size, dtype=np.uint64)
+    for k in range(min(int(size.max(initial=0)), _MAX_DIGITS)):  # digit columns, right to left
+        values += digits[ends - 1 - k] * (size > k) * np.uint64(10**k)
+    stray = digits > 9
+    stray[ends] = False
+    literal = (size > 1) & (text[starts] == ord("0"))  # a leading 0
+    literal[np.searchsorted(ends, np.flatnonzero(stray))] = True
+
+    def field(f: int) -> bytes:
+        return text[starts[f] : ends[f]].tobytes()
+
+    faults = []  # (0-based line, message) of each kind's first instance
+    for f in np.flatnonzero(size == 0)[:1]:
+        faults.append((line[f], "empty field: a double or trailing tab, or a blank line"))
+    for f in np.flatnonzero(literal)[:1]:
+        faults.append((line[f], f"invalid literal {field(f)!r}: a field is a non-negative "
+                                "integer in ASCII digits without a leading 0"))
+    for f in np.flatnonzero(~literal & ((size > _MAX_DIGITS) | (values > 2**63 - 1)))[:1]:
+        faults.append((line[f], f"{field(f).decode()} is past the int64 range"))
+    for q in np.flatnonzero(count < 2)[:1]:
+        faults.append((q, "a query must contain at least one trigram"))
+    for q in np.flatnonzero(count > width + 1)[:1]:
+        faults.append((q, f"query length {count[q] - 1} exceeds max_len {width}"))
+    if faults:
+        at, why = min(faults, key=lambda fault: fault[0])
+        raise ValueError(f"{path} line {at + 1}: {why}")
+
+    slot = np.arange(ends.size) - first[line]  # 0: the product id, i: trigram i
+    ids = np.zeros((count.size, width), dtype=np.int64)
+    trigram = slot > 0
+    ids[line[trigram], slot[trigram] - 1] = values[trigram]
+    return QueryTable(ids, count - 1, values[first[:-1]].astype(np.int64))
+
+
 def load_dataset(in_dir: str) -> SyntheticDataset:
     path = os.path.join(in_dir, CONFIG_FILENAME)
     config = config_from_mapping(GeneratorConfig, read_key_values(path))
     vocab = read_matrix(os.path.join(in_dir, VOCAB_FILENAME))
     products = read_matrix(os.path.join(in_dir, PRODUCTS_FILENAME))
 
-    with open(os.path.join(in_dir, QUERIES_FILENAME)) as fh:
-        lines = [[int(t) for t in line.split("\t")] for line in map(str.strip, fh) if line]
-    if len(lines) != config.n_queries:  # checked before the graph, whose ids it bounds
-        raise ValueError(f"{len(lines)} queries != configured {config.n_queries}")
-    rows, product_ids = [line[1:] for line in lines], [line[0] for line in lines]
-    try:
-        queries = QueryTable.from_rows(rows, product_ids, config.max_len)
-    except OverflowError as exc:  # an id past int64 is outside every range
-        raise ValueError(f"{QUERIES_FILENAME}: {exc}") from exc
+    queries = _read_queries(os.path.join(in_dir, QUERIES_FILENAME), config.max_len)
+    if len(queries) != config.n_queries:  # checked before the graph, whose ids it bounds
+        raise ValueError(f"{len(queries)} queries != configured {config.n_queries}")
 
     with warnings.catch_warnings():
         # an edge-free graph is saved as an empty edges.tsv

@@ -31,6 +31,19 @@ def desk_seconds(desk_run):
     return _DESK_TIMING["seconds"]
 
 
+def query_table(rows, product_ids, width: int):
+    """A QueryTable of variable-length id rows, each padded with 0 to ``width``."""
+    from queryemb.core import QueryTable
+
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    if np.any(lengths > width):
+        raise ValueError(f"query length {lengths.max()} exceeds max_len {width}")
+    flat = np.array([t for r in rows for t in r])  # a float or object dtype is QueryTable's to refuse
+    ids = np.zeros((lengths.size, width), dtype=flat.dtype if flat.size else np.int64)
+    ids[np.arange(width) < lengths[:, None]] = flat
+    return QueryTable(ids, lengths, product_ids)
+
+
 def has_edge(graph, u: int, v: int) -> bool:
     """Whether queries u and v are adjacent in a QueryGraph (u's CSR row is sorted)."""
     nbrs = graph.neighbors(u)

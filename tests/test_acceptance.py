@@ -13,12 +13,13 @@ import time
 
 import numpy as np
 import pytest
+from conftest import query_table
 from scipy.optimize import minimize
 
 from queryemb import theory
 from queryemb.baseline import TrigramHashStore, hash_query
 from queryemb.cli import main, sha256_file, split_query_ids
-from queryemb.core import GeneratorConfig, QueryTable, rng_stream
+from queryemb.core import GeneratorConfig, rng_stream
 from queryemb.embedder import AttentionModel, loss_and_gradient
 from queryemb.evaluation import (
     EmbeddingStore,
@@ -52,7 +53,7 @@ def _random_case(seed, m=20, d=4, n_max=5, n_queries=12):
     rows = [
         rng.integers(0, m, size=rng.integers(1, n_max + 1)).tolist() for _ in range(n_queries)
     ]
-    queries = QueryTable.from_rows(rows, [0] * n_queries, n_max)
+    queries = query_table(rows, [0] * n_queries, n_max)
     ids = rng.permutation(n_queries)
     batch = TrainingBatch(
         anchor=int(ids[0]), positives=tuple(ids[1:4].tolist()), negatives=tuple(ids[4:9].tolist())
@@ -307,7 +308,7 @@ def test_09_metric_examples():
 
     rng = rng_stream(900)
     queries = [rng.integers(0, 40, size=rng.integers(1, 6)).tolist() for _ in range(50)]
-    store = TrigramHashStore(QueryTable.from_rows(queries, [0] * 50, 5))
+    store = TrigramHashStore(query_table(queries, [0] * 50, 5))
     check("knn self nearest", knn(store, queries[13], 1), [13])
     hashed = [hash_query(q) for q in queries]
     order = sorted(range(50), key=lambda i: (bray_curtis(hashed[i], hash_query(queries[4])), i))
@@ -315,7 +316,7 @@ def test_09_metric_examples():
 
     # retrieval metrics
     def table(rows):
-        return QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows), default=1))
+        return query_table(rows, [0] * len(rows), max(map(len, rows), default=1))
 
     dup = [1, 2]
     others = [rng.integers(3, 40, size=4).tolist() for _ in range(10)]

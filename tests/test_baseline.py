@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import query_table
 from numpy.testing import assert_allclose, assert_array_equal
 
 from queryemb.baseline import (
@@ -10,7 +11,7 @@ from queryemb.baseline import (
     hash_query,
     splitmix64_array,
 )
-from queryemb.core import QueryTable, rng_stream
+from queryemb.core import rng_stream
 from queryemb.embedder import AttentionModel, embed_query
 from queryemb.evaluation import EmbeddingStore, reformulate
 from test_embedder import BAD_RAW_QUERIES
@@ -56,7 +57,7 @@ def _q(*ids):
 
 
 def _table(queries):
-    return QueryTable.from_rows(queries, [0] * len(queries), max(map(len, queries), default=1))
+    return query_table(queries, [0] * len(queries), max(map(len, queries), default=1))
 
 
 def _full_sort(ids, keys, count, exclude_id=None):

@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 
 from queryemb.cli import EvalParams
 from queryemb.core import (
+    _PHILOX_CELLS,
+    STREAM_QUERIES,
     GeneratorConfig,
     QueryGraph,
     QueryTable,
@@ -14,6 +16,7 @@ from queryemb.core import (
     rng_stream,
     sample_trigram_vocab,
     sample_unit_sphere,
+    stream_key,
     stream_words,
 )
 from queryemb.embedder import TrainConfig
@@ -47,11 +50,42 @@ class TestRngStream:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 5, 2**64 + 3, -1])
     def test_stream_words_are_each_streams_raw_output(self, seed):
-        streams = [16, 17, 3, 2**63, 16]
-        words = stream_words(seed, streams, 9)
-        assert words.shape == (5, 9) and words.dtype == np.uint64
-        for row, stream in zip(words, streams):
+        streams = [3, 16, 2**63, 2**64 - 1, 2**64 + 5, -1, 16]
+        as_uint64 = np.array([s & (2**64 - 1) for s in streams], dtype=np.uint64)
+        for given in (streams, as_uint64.view(np.int64), as_uint64):
+            for n_words in (0, 1, 3, 4, 5, 26):
+                words = stream_words(seed, given, n_words)
+                assert words.shape == (len(streams), n_words) and words.dtype == np.uint64
+                assert np.array_equal(words, rekeyed_stream_words(seed, streams, n_words))
+        for stream, row in zip(streams, stream_words(seed, streams, 9)):
             assert np.array_equal(row, rng_stream(seed, stream).bit_generator.random_raw(9))
+
+    @pytest.mark.parametrize("streams", [[], np.zeros(0, dtype=np.int64)])
+    def test_stream_words_of_no_streams(self, streams):
+        words = stream_words(5, streams, 7)
+        assert words.shape == (0, 7) and words.dtype == np.uint64
+
+    def test_stream_words_of_every_dense_query(self):
+        # 20000 streams run the rounds in several cache-sized passes, the last one partial
+        streams = STREAM_QUERIES + np.arange(20000)
+        assert 20000 % (_PHILOX_CELLS // 7) != 0
+        assert np.array_equal(stream_words(3, streams, 26), rekeyed_stream_words(3, streams, 26))
+
+    def test_stream_words_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n_words"):
+            stream_words(0, [1], -1)
+
+
+def rekeyed_stream_words(seed, streams, n_words):
+    """stream_words' reference: one Philox bit generator, re-keyed for each stream in turn."""
+    bits = np.random.Philox(key=stream_key(seed, 0))
+    fresh = bits.state  # counter 0, empty buffer, no kept 32-bit half
+    out = np.empty((len(streams), n_words), dtype=np.uint64)
+    for j, stream in enumerate(streams):
+        fresh["state"]["key"] = stream_key(seed, int(stream))
+        bits.state = fresh
+        out[j] = bits.random_raw(n_words)
+    return out
 
 
 def _twins(seed, lead):
@@ -251,7 +285,7 @@ class TestQuery:
     """The padded query table that every layer shares."""
 
     def test_len_and_fields(self):
-        t = QueryTable.from_rows([[3, 1, 4], [2]], [2, 0], 3)
+        t = QueryTable([[3, 1, 4], [2, 0, 0]], [3, 1], [2, 0])
         assert len(t) == 2 and t.width == 3
         assert t.ids.tolist() == [[3, 1, 4], [2, 0, 0]]
         assert t.lengths.tolist() == [3, 1]
@@ -259,23 +293,22 @@ class TestQuery:
         assert t.row(0).tolist() == [3, 1, 4] and t.row(1).tolist() == [2]
         assert t.ids.dtype == t.lengths.dtype == t.product_ids.dtype == np.int64
         assert t.id_bound == 5
-        assert QueryTable.from_rows([[1]], [0], width=4).ids.tolist() == [[1, 0, 0, 0]]
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            QueryTable.from_rows([[1], []], [0, 0], 1)
+            QueryTable(ids=[[1], [0]], lengths=[1, 0], product_ids=[0, 0])
         with pytest.raises(ValueError, match="at least one"):
             QueryTable(ids=[[0]], lengths=[0], product_ids=[0])
 
     def test_validate_against_bounds(self):
         with pytest.raises(ValueError, match="max_len 1"):
-            QueryTable.from_rows([[0, 1]], [0], width=1)
+            QueryTable(ids=[[0]], lengths=[2], product_ids=[0])
         with pytest.raises(ValueError, match="max_len 2"):
             QueryTable(ids=[[0, 1]], lengths=[3], product_ids=[0])
         with pytest.raises(ValueError, match="trigram ids must be non-negative"):
-            QueryTable.from_rows([[0, -1]], [0], 2)
+            QueryTable(ids=[[0, -1]], lengths=[2], product_ids=[0])
         with pytest.raises(ValueError, match="product_id must be non-negative"):
-            QueryTable.from_rows([[0]], [-1], 1)
+            QueryTable(ids=[[0]], lengths=[1], product_ids=[-1])
         with pytest.raises(ValueError, match="slots past"):
             QueryTable(ids=[[1, 7]], lengths=[1], product_ids=[0])
         with pytest.raises(ValueError, match="shapes"):
@@ -286,7 +319,7 @@ class TestQuery:
     def test_non_integer_ids_rejected(self):
         # each was truncated to integers: ids [[1, 2, 0]], and [[1, 0]] with product 0
         with pytest.raises(ValueError, match="trigram ids must be integers, got dtype float64"):
-            QueryTable.from_rows([[1.7, 2.2]], [0], 3)
+            QueryTable([[1.7, 2.2, 0.0]], [2], [0])
         with pytest.raises(ValueError, match="trigram ids must be integers, got dtype float64"):
             QueryTable(np.array([[1.9, 0.0]]), [1], [0])
         with pytest.raises(ValueError, match="product ids must be integers, got dtype float64"):
@@ -298,7 +331,7 @@ class TestQuery:
         empty = QueryTable(np.zeros((0, 3)), [], [])  # np.asarray([]) is float64: still loads
         assert len(empty) == 0 and empty.ids.dtype == np.int64
         with pytest.raises(OverflowError):  # an int past int64, not a misnamed float dtype
-            QueryTable.from_rows([[1, 2**63]], [0], 2)
+            QueryTable([[1, 2**63]], [2], [0])
 
     def test_arrays_are_read_only_copies(self):
         ids = np.array([[4, 5]])
@@ -314,7 +347,7 @@ class TestQuery:
             t.ids = np.array([[0, 0]])
 
     def test_take_and_equality(self):
-        t = QueryTable.from_rows([[3, 1], [2], [7, 7]], [0, 1, 2], 2)
+        t = QueryTable([[3, 1], [2, 0], [7, 7]], [2, 1, 2], [0, 1, 2])
         swapped = t.take([2, 0])
         assert swapped.ids.tolist() == [[7, 7], [3, 1]]
         assert swapped.product_ids.tolist() == [2, 0]
@@ -322,9 +355,16 @@ class TestQuery:
         assert (t == swapped) is False
         assert t != "not a table"
         assert len(t.take([])) == 0
-        empty = QueryTable.from_rows([], [], width=4)
+        empty = QueryTable(np.zeros((0, 4), dtype=np.int64), [], [])
         assert len(empty) == 0 and empty.width == 4 and empty.id_bound == 0
-        assert empty != QueryTable.from_rows([], [], width=3)
+        assert empty != QueryTable(np.zeros((0, 3), dtype=np.int64), [], [])
+
+
+def int64_csr(n, edges):
+    """QueryGraph's CSR arrays from int64 keys q * n + w, whatever n is."""
+    u, v = np.asarray(edges, dtype=np.int64).T
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    return np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]), keys % n
 
 
 class TestQueryGraph:
@@ -385,6 +425,29 @@ class TestQueryGraph:
     def test_bad_edge_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             QueryGraph(3, [(0, 1, 2)])
+
+    # keys q * n + w fit uint32 up to n = 2**16 and take uint64 from n = 2**16 + 1
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    def test_csr_at_the_key_dtype_boundary(self, n):
+        edges = np.array([(n - 2, n - 1), (0, n - 1), (5, 7), (0, 1), (1, n - 1)])
+        g = QueryGraph(n, edges)
+        indptr, indices = int64_csr(n, edges)
+        assert g.indices.dtype == g.indptr.dtype == np.int64
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        assert g.neighbors(n - 1).tolist() == [0, 1, n - 2]
+        assert g.edges().tolist() == sorted(edges.tolist())
+
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    def test_messages_at_the_key_dtype_boundary(self, n):
+        last = n - 1
+        for edges, message in (
+            ([(0, last), (1, last), (0, last)], rf"^duplicate edge \(0, {last}\)$"),
+            ([(0, 1), (last, last)], rf"^self-loop at query {last}$"),
+            ([(last, 0)], rf"^edge \({last}, 0\) violates u < v ordering$"),
+            ([(0, n)], rf"^edge \(0, {n}\) has a query id out of range$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                QueryGraph(n, edges)
 
 
 _GEN_KV = {

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import query_table
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
@@ -15,7 +16,6 @@ from queryemb.core import (
     STREAM_TRAIN,
     GeneratorConfig,
     QueryGraph,
-    QueryTable,
     ReplayStream,
     rng_stream,
 )
@@ -43,7 +43,7 @@ from queryemb.theory import desk_train_config
 def attention_weights(model, q):
     """Attention weights of one raw query, through the batched forward pass."""
     row = list(q)
-    table = QueryTable.from_rows([row], [0], max(len(row), 1))
+    table = query_table([row], [0], max(len(row), 1))
     embedder._check_table(model, table)
     return embedder._forward_rows(model, table.ids, table.lengths)[1][0]
 
@@ -151,7 +151,7 @@ def _stream(seed, n_words=64):
 
 def _singleton_queries(emb_rows):
     """One query per trigram id, so query id i embeds to roughly emb[i]."""
-    return QueryTable.from_rows([[i] for i in range(len(emb_rows))], [0] * len(emb_rows), 1)
+    return query_table([[i] for i in range(len(emb_rows))], [0] * len(emb_rows), 1)
 
 
 # raw queries that every one-query entry point rejects, with the error it gives
@@ -214,7 +214,7 @@ class TestEmbedQuery:
     def test_matches_one_row_table_bit_for_bit(self):
         model = _random_model(52)
         for row in ([3], [0, 39, 7], [5, 5, 5, 5, 5]):
-            table = QueryTable.from_rows([row], [0], len(row))
+            table = query_table([row], [0], len(row))
             assert np.array_equal(embed_query(model, row), embed_table(model, table)[0])
 
 
@@ -300,7 +300,7 @@ def _random_case(seed, m=20, d=4, n_max=5, n_queries=12):
     rows = [
         rng.integers(0, m, size=rng.integers(1, n_max + 1)).tolist() for _ in range(n_queries)
     ]
-    queries = QueryTable.from_rows(rows, [0] * n_queries, n_max)
+    queries = query_table(rows, [0] * n_queries, n_max)
     ids = rng.permutation(n_queries)
     batch = TrainingBatch(
         anchor=int(ids[0]), positives=tuple(ids[1:4].tolist()), negatives=tuple(ids[4:9].tolist())
@@ -445,7 +445,7 @@ class TestLossGradient:
             ([[0], [1], [2], [5]], r"trigram id 5 outside \[0, 5\)"),
             ([[0], [1], [2], [2, 3, 4]], "query width 3 exceeds model max_len 2"),
         ):
-            queries = QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows)))
+            queries = query_table(rows, [0] * len(rows), max(map(len, rows)))
             with pytest.raises(ValueError, match=message):
                 loss_and_gradient(model, _group_pairs([batch]), queries)
 
@@ -565,7 +565,7 @@ class TestGroupPass:
         # pad slots hold id 0, so a scatter that reached them would touch emb[0]
         rng = rng_stream(47)
         rows = [rng.integers(1, 12, size=n).tolist() for n in (1, 2, 4, 3, 1, 2, 4, 3, 2, 1, 4)]
-        queries = QueryTable.from_rows(rows, [0] * len(rows), 4)
+        queries = query_table(rows, [0] * len(rows), 4)
         assert (queries.ids == 0).any()
         model = AttentionModel(rng.standard_normal((12, 3)), rng.standard_normal((4, 3)))
         grad = loss_and_gradient(model, _group_pairs(_HANDMADE_GROUP), queries)[1]

@@ -3,11 +3,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import query_table
 from numpy.testing import assert_allclose
 
 from queryemb.baseline import TrigramHashStore, hash_query
 from queryemb import evaluation
-from queryemb.core import GeneratorConfig, QueryTable, rng_stream
+from queryemb.core import GeneratorConfig, rng_stream
 from queryemb.embedder import AttentionModel, embed_query, init_model
 from queryemb.evaluation import (
     EmbeddingStore,
@@ -31,7 +32,7 @@ def _q(*ids):
 
 
 def _table(rows):
-    return QueryTable.from_rows(rows, [0] * len(rows), max(map(len, rows), default=1))
+    return query_table(rows, [0] * len(rows), max(map(len, rows), default=1))
 
 
 class TestTopProducts:

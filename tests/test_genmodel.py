@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import has_edge
+from conftest import has_edge, query_table
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, poisson
 
 from queryemb.core import (
     STREAM_QUERIES,
     GeneratorConfig,
-    QueryTable,
     parse_key_values,
     rng_stream,
     sample_unit_sphere,
@@ -22,6 +21,7 @@ from queryemb import genmodel
 from queryemb.genmodel import (
     _groups,
     _position_params,
+    _read_queries,
     _sample_queries,
     _StreamReader,
     alphas_for_linear_variance,
@@ -101,7 +101,7 @@ def reference_queries(config, products, vocab):
         rows.append([sample_trigram(r, products[pid], pos, config, vocab)
                      for pos in range(1, length + 1)])
         pids.append(pid)
-    return QueryTable.from_rows(rows, pids, config.max_len)
+    return query_table(rows, pids, config.max_len)
 
 
 def _words_used(rng):
@@ -657,6 +657,23 @@ class TestConfigText:
         )
 
 
+# query ids past 999, trigram ids past 99, product ids past 9; no queries; every length
+_TEXT_CASES = [
+    dict(vocab_size=150, max_len=4, alphas=(0.6,) * 4, betas=(1.0,) * 4, n_products=12,
+         n_queries=1100, epsilon_p=0.3),
+    dict(n_products=0, n_queries=0),
+    dict(),
+]
+_TEXT_CASE_IDS = ["digit_boundaries", "empty", "lengths_1_to_max_len"]
+
+
+def per_line_queries(path, width):
+    """queries.tsv as the loader once read it: int() of each tab-split field, line by line."""
+    with open(path) as fh:
+        lines = [[int(t) for t in line.split("\t")] for line in map(str.strip, fh) if line]
+    return query_table([line[1:] for line in lines], [line[0] for line in lines], width)
+
+
 class TestDatasetSerialization:
     def test_round_trip(self, tmp_path):
         ds = generate_dataset(_config())
@@ -689,17 +706,7 @@ class TestDatasetSerialization:
         assert back.graph.n_edges == 0
         assert os.path.getsize(os.path.join(out, "edges.tsv")) == 0
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            # query ids past 999, trigram ids past 99, product ids past 9
-            dict(vocab_size=150, max_len=4, alphas=(0.6,) * 4, betas=(1.0,) * 4, n_products=12,
-                 n_queries=1100, epsilon_p=0.3),
-            dict(n_products=0, n_queries=0),
-            dict(),
-        ],
-        ids=["digit_boundaries", "empty", "lengths_1_to_max_len"],
-    )
+    @pytest.mark.parametrize("overrides", _TEXT_CASES, ids=_TEXT_CASE_IDS)
     def test_text_equals_reference_writer(self, tmp_path, monkeypatch, overrides):
         ds = generate_dataset(_config(**overrides))
         q, edges = ds.queries, ds.graph.edges()
@@ -753,6 +760,73 @@ class TestDatasetSerialization:
             fh.write("\n".join([first_line, *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=message):
             load_dataset(out)
+
+    @pytest.mark.parametrize("overrides", _TEXT_CASES, ids=_TEXT_CASE_IDS)
+    def test_reader_equals_per_line_parser(self, tmp_path, overrides):
+        ds = generate_dataset(_config(**overrides))
+        save_dataset(ds, str(tmp_path))
+        path = str(tmp_path / "queries.tsv")
+        table = _read_queries(path, ds.config.max_len)
+        assert table == per_line_queries(path, ds.config.max_len) == ds.queries
+
+    def test_reader_takes_ids_up_to_int64_max(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_bytes(b"0\t9223372036854775807\n10\t0\t1000000000000000000\n")
+        table = _read_queries(str(path), 2)
+        assert table.ids.tolist() == [[2**63 - 1, 0], [0, 10**18]]
+        assert table.lengths.tolist() == [1, 2] and table.product_ids.tolist() == [0, 10]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"3\t10\r", "invalid literal"),  # a CRLF line end
+            (b"\n3\t10", "empty field"),  # a blank line
+            (b"3\t\t10", "empty field"),
+            (b"3\t10\t", "empty field"),
+            (b"\t3\t10", "empty field"),
+            (b" 3\t10", "invalid literal"),
+            (b"3\t+5", "invalid literal"),
+            (b"3\t1_0", "invalid literal"),
+            ("3\t\uff15".encode(), "invalid literal"),  # a full-width 5
+            (b"3\t1\x00", "invalid literal"),
+            (b"3\t05", "invalid literal"),
+            (b"3\t-0", "non-negative"),
+            (b"3\t9223372036854775808", "past the int64 range"),
+            (b"3\t" + b"9" * 19, "past the int64 range"),
+            (b"3\t" + b"1" * 20, "past the int64 range"),
+        ],
+        ids=["crlf", "blank_line", "double_tab", "trailing_tab", "leading_tab", "leading_space",
+             "plus", "underscore", "non_ascii_digit", "nul", "leading_zero", "minus_zero",
+             "2_pow_63", "19_digits", "20_digits"],
+    )
+    def test_bytes_the_writer_never_writes_rejected(self, tmp_path, line, message):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        path = os.path.join(out, "queries.tsv")
+        lines = open(path, "rb").read().split(b"\n")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join([*lines[:2], line, *lines[3:]]))
+        with pytest.raises(ValueError, match=rf"queries\.tsv line 3: .*{message}"):
+            load_dataset(out)
+
+    def test_missing_final_newline_rejected(self, tmp_path):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        path = os.path.join(out, "queries.tsv")
+        text = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(text[:-1])
+        with pytest.raises(ValueError, match=r"queries\.tsv line 40: no final newline"):
+            load_dataset(out)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_bytes(b"1\t2\n1\t2\t3\t4\t5\n1\n1\tx\n1\t\t2\n")
+        with pytest.raises(ValueError, match=r"queries\.tsv line 2: query length 4 exceeds max_len 3"):
+            _read_queries(str(path), 3)
+        path.write_bytes(b"1\t2\n1\n1\tx\n1\t2\t3\t4\t5\n")
+        with pytest.raises(ValueError, match=r"queries\.tsv line 2: .*at least one trigram"):
+            _read_queries(str(path), 3)
 
     @pytest.mark.parametrize("keep", [slice(1, None), slice(None), slice(0, 1)])
     def test_wrong_query_count_rejected(self, tmp_path, keep):
