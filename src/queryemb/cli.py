@@ -108,14 +108,18 @@ def read_manifest(artifact_dir: str) -> dict[str, str] | None:
     return entries
 
 
-def verify_checksums(artifact_dir: str) -> list[str]:
+def verify_checksums(artifact_dir: str, manifest: dict[str, str] | None = None) -> list[str]:
     """Compare files in artifact_dir against its manifest; return mismatches.
 
-    A missing manifest is not an error (hand-built directories are legal
-    inputs); a manifest whose recorded files are absent or altered is.
+    manifest is artifact_dir's manifest as read_manifest returned it, for a
+    caller that has read it already; None reads it here.  A missing manifest
+    is not an error (hand-built directories are legal inputs); a manifest
+    whose recorded files are absent or altered is.
     """
+    if manifest is None:
+        manifest = read_manifest(artifact_dir) or {}
     problems = []
-    for name, expected in _checksums(read_manifest(artifact_dir) or {}).items():
+    for name, expected in _checksums(manifest).items():
         path = os.path.join(artifact_dir, name)
         if not os.path.exists(path):
             problems.append(f"{name}: recorded in manifest but missing on disk")
@@ -124,15 +128,12 @@ def verify_checksums(artifact_dir: str) -> list[str]:
     return problems
 
 
-def dataset_digest(dataset_dir: str) -> str | None:
-    """sha256 over the checksum lines of a dataset's manifest; None without a manifest.
+def dataset_digest(manifest: dict[str, str]) -> str:
+    """sha256 over the checksum lines of a dataset's manifest.
 
     The checksums are a function of the config and seed, unlike the
     manifest's duration_seconds, so the digest names the dataset's content.
     """
-    manifest = read_manifest(dataset_dir)
-    if manifest is None:
-        return None
     lines = key_values_text(_section("checksum", _checksums(manifest)))
     return hashlib.sha256(lines.encode()).hexdigest()
 
@@ -151,9 +152,10 @@ def _record(
     })
 
 
-def _verified(kind: str, artifact_dir: str) -> bool:
-    """verify_checksums with each problem reported on stderr; True if none."""
-    problems = verify_checksums(artifact_dir)
+def _verified(kind: str, artifact_dir: str, manifest: dict[str, str] | None) -> bool:
+    """verify_checksums against artifact_dir's manifest as read_manifest
+    returned it, each problem reported on stderr; True if none."""
+    problems = verify_checksums(artifact_dir, manifest or {})
     for p in problems:
         print(f"error: {kind} {artifact_dir}: {p}", file=sys.stderr)
     return not problems
@@ -225,7 +227,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     t0 = time.time()
-    if not _verified("dataset", args.dataset):
+    dataset_manifest = read_manifest(args.dataset)
+    if not _verified("dataset", args.dataset, dataset_manifest):
         return 2
     dataset = load_dataset(args.dataset)
     train_config = _config(TrainConfig, args.config, args.seed)
@@ -234,9 +237,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     trained, trace = train(model, dataset, train_config)
     inputs = {"dataset": os.path.abspath(args.dataset), "config": os.path.abspath(args.config)}
-    digest = dataset_digest(args.dataset)
-    if digest is not None:
-        inputs[DATASET_DIGEST_KEY] = digest
+    if dataset_manifest is not None:
+        inputs[DATASET_DIGEST_KEY] = dataset_digest(dataset_manifest)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, CHECKPOINT_FILENAME)
     save_checkpoint(trained, ckpt_path)
@@ -261,11 +263,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.time()
-    if not _verified("dataset", args.dataset):
+    dataset_manifest = read_manifest(args.dataset)
+    if not _verified("dataset", args.dataset, dataset_manifest):
         return 2
     checkpoint_dir = os.path.dirname(os.path.abspath(args.model))
-    if args.model != "baseline" and not _verified("checkpoint", checkpoint_dir):
-        return 2
+    if args.model != "baseline":
+        checkpoint_manifest = read_manifest(checkpoint_dir)
+        if not _verified("checkpoint", checkpoint_dir, checkpoint_manifest):
+            return 2
     dataset = load_dataset(args.dataset)
     params = config_from_mapping(EvalParams, read_key_values(args.config) if args.config else {})
     seed = args.seed if args.seed is not None else 0
@@ -284,8 +289,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"vocab {model.vocab_size} vs {dataset.config.vocab_size}, "
                 f"max_len {model.max_len} vs {dataset.config.max_len}"
             )
-        trained_on = (read_manifest(checkpoint_dir) or {}).get(f"input.{DATASET_DIGEST_KEY}")
-        digest = dataset_digest(args.dataset)
+        trained_on = (checkpoint_manifest or {}).get(f"input.{DATASET_DIGEST_KEY}")
+        digest = None if dataset_manifest is None else dataset_digest(dataset_manifest)
         if trained_on is not None and trained_on != digest:
             raise ValueError(
                 "checkpoint was trained on a different dataset: its manifest records "

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .core import (
     STREAM_MODEL_INIT,
@@ -136,15 +137,6 @@ class ModelGradient:
     attn: np.ndarray
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable") of integer keys, narrowed first to the
-    smallest type that holds them (numpy radix-sorts types of 16 bits or less)."""
-    if keys.size:
-        lo, hi = np.min_scalar_type(keys.min()), np.min_scalar_type(keys.max())
-        keys = keys.astype(np.result_type(lo, hi))
-    return np.argsort(keys, kind="stable")
-
-
 class TrainingGroup(NamedTuple):
     """Pair arrays of one training group: one entry per (anchor, positive) and
     (anchor, negative) pair, each anchor's positives before its negatives.
@@ -154,12 +146,6 @@ class TrainingGroup(NamedTuple):
     distinct holds the group's query ids once each, ascending, and inverse
     the index into distinct of every anchor, then of every other, so a group
     pass forwards each query once without sorting the ids again.
-
-    plan orders those 2P positions (anchor side q < P, other side P + q of
-    pair q) by their rank among the positions of the same id, ties by id,
-    and plan[cuts[r-1]:cuts[r]] holds the positions of rank r: each id at
-    most once, and each id's positions in ascending order across the slices.
-    plan is held in the smallest unsigned type that holds 2P.
     Build groups with TrainingGroup.build.
     """
 
@@ -169,43 +155,26 @@ class TrainingGroup(NamedTuple):
     positive: np.ndarray
     distinct: np.ndarray
     inverse: np.ndarray
-    plan: np.ndarray
-    cuts: np.ndarray
 
     @classmethod
     def build(cls, anchor: np.ndarray, other: np.ndarray, weight: np.ndarray,
               positive: np.ndarray) -> "TrainingGroup":
-        ids = np.concatenate([anchor, other])
-        order = _stable_order(ids)
-        ids = ids[order]
-        first = np.empty(ids.size, dtype=bool)  # the first position of each id
-        first[:1] = True
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        run = np.cumsum(first) - 1
-        inverse = np.empty_like(order)
-        inverse[order] = run
-        rank = np.arange(ids.size) - np.flatnonzero(first)[run]
-        plan = order[_stable_order(rank)].astype(np.min_scalar_type(ids.size))
-        return cls(anchor, other, weight, positive, ids[first], inverse, plan,
-                   np.cumsum(np.bincount(rank)))
+        distinct, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
+        return cls(anchor, other, weight, positive, distinct, inverse)
 
 
-def _upstream(z: np.ndarray, g: np.ndarray, inverse: np.ndarray, plan: np.ndarray,
-              cuts: np.ndarray) -> np.ndarray:
-    """u = dL/dz of a group's rows: pair q adds g_q z_o to its anchor's row and
-    g_q z_a to its other's.  Each row's terms are added in ascending position
-    order (anchors, then others), as np.add.at over a, then o, would add
-    them; a plan slice holds each row at most once, so one fancy-indexed add
-    per slice does it."""
-    rows = inverse[plan]
-    terms = z[np.roll(inverse, g.size)[plan]]  # the z of each position's partner
-    terms *= np.tile(g, 2)[plan, None]
-    u = np.zeros_like(z)
-    lo = 0
-    for hi in cuts.tolist():
-        u[rows[lo:hi]] += terms[lo:hi]
-        lo = hi
-    return u
+def _upstream(partner: np.ndarray, g: np.ndarray, inverse: np.ndarray, n_rows: int) -> np.ndarray:
+    """u = dL/dz of a group's n_rows rows: pair q adds g_q z_o to its anchor's
+    row and g_q z_a to its other's.  Position p (anchor side q < P, other
+    side P + q of pair q) is row inverse[p], and partner[p] is the z of its
+    pair's other side.  One sparse column per position, ascending: scipy's
+    CSC product walks its columns in order and adds each term to a zeroed
+    row, so every row sums its terms in the order np.add.at over a, then o,
+    would."""
+    scatter = sparse.csc_array(
+        (np.tile(g, 2), inverse, np.arange(inverse.size + 1)), shape=(n_rows, inverse.size)
+    )
+    return scatter @ partner
 
 
 def loss_and_gradient(
@@ -226,41 +195,46 @@ def loss_and_gradient(
     over the valid slots i of the query.
     """
     _check_table(model, queries)
-    anchor, _, weight, positive, distinct, inverse, plan, cuts = group
+    anchor, _, weight, positive, distinct, inverse = group
     if anchor.size == 0:
         raise ValueError("a training group needs at least one anchor")
     if distinct[0] < 0 or distinct[-1] >= len(queries):
         raise ValueError(f"query ids must lie in [0, {len(queries)})")
-    a, o = inverse[: anchor.size], inverse[anchor.size :]
     ids, lengths = queries.ids[distinct], queries.lengths[distinct]
     z, w, V = _forward_rows(model, ids, lengths)
-    x = np.einsum("pd,pd->p", z[a], z[o])
+    partner = z[np.roll(inverse, anchor.size)]  # the z of every other, then of every anchor
+    x = np.einsum("pd,pd->p", partner[anchor.size :], partner[: anchor.size])
     # -log sigma(t) with t = +-x clamped to |t| <= SCORE_CLAMP, in the stable form
     t = np.clip(np.where(positive, x, -x), -SCORE_CLAMP, SCORE_CLAMP)
     value = float(weight @ (np.log1p(np.exp(-np.abs(t))) - np.minimum(t, 0.0)))
     e = np.exp(-np.abs(x))
     sig = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     g = np.where(np.abs(x) < SCORE_CLAMP, (sig - positive) * weight, 0.0)
-    u = _upstream(z, g, inverse, plan, cuts)
+    u = _upstream(partner, g, inverse, distinct.size)
+    del partner  # (2P, dim): not held through the backward pass
 
     width = V.shape[1]
     c = np.einsum("bld,bd->bl", V, u)
     b = w * (c - np.einsum("bl,bl->b", w, c)[:, None])
-    grad = ModelGradient(np.zeros_like(model.emb), np.zeros_like(model.attn))
-    grad.attn[:width] = np.einsum("bl,bld->ld", b, V)
-    # d emb over the valid slots only (pad slots hold id 0): the w_i u term
-    # one column at a time, the b_i attn_i term as a (vocab, width) table of
-    # summed b times attn; bincount needs no (slots, dim) temporaries
-    rows, slots = np.nonzero(np.arange(width) < lengths[:, None])
-    trigram = ids[rows, slots]
-    w_valid = w[rows, slots]
-    for j in range(model.dim):
-        grad.emb[:, j] = np.bincount(trigram, weights=w_valid * u[rows, j], minlength=model.vocab_size)
-    b_table = np.bincount(
-        trigram * width + slots, weights=b[rows, slots], minlength=model.vocab_size * width
+    d_attn = np.zeros_like(model.attn)
+    d_attn[:width] = np.einsum("bl,bld->ld", b, V)
+    # d emb over the valid slots only (pad slots hold id 0).  The w_i u term
+    # is a (vocab, rows) CSC product whose column b holds row b's slots in
+    # order, so each trigram sums its terms in row-major slot order, as a
+    # bincount over the valid slots would.  The b_i attn_i term is a
+    # (vocab, width) table of summed b times attn.
+    valid = np.arange(width) < lengths[:, None]
+    trigram = ids[valid]
+    spread = sparse.csc_array(
+        (w[valid], trigram, np.concatenate([[0], np.cumsum(lengths)])),
+        shape=(model.vocab_size, lengths.size),
     )
-    grad.emb += b_table.reshape(model.vocab_size, width) @ model.attn[:width]
-    return value, grad
+    d_emb = spread @ u
+    b_table = np.bincount(
+        trigram * width + np.nonzero(valid)[1], weights=b[valid], minlength=model.vocab_size * width
+    )
+    d_emb += b_table.reshape(model.vocab_size, width) @ model.attn[:width]
+    return value, ModelGradient(d_emb, d_attn)
 
 
 # ---------------------------------------------------------------------------

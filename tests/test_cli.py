@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import queryemb
-from queryemb import theory
+from queryemb import cli, theory
 from queryemb.cli import (
     EvalParams,
     dataset_digest,
@@ -424,11 +424,11 @@ class TestEval:
 
     def test_checkpoint_trained_on_this_dataset_evaluates(self, pipeline, tmp_path):
         manifest = read_manifest(pipeline["run"])
-        assert manifest["input.dataset_digest"] == dataset_digest(pipeline["data"])
+        assert manifest["input.dataset_digest"] == dataset_digest(read_manifest(pipeline["data"]))
         # the digest hashes the dataset manifest's checksum lines exactly as written
         lines = Path(pipeline["data"], "manifest.txt").read_text().splitlines(keepends=True)
         literal = "".join(l for l in lines if l.startswith("checksum."))
-        assert dataset_digest(pipeline["data"]) == hashlib.sha256(literal.encode()).hexdigest()
+        assert dataset_digest(read_manifest(pipeline["data"])) == hashlib.sha256(literal.encode()).hexdigest()
         rc = main(["eval", pipeline["data"], "--model", pipeline["ckpt"], "--out", str(tmp_path / "x")])
         assert rc == 0
         # a checkpoint directory whose manifest predates the digest still evaluates
@@ -446,8 +446,21 @@ class TestEval:
         shutil.copytree(pipeline["data"], data)
         with open(data / "manifest.txt", "a") as fh:
             fh.write("timing.generate_s = 0.1\n")
-        assert dataset_digest(str(data)) == dataset_digest(pipeline["data"])
+        assert dataset_digest(read_manifest(str(data))) == dataset_digest(read_manifest(pipeline["data"]))
         assert verify_checksums(str(data)) == []
+
+    def test_each_input_manifest_read_once(self, pipeline, tmp_path, monkeypatch):
+        reads = []
+        read = cli.read_key_values
+        monkeypatch.setattr(cli, "read_key_values", lambda path: reads.append(path) or read(path))
+        manifests = [os.path.join(d, "manifest.txt") for d in (pipeline["data"], pipeline["run"])]
+        assert main(["eval", pipeline["data"], "--model", pipeline["ckpt"],
+                     "--out", str(tmp_path / "x")]) == 0
+        assert sorted(reads) == sorted(manifests)
+        reads.clear()
+        assert main(["train", pipeline["data"], "--config", pipeline["train_cfg"],
+                     "--out", str(tmp_path / "y")]) == 0
+        assert sorted(reads) == sorted([manifests[0], pipeline["train_cfg"]])
 
 
 _PANELS = (theory.WEIGHT_PANEL_FILE, theory.VARIANCE_PANEL_FILE, theory.BETA_PANEL_FILE)

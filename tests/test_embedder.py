@@ -608,7 +608,8 @@ class TestGroupPass:
 
 def _add_at_loss_and_gradient(model, group, queries):
     """loss_and_gradient with u summed by two np.add.at scatters, anchors then
-    others: the summation order the plan slices must reproduce."""
+    others, and d emb's w_i u term by one bincount per column: the summation
+    orders the sparse products must reproduce."""
     anchor, _, weight, positive, distinct, inverse = group[:6]
     a, o = inverse[: anchor.size], inverse[anchor.size :]
     ids, lengths = queries.ids[distinct], queries.lengths[distinct]
@@ -661,26 +662,34 @@ def desk_groups():
     return ds, embedder._training_groups(ds.graph, config)
 
 
-class TestPlannedScatter:
-    """The group pass's plan-slice scatter against np.add.at, byte for byte."""
+# ids 0-10 of _HANDMADE_GROUP: query 1 holds trigram 7 at three slots and
+# query 3 is one trigram long, so a CSC column of d emb repeats a row
+_REPEATS_TABLE = query_table(
+    [[4, 9], [7, 3, 7, 7], [3], [5], [7, 7, 1, 2, 8], [6, 2, 9, 4, 1], [2, 2], [1],
+     [9, 8, 7, 6, 5], [3, 3, 3], [0, 5]],
+    [0] * 11,
+    width=5,
+)
 
-    def test_handmade_group_plan(self):
+
+class TestSparseScatter:
+    """The group pass's CSC-product scatters against np.add.at and bincount, byte for byte."""
+
+    def test_handmade_group_matches_add_at(self):
         # ids 0 and 3 are anchors and others, 1 and 2 are others three times each
         group = _group_pairs(_HANDMADE_GROUP)
         _assert_unique_ids(group)
-        positions = np.concatenate([group.anchor, group.other])
-        lo = 0
-        for hi in group.cuts.tolist():
-            ids = positions[group.plan[lo:hi]]
-            assert np.unique(ids).size == ids.size
-            lo = hi
-        assert sorted(group.plan.tolist()) == list(range(positions.size))
-        for q in np.unique(positions):  # each id's positions, slice by slice, ascending
-            mine = [p for p in group.plan.tolist() if positions[p] == q]
-            assert mine == sorted(mine)
         queries = _mixed_dataset().queries
         for seed in (52, 53):
             _assert_pass_bytes_equal(_random_model(seed), group, queries)
+
+    def test_repeated_trigram_and_one_trigram_query(self):
+        table = _REPEATS_TABLE
+        assert any(np.unique(table.row(q)).size < table.lengths[q] for q in range(len(table)))
+        assert (table.lengths == 1).any()
+        group = _group_pairs(_HANDMADE_GROUP)
+        for seed in (55, 56):
+            _assert_pass_bytes_equal(_random_model(seed, vocab_size=10), group, table)
 
     def test_desk_groups_match_add_at(self, desk_groups):
         ds, groups = desk_groups
