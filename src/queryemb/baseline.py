@@ -3,7 +3,9 @@
 Each query becomes a fixed-width count vector by hashing trigram ids into
 buckets with splitmix64 (Steele, Lea & Flood's 64-bit finalizer), chosen
 because it is tiny, well documented, and bit-stable across platforms.
-Retrieval is brute-force nearest neighbours under Bray-Curtis distance.
+Retrieval is brute-force nearest neighbours under Bray-Curtis distance.  The
+store holds its counts bucket-major in the smallest unsigned type that holds
+them, so a probe reads one contiguous row for each of its buckets.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QueryTable, query_row
+from .core import QueryTable, _int64_array, query_row
 
 HASH_DIM = 300
 
@@ -41,24 +43,42 @@ def _buckets(ids, n_buckets: int) -> np.ndarray:
     return (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
 
 
+def _bucket_counts(ids: np.ndarray, lengths: np.ndarray, n_buckets: int) -> np.ndarray:
+    """(n_buckets, n) trigram counts of n padded rows, bucket by bucket, in the
+    smallest unsigned type that holds the largest count."""
+    n, width = ids.shape
+    valid = np.arange(width) < lengths[:, None]
+    cells = _buckets(ids, n_buckets) * n + np.arange(n)[:, None]
+    counts = np.bincount(cells[valid], minlength=n * n_buckets).reshape(n_buckets, n)
+    return counts.astype(np.min_scalar_type(counts.max(initial=0)))
+
+
 def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
     """Bucketed trigram counts of one raw query; the total count equals its length."""
-    counts = np.bincount(_buckets(query_row(ids), n_buckets), minlength=n_buckets)
-    return counts.astype(np.float64)
+    row = query_row(ids)
+    return _bucket_counts(row[None], np.array([row.size]), n_buckets)[:, 0].astype(np.float64)
 
 
 def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0):
+    """x as a count vector: integers keep their type, anything else becomes float64."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError("count vectors must be finite")
+    if arr.dtype.kind != "u" and np.any(arr < 0):
         raise ValueError("count vectors must be non-negative")
     return arr
 
 
 class QueryStore:
-    """Base of the retrieval stores: the stored query ids, one per table row."""
+    """Base of the retrieval stores: the stored query ids, one per table row.
+
+    A store encodes a probe table (encode) and scores one encoded probe
+    against every stored row (keys, ascending is nearer)."""
 
     def __init__(self, queries: QueryTable, ids: Sequence[int] | None) -> None:
-        self.ids = np.asarray(range(len(queries)) if ids is None else list(ids), dtype=np.int64)
+        self.ids = _int64_array(range(len(queries)) if ids is None else list(ids), "store ids")
         if self.ids.size != len(queries):
             raise ValueError("ids and queries must have equal length")
         self._sorted_ids = np.unique(self.ids)
@@ -103,36 +123,42 @@ class TrigramHashStore(QueryStore):
                  n_buckets: int = HASH_DIM) -> None:
         super().__init__(queries, ids)
         self.n_buckets = n_buckets
-        n, width = queries.ids.shape
-        valid = np.arange(width) < queries.lengths[:, None]
-        # column-major (bucket-by-bucket), so distances gathers whole columns
-        cells = _buckets(queries.ids, n_buckets) * n + np.arange(n)[:, None]
-        self.matrix = np.bincount(cells[valid], minlength=n * n_buckets).reshape(
-            n_buckets, n).T.astype(np.float64)
+        self.counts = _bucket_counts(queries.ids, queries.lengths, n_buckets)
+        self.matrix = self.counts.T  # row i: the bucket counts of stored query i
         self.totals = queries.lengths.astype(np.float64)  # row sums of matrix
+
+    def encode(self, queries: QueryTable) -> np.ndarray:
+        """(Q, n_buckets) bucket counts of every table row, equal to its hash_query."""
+        return _bucket_counts(queries.ids, queries.lengths, self.n_buckets).T
 
     def distances(self, pv: np.ndarray) -> np.ndarray:
         """Bray-Curtis distance from the probe's count vector to every stored row.
 
         sum |a - b| = S_a + S_b - 2 sum min(a, b) for non-negative counts, and
         min(a_j, b_j) is 0 where the probe has no count, so only the probe's
-        (at most its length) buckets are read.  For the integer counts that
-        hash_query gives, every term is an integer that float64 holds
-        exactly, so the result equals the dense
+        (at most its length) buckets are read, each one contiguous row of
+        counts.  min takes numpy's usual type promotion of the counts and the
+        probe, so no count wraps, and integer mins are summed in the
+        smallest type that holds the probe's total, which bounds them.  For
+        integer counts, as hash_query and encode give, every term is an
+        integer that float64 holds exactly, so the result equals the dense
         ``abs(M - pv).sum(1) / (M + pv).sum(1)`` bit for bit.
         """
         pv = _counts(pv)
         if pv.shape != (self.n_buckets,):
             raise ValueError("probe bucket width does not match store")
         cols = np.flatnonzero(pv)
-        shared = np.minimum(self.matrix[:, cols], pv[cols]).sum(axis=1)
+        probe = pv[cols, None]
+        top = np.result_type(self.counts, probe, np.min_scalar_type(probe.sum()))
+        shared = np.minimum(self.counts[cols], probe).sum(axis=0, dtype=top)
         # every stored row counts >= 1 trigram, so no denominator is 0
         total = self.totals + pv.sum()
         return (total - 2.0 * shared) / total
 
+    keys = distances  # the sort keys of an encoded probe
+
     def rank(self, probe: Sequence[int], count: int,
              exclude_id: int | None = None) -> np.ndarray:
         """The count store ids nearest the probe by (distance, id), never exclude_id."""
-        return self._ranked(self.distances(hash_query(probe, self.n_buckets)), count,
-                            exclude_id)
+        return self._ranked(self.keys(hash_query(probe, self.n_buckets)), count, exclude_id)
 

@@ -375,11 +375,14 @@ def _check_integers(arr: np.ndarray, what: str = "trigram ids") -> None:
 
 def _int64_array(values, what: str) -> np.ndarray:
     """values as a new int64 array, refused unless integers. np.asarray makes a list
-    float64 or object if it holds a Python int past int64, which raises OverflowError."""
+    float64, object or uint64 if it holds a Python int past int64, which raises
+    OverflowError, as does a uint64 value past int64."""
     arr = np.asarray(values)
-    if arr.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+    if arr.dtype.kind in "fOu" and not isinstance(values, np.ndarray):
         np.array(values, dtype=np.int64)  # the OverflowError, if any
     _check_integers(arr, what)
+    if arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise OverflowError(f"{what} must fit int64")
     return arr.astype(np.int64)
 
 

@@ -183,10 +183,18 @@ class EmbeddingStore(QueryStore):
         self.model = model
         self.matrix = embed_table(model, queries)
 
+    def encode(self, queries: QueryTable) -> np.ndarray:
+        """(Q, dim) embeddings of every table row, equal to its embed_query."""
+        return embed_table(self.model, queries)
+
+    def keys(self, z: np.ndarray) -> np.ndarray:
+        """The sort keys of an encoded probe: its negated similarity to every stored row."""
+        return -(self.matrix @ z)
+
     def rank(self, probe: Sequence[int], count: int,
              exclude_id: int | None = None) -> np.ndarray:
         """The count store ids first by the probe's (descending similarity, ascending id)."""
-        return self._ranked(-(self.matrix @ embed_query(self.model, probe)), count, exclude_id)
+        return self._ranked(self.keys(embed_query(self.model, probe)), count, exclude_id)
 
 
 def reformulate(
@@ -400,8 +408,9 @@ def evaluate(
 ) -> EvalReport:
     """Score reformulation retrieval for every probe and attach oracle normalization.
 
-    Each probe is ranked on its own (reformulate); the metrics and the oracle
-    of all probes are then read from one TopTable of the probes and stored
+    The probes are encoded at once (store.encode); each is then ranked from
+    its row (store.keys) as reformulate ranks it by id.  The metrics and the
+    oracle of all probes are read from one TopTable of the probes and stored
     queries, so top_products runs once per distinct id.
     """
     probes = [int(q) for q in probe_ids]
@@ -410,11 +419,17 @@ def evaluate(
     table = _top_table(np.concatenate([probes, store.ids]), purchase_map, k)
     probe_tops = table.rows(probes)
     lengths = np.count_nonzero(probe_tops >= 0, axis=1)
-    refs = []
-    for q, length in zip(probes, lengths.tolist()):
-        refs.append(reformulate(store, q, n_reformulations, queries=queries))
+    excluded, n = np.isin(probes, store.ids).tolist(), len(queries)
+    for q, exclude, length in zip(probes, excluded, lengths.tolist()):  # reformulate's checks
+        if not 0 <= q < n:
+            raise ValueError(f"query id {q} outside [0, {n})")
+        if n_reformulations > len(store) - exclude:
+            raise ValueError(f"store offers {len(store) - exclude} candidates, need {n_reformulations}")
         if not length:
             raise ValueError(f"probe {q} has no purchases; recall undefined")
+    vectors = store.encode(queries.take(probes))
+    refs = [store._ranked(store.keys(v), n_reformulations, q if exclude else None).tolist()
+            for q, v, exclude in zip(probes, vectors, excluded)]
     relevant, covered = _overlaps(probe_tops, table.rows(refs))
     # tolist gives Python floats, whose repr the CSV writes
     precision = (relevant / n_reformulations).tolist()

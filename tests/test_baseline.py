@@ -34,7 +34,7 @@ def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
 
 def bray_curtis(a, b) -> float:
     """sum |a_i - b_i| / sum (a_i + b_i); defined only when some count is positive."""
-    va, vb = _counts(a), _counts(b)
+    va, vb = (_counts(v).astype(np.float64) for v in (a, b))  # unsigned counts would wrap
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
     denom = float(np.sum(va + vb))
@@ -213,6 +213,96 @@ class TestSparseStore:
         store = TrigramHashStore(_table([_q(1, 2)]), n_buckets=7)
         with pytest.raises(ValueError, match="non-negative"):
             store.distances(-np.ones(7))
+        with pytest.raises(ValueError, match="non-negative"):
+            store.distances(np.array([0, 0, -1, 0, 0, 0, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probe_counts_rejected(self, bad):
+        # NaN passed the sign check and gave all-NaN keys, ranked with a warning only
+        store = TrigramHashStore(_table([_q(1, 2), _q(3)]), n_buckets=7)
+        pv = hash_query(_q(1), 7)
+        pv[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            store.distances(pv)
+        with pytest.raises(ValueError, match="finite"):
+            bray_curtis(pv, hash_query(_q(2), 7))
+
+    @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
+    def test_encode_rows_are_hash_query(self, n_buckets):
+        rows, table = _random_table(51)
+        store = TrigramHashStore(table.take(range(20)), n_buckets=n_buckets)
+        encoded = store.encode(table)
+        assert encoded.shape == (len(table), n_buckets) and encoded.dtype.kind == "u"
+        for row, vector in zip(rows, encoded):
+            pv = hash_query(row, n_buckets)
+            assert_array_equal(vector, pv)
+            assert_array_equal(store.distances(vector), store.distances(pv))
+
+    def test_counts_are_bucket_major_and_small(self):
+        _, table = _random_table(52)
+        store = TrigramHashStore(table)
+        assert store.counts.shape == (HASH_DIM, len(table)) and store.counts.flags.c_contiguous
+        assert store.counts.dtype == np.uint8
+        assert np.shares_memory(store.matrix, store.counts)
+
+
+def _dense_bray_curtis(store, pv):
+    m = store.matrix.astype(np.float64)
+    return np.abs(m - pv).sum(axis=1) / (m + pv).sum(axis=1)
+
+
+class TestCountTypes:
+    """Counts are held in the smallest unsigned type; no count or sum wraps."""
+
+    def test_count_past_uint8_is_kept(self):
+        long_query = list(range(300))
+        table = query_table([long_query, _q(1, 2)], [0, 0], 300)
+        store = TrigramHashStore(table, n_buckets=1)
+        assert store.counts.dtype == np.uint16
+        assert store.matrix[:, 0].tolist() == [300, 2]
+        assert store.encode(table)[:, 0].tolist() == [300, 2]
+        assert hash_query(long_query, 1)[0] == 300.0
+        for pv in (np.array([300.0]), np.array([2], dtype=np.uint8), store.encode(table)[0]):
+            assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv))
+
+    def test_sum_of_mins_past_the_count_type_does_not_wrap(self):
+        # 300 trigrams over 7 buckets: every count fits uint8, their sum does not
+        table = query_table([list(range(300)), _q(1, 2)], [0, 0], 300)
+        store = TrigramHashStore(table, n_buckets=7)
+        assert store.counts.dtype == np.uint8
+        pv = store.encode(table)[0]
+        assert pv.dtype == np.uint8 and pv.sum() == 300
+        assert store.distances(pv)[0] == 0.0
+        assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv.astype(float)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64])
+    def test_probe_count_past_the_store_type_does_not_wrap(self, dtype):
+        _, table = _random_table(53)
+        store = TrigramHashStore(table, n_buckets=7)
+        assert store.counts.dtype == np.uint8
+        for big in (255, 256, 300, 1000):
+            if big > np.iinfo(np.uint8).max and dtype is np.uint8:
+                continue
+            pv = np.zeros(7, dtype=dtype)
+            pv[[0, 3]] = big, 2
+            want = _dense_bray_curtis(store, pv.astype(np.float64))
+            assert_array_equal(store.distances(pv), want)
+            # sums of 255-capped mins past 255 must not wrap either
+            pv[:] = big
+            assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv.astype(float)))
+
+    def test_fractional_probe_counts_promote_to_float(self):
+        _, table = _random_table(54)
+        store = TrigramHashStore(table, n_buckets=7)
+        rng = rng_stream(55)
+        for _ in range(10):
+            pv = rng.random(7) * rng.integers(1, 4, size=7)
+            got = store.distances(pv)
+            assert got.dtype == np.float64
+            assert_allclose(got, _dense_bray_curtis(store, pv), rtol=1e-15, atol=0)
+            assert_allclose(store.distances(pv.astype(np.float32)),
+                            _dense_bray_curtis(store, pv.astype(np.float32).astype(float)),
+                            rtol=1e-15, atol=0)
 
 
 class TestKnn:
@@ -385,6 +475,34 @@ class TestTopCountSelection:
                 reformulate(store, 0, count, queries=queries)
             with pytest.raises(ValueError, match="count must be at least 1"):
                 knn(store, _q(1), count)
+
+
+class TestStoreIds:
+    """Store ids are integers that fit int64, refused rather than cast."""
+
+    @pytest.mark.parametrize("ids, error, message", [
+        ([0.5, 1.7, 2.2, 3.9], ValueError, "store ids must be integers"),
+        (np.array([0.0, 1.0, 2.0, 3.0]), ValueError, "store ids must be integers"),
+        (["0", "1", "2", "3"], ValueError, "store ids must be integers"),
+        ([0, 1, 2, 2**63], OverflowError, None),
+        ([2**63, 2**63 + 1, 2**63 + 2, 2**63 + 3], OverflowError, None),  # np.asarray: uint64
+        (np.arange(4, dtype=np.uint64) + np.uint64(2**63), OverflowError, None),
+        ([0, 1, 2, -(2**63) - 1], OverflowError, None),
+    ])
+    def test_bad_ids_rejected(self, ids, error, message):
+        queries = _table([_q(1), _q(2), _q(3), _q(4)])
+        for make in (TrigramHashStore, QueryStore):
+            with pytest.raises(error, match=message):
+                make(queries, ids)
+
+    def test_integer_ids_of_any_type_kept(self):
+        queries = _table([_q(1), _q(2), _q(3)])
+        for ids in ([7, 3, 5], np.array([7, 3, 5], dtype=np.uint8), (np.int32(7), 3, 5),
+                    [2**63 - 1, 3, 5]):
+            store = TrigramHashStore(queries, ids)
+            assert store.ids.dtype == np.int64
+            assert store.ids.tolist() == [int(i) for i in ids]
+            assert store.rank(_q(2), 1).tolist() == [3]
 
 
 class TestStoreMembership:

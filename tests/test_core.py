@@ -332,6 +332,12 @@ class TestQuery:
         assert len(empty) == 0 and empty.ids.dtype == np.int64
         with pytest.raises(OverflowError):  # an int past int64, not a misnamed float dtype
             QueryTable([[1, 2**63]], [2], [0])
+        # np.asarray makes these uint64, which wrapped to -2**63 in the int64 copy
+        with pytest.raises(OverflowError):
+            QueryTable([[1]], [1], [2**63])
+        with pytest.raises(OverflowError, match="product ids must fit int64"):
+            QueryTable([[1]], [1], np.array([2**63], dtype=np.uint64))
+        assert QueryTable([[1]], [1], np.array([2**63 - 1], dtype=np.uint64)).product_ids[0] == 2**63 - 1
 
     def test_arrays_are_read_only_copies(self):
         ids = np.array([[4, 5]])

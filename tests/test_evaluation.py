@@ -4,10 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 from conftest import query_table
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from queryemb.baseline import TrigramHashStore, hash_query
 from queryemb import evaluation
+from queryemb.cli import split_query_ids
 from queryemb.core import GeneratorConfig, rng_stream
 from queryemb.embedder import AttentionModel, embed_query, init_model
 from queryemb.evaluation import (
@@ -23,7 +24,7 @@ from queryemb.evaluation import (
     top_products,
     write_eval_csv,
 )
-from queryemb.genmodel import generate_dataset
+from queryemb.genmodel import default_benchmark_config, generate_dataset
 from test_baseline import bray_curtis
 
 
@@ -790,6 +791,72 @@ class TestEvaluateMatchesReference:
             calls.clear()
             evaluate(store, ds.queries, pm, probes + probes[:3])
             assert len(calls) == len(set(probes) | set(store.ids.tolist()))
+
+
+class TestBatchedRankingMatchesScalar:
+    """evaluate encodes its probes at once; its reformulations equal reformulate's."""
+
+    @staticmethod
+    def _check(store, queries, probes, counts):
+        pm = {q: [(q % 3, 1)] for q in range(len(queries))}
+        for count in counts:
+            got = [row.reformulations for row in evaluate(store, queries, pm, probes, 3, count).rows]
+            want = [tuple(reformulate(store, q, count, queries=queries)) for q in probes]
+            assert got == want, count
+
+    @staticmethod
+    def _split(n, store_ids, test_fraction):
+        """test_fraction 0: every query is stored and probed, so each probe is
+        excluded from its own results; else the unstored queries are probed."""
+        if test_fraction == 0:
+            return list(range(n)), list(range(n))
+        return store_ids, sorted(set(range(n)) - set(store_ids))
+
+    @pytest.mark.parametrize("test_fraction", [0, 0.6])
+    def test_tie_heavy_stores(self, test_fraction):
+        # TestTopCountSelection's stores: a small vocabulary hashes many rows to
+        # equal distances; integer embeddings give many equal dot products
+        rng = rng_stream(62)
+        rows = [_q(*rng.integers(0, 6, size=rng.integers(1, 4)).tolist()) for _ in range(100)]
+        queries = _table(rows)
+        store_ids, probes = self._split(100, rng.permutation(100)[:40].tolist(), test_fraction)
+        model = AttentionModel(rng.integers(-1, 2, size=(8, 3)).astype(np.float64),
+                               np.zeros((3, 3)))
+        counts = (1, 5, len(store_ids) - 1)
+        for store in (TrigramHashStore(queries.take(store_ids), store_ids),
+                      EmbeddingStore(model, queries.take(store_ids), store_ids)):
+            self._check(store, queries, probes, counts)
+
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.2])
+    def test_desk_dataset(self, test_fraction):
+        config = default_benchmark_config(3)
+        ds = generate_dataset(config)
+        store_ids, probes = split_query_ids(len(ds.queries), test_fraction, 3)
+        probes = probes[::5] if test_fraction == 0 else probes  # 1000 probes either way
+        store_queries = ds.queries.take(store_ids)
+        model = init_model(config.vocab_size, config.dim, config.max_len, seed=3)
+        for store in (TrigramHashStore(store_queries, store_ids),
+                      EmbeddingStore(model, store_queries, store_ids)):
+            self._check(store, ds.queries, probes, (5,))
+
+    def test_encoded_rows_equal_scalar_encodings(self):
+        ds = _desk_toy_dataset(64)
+        hstore = TrigramHashStore(ds.queries)
+        estore = EmbeddingStore(init_model(100, 8, 4, seed=65), ds.queries)
+        for i, (h, z) in enumerate(zip(hstore.encode(ds.queries), estore.encode(ds.queries))):
+            assert_array_equal(h, hash_query(ds.queries.row(i)))
+            assert_array_equal(z, embed_query(estore.model, ds.queries.row(i)))
+
+    def test_probe_checks_keep_reformulate_messages(self):
+        queries = _table([_q(i % 5) for i in range(8)])
+        pm = {q: [(1, 1)] for q in range(8)}
+        store = TrigramHashStore(queries.take([0, 1, 2]), [0, 1, 2])
+        for bad in (-1, 8):
+            with pytest.raises(ValueError, match=rf"query id {bad} outside \[0, 8\)"):
+                evaluate(store, queries, pm, [3, bad], n_reformulations=2)
+        evaluate(store, queries, pm, [5, 6], n_reformulations=3)  # held out: 3 candidates
+        with pytest.raises(ValueError, match="store offers 2 candidates, need 3"):
+            evaluate(store, queries, pm, [5, 1], n_reformulations=3)
 
 
 def _desk_toy_dataset(seed=56):
