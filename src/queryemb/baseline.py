@@ -53,10 +53,15 @@ def _bucket_counts(ids: np.ndarray, lengths: np.ndarray, n_buckets: int) -> np.n
     return counts.astype(np.min_scalar_type(counts.max(initial=0)))
 
 
+def _query_counts(ids: Sequence[int], n_buckets: int) -> np.ndarray:
+    """Integer bucket counts of one raw query: the one-row case of _bucket_counts."""
+    row = query_row(ids)
+    return _bucket_counts(row[None], np.array([row.size]), n_buckets)[:, 0]
+
+
 def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
     """Bucketed trigram counts of one raw query; the total count equals its length."""
-    row = query_row(ids)
-    return _bucket_counts(row[None], np.array([row.size]), n_buckets)[:, 0].astype(np.float64)
+    return _query_counts(ids, n_buckets).astype(np.float64)
 
 
 def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
@@ -160,5 +165,5 @@ class TrigramHashStore(QueryStore):
     def rank(self, probe: Sequence[int], count: int,
              exclude_id: int | None = None) -> np.ndarray:
         """The count store ids nearest the probe by (distance, id), never exclude_id."""
-        return self._ranked(self.keys(hash_query(probe, self.n_buckets)), count, exclude_id)
+        return self._ranked(self.keys(_query_counts(probe, self.n_buckets)), count, exclude_id)
 

@@ -87,9 +87,19 @@ def truncated_poisson_pmf(lam: float, max_len: int) -> np.ndarray:
 
 
 def query_lengths(config: GeneratorConfig, u: np.ndarray) -> np.ndarray:
-    """Truncated-Poisson query lengths by inverse CDF of the uniforms u."""
+    """Truncated-Poisson query lengths by inverse CDF of the uniforms u in [0, 1).
+
+    A draw's length is 1 plus the count of CDF entries, the last one left out,
+    that are <= u: min(searchsorted(cdf, u, side="right"), max_len - 1) + 1.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails too
+        raise ValueError(f"uniforms must lie in [0, 1), got values in [{u.min()}, {u.max()}]")
     cdf = np.cumsum(truncated_poisson_pmf(config.lam, config.max_len))
-    return np.minimum(np.searchsorted(cdf, u, side="right"), config.max_len - 1) + 1
+    lengths = np.ones(u.shape, dtype=np.int64)
+    for entry in cdf[:-1].tolist():
+        lengths += u >= entry
+    return lengths
 
 
 def partition_function(p: np.ndarray, beta: float, vocab: np.ndarray) -> float:
@@ -155,9 +165,10 @@ def sample_trigrams_batch(
     alpha, beta = _position_params(config, position)
     cdf = np.cumsum(tilted_component_probs(p, beta, vocab))[None, :]
     pick_tilted = rng.random(n_samples) < alpha
-    tilted = inverse_cdf_rows(cdf, np.zeros(n_samples, dtype=np.int64), rng.random(n_samples))
-    uniform = rng.integers(config.vocab_size, size=n_samples)
-    return np.where(pick_tilted, tilted, uniform).astype(np.int64)
+    u = rng.random(n_samples)[pick_tilted]  # drawn for every sample, read for the tilted ones
+    ids = rng.integers(config.vocab_size, size=n_samples).astype(np.int64)
+    ids[pick_tilted] = inverse_cdf_rows(cdf, np.zeros(u.size, dtype=np.int64), u)
+    return ids
 
 
 def trigram_mean_coefficient(
@@ -195,8 +206,8 @@ def trigram_empirical_variance(
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     ids = sample_trigrams_batch(rng, p, position, config, vocab, n_samples)
     rho = trigram_mean_coefficient(p, position, config, vocab)
-    diff = vocab[ids] - rho * np.asarray(p, dtype=np.float64)
-    return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+    diff = vocab - rho * np.asarray(p, dtype=np.float64)  # each vocabulary row's term once
+    return float(np.mean(np.einsum("ij,ij->i", diff, diff)[ids]))
 
 
 @dataclass(frozen=True)
@@ -253,9 +264,14 @@ def inverse_cdf_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nd
 
     Every row of the (K, m) table must be non-decreasing (a cumsum of
     probabilities), so a binary lift over the flattened table counts exactly
-    the entries <= u[j]: about log2(m) gather-and-compare passes.
+    the entries <= u[j]: about log2(m) gather-and-compare passes.  A row
+    outside [0, K) raises ValueError.
     """
-    m, first = cdfs.shape[1], np.asarray(rows, dtype=np.int64) * cdfs.shape[1]
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= len(cdfs)):
+        bad = rows.min() if rows.min() < 0 else rows.max()
+        raise ValueError(f"CDF row {bad} outside [0, {len(cdfs)})")
+    m, first = cdfs.shape[1], rows * cdfs.shape[1]
     flat, at, span = cdfs.ravel(), first.copy(), m
     while span > 1:  # the count lies in [at - first, at - first + span]
         half = span // 2
@@ -407,20 +423,20 @@ def read_matrix(path: str) -> np.ndarray:
     return arr
 
 
-def _digit_table(n: int) -> np.ndarray:
-    """(n, w) uint8 ASCII decimal digits of 0..n-1, left-aligned and padded with 0 bytes."""
+def _cell_table(n: int) -> np.ndarray:
+    """(2n + 1,) void cells of the decimal text of 0..n-1, NUL-padded to one width:
+    cell v is v's digits and a tab, cell n + v its digits and a newline, cell 2n empty."""
     width = len(str(max(n - 1, 0)))
-    return np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+    digits = np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+    cells = np.zeros((2 * n + 1, width + 1), dtype=np.uint8)
+    cells[:n, :width] = cells[n : 2 * n, :width] = digits
+    cells[:n, width], cells[n : 2 * n, width] = _TAB, _NEWLINE
+    return cells.view(np.dtype((np.void, width + 1)))[:, 0]
 
 
-def _tsv_bytes(digits: np.ndarray, fields: np.ndarray, present: np.ndarray) -> bytes:
-    """Each row's present cells (a prefix of the row) as decimal text, tab-separated and
-    newline-terminated; digits is a _digit_table covering every field value."""
-    cells = np.full((*fields.shape, digits.shape[1] + 1), ord("\t"), dtype=np.uint8)
-    cells[..., :-1] = digits[fields]
-    cells[np.arange(len(fields)), present.sum(axis=1) - 1, -1] = ord("\n")
-    cells[~present] = 0
-    text = cells.ravel()
+def _tsv_bytes(cells: np.ndarray, index: np.ndarray) -> bytes:
+    """The text of cells[index], row after row, with the NUL padding dropped."""
+    text = cells.take(index).view(np.uint8).ravel()
     return text[text != 0].tobytes()
 
 
@@ -432,14 +448,16 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
     write_matrix(os.path.join(out_dir, VOCAB_FILENAME), dataset.vocab)
     write_matrix(os.path.join(out_dir, PRODUCTS_FILENAME), dataset.products)
     q, edges = dataset.queries, dataset.graph.edges()
-    digits = _digit_table(max(dataset.config.n_products, dataset.config.vocab_size, len(q)))
+    n = max(dataset.config.n_products, dataset.config.vocab_size, len(q))
+    cells = _cell_table(n)
     with open(os.path.join(out_dir, QUERIES_FILENAME), "wb") as fh:
         fields = np.column_stack([q.product_ids, q.ids])  # the product id, then the trigram ids
-        fh.write(_tsv_bytes(digits, fields, np.arange(fields.shape[1]) <= q.lengths[:, None]))
+        index = np.where(np.arange(fields.shape[1]) <= q.lengths[:, None], fields, 2 * n)
+        index[np.arange(len(q)), q.lengths] += n  # a line ends after its last trigram
+        fh.write(_tsv_bytes(cells, index))
     with open(os.path.join(out_dir, EDGES_FILENAME), "wb") as fh:
         for lo in range(0, len(edges), _EDGE_WRITE_BLOCK):
-            block = edges[lo : lo + _EDGE_WRITE_BLOCK]
-            fh.write(_tsv_bytes(digits, block, np.ones(block.shape, bool)))
+            fh.write(_tsv_bytes(cells, edges[lo : lo + _EDGE_WRITE_BLOCK] + [0, n]))
     return [CONFIG_FILENAME, VOCAB_FILENAME, PRODUCTS_FILENAME, QUERIES_FILENAME, EDGES_FILENAME]
 
 

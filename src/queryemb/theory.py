@@ -208,9 +208,12 @@ def _decode_codes(codes: np.ndarray, config: GeneratorConfig) -> tuple[np.ndarra
 
 
 def _count_in(sample: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """How often each of values occurs in sample."""
-    s = np.sort(sample)
-    return np.searchsorted(s, values, side="right") - np.searchsorted(s, values, side="left")
+    """How often each of values (an array of any shape) occurs in sample."""
+    seen, counts = np.unique(sample, return_counts=True)
+    if not seen.size:
+        return np.zeros(np.shape(values), dtype=np.intp)
+    at = np.minimum(np.searchsorted(seen, values), seen.size - 1)
+    return np.where(seen[at] == values, counts[at], 0)
 
 
 def estimate_pmi(
@@ -262,14 +265,10 @@ def estimate_pmi(
     # every pair seen in the selection half, in ascending key order
     pair_keys, sel_counts = np.unique(keys[:half_j], return_counts=True)
     c1, c2 = pair_keys // base3, pair_keys % base3
-    selected = (
-        (sel_counts >= min_count)
-        & (_count_in(marg_codes[:half_m], c1) >= min_count)
-        & (_count_in(marg_codes[:half_m], c2) >= min_count)
-    )
+    sel_m1, sel_m2 = _count_in(marg_codes[:half_m], np.stack([c1, c2]))
+    selected = (sel_counts >= min_count) & (sel_m1 >= min_count) & (sel_m2 >= min_count)
     cnt = _count_in(keys[half_j:], pair_keys)
-    m1 = _count_in(marg_codes[half_m:], c1)
-    m2 = _count_in(marg_codes[half_m:], c2)
+    m1, m2 = _count_in(marg_codes[half_m:], np.stack([c1, c2]))
     kept = selected & (cnt > 0) & (m1 > 0) & (m2 > 0)
     c1, c2, cnt, m1, m2 = c1[kept], c2[kept], cnt[kept], m1[kept], m2[kept]
 

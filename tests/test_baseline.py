@@ -374,6 +374,21 @@ class TestKnn:
         assert_array_equal(ranked, _full_sort(store.ids, store.distances(
             hash_query(queries[2])), 9, 2))
 
+    def test_rank_hashes_raw_probes_to_integer_counts(self, monkeypatch):
+        # counts past 255 widen the store to uint16; a probe repeats one trigram 300 times
+        rows = [[7] * 300, _q(7, 8, 9), _q(1, 2, 3, 4), _q(8)] + [[8] * 40] * 3
+        store = TrigramHashStore(_table(rows), n_buckets=13)
+        seen = []
+        distances = store.distances
+        monkeypatch.setattr(store, "keys", lambda pv: seen.append(pv) or distances(pv))
+        for probe in rows + [[7] * 299 + [8]]:
+            ranked = store.rank(probe, 5)
+            # the float64 vector of hash_query gives the same distances, bit for bit
+            want = store.distances(hash_query(probe, 13))
+            assert seen[-1].dtype.kind == "u"
+            assert_array_equal(distances(seen[-1]), want)
+            assert_array_equal(ranked, _full_sort(store.ids, want, 5))
+
     def test_custom_bucket_width(self):
         queries = [_q(1, 2), _q(3)]
         store = TrigramHashStore(_table(queries), n_buckets=7)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from queryemb.genmodel import (
     load_dataset,
     mixture_probs,
     partition_function,
+    query_lengths,
     read_matrix,
     sample_trigrams_batch,
     save_dataset,
@@ -144,6 +146,24 @@ class TestQueryLength:
         pmf = truncated_poisson_pmf(6000.0, 12)
         assert np.isfinite(pmf).all() and abs(pmf.sum() - 1.0) < 1e-12
         assert pmf[-1] > 0.99
+
+    @pytest.mark.parametrize("lam, max_len", [(1.0, 3), (5.0, 12), (1200.0, 12), (2.0, 1)])
+    def test_lengths_equal_searchsorted_at_cdf_entries(self, lam, max_len):
+        cfg = _config(lam=lam, max_len=max_len, alphas=(0.75,) * max_len, betas=(1.0,) * max_len)
+        cdf = np.cumsum(truncated_poisson_pmf(lam, max_len))
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53], edges, rng_stream(70).random(1000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = query_lengths(cfg, u)
+        # the former rule: one searchsorted of every draw in the CDF
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), max_len - 1) + 1
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert query_lengths(cfg, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, 5.0, -0.5])
+    def test_uniforms_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+            query_lengths(_config(), np.array([0.25, bad, 0.75]))
 
 
 class TestPartitionFunction:
@@ -269,7 +289,39 @@ class TestTrigramMeanLaw:
         assert trigram_mean_coefficient(p, 1, cfg, vocab) == 0.0
 
 
+def former_trigrams_batch(rng, p, position, config, vocab, n_samples):
+    """The batch sampler that placed every draw in the tilted CDF: pick, u, uniform."""
+    alpha, beta = _position_params(config, position)
+    cdf = np.cumsum(tilted_component_probs(p, beta, vocab))
+    pick = rng.random(n_samples) < alpha
+    tilted = np.minimum(np.searchsorted(cdf, rng.random(n_samples), side="right"), cdf.size - 1)
+    return np.where(pick, tilted, rng.integers(config.vocab_size, size=n_samples))
+
+
+def former_empirical_variance(p, position, config, vocab, n_samples, rng):
+    """The scatter with one einsum row per sampled draw."""
+    ids = former_trigrams_batch(rng, p, position, config, vocab, n_samples)
+    rho = trigram_mean_coefficient(p, position, config, vocab)
+    diff = vocab[ids] - rho * np.asarray(p, dtype=np.float64)
+    return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+
+
 class TestTrigramEmpiricalVariance:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.7])
+    def test_equals_former_per_draw_code(self, seed, alpha):
+        # a stand-in for GeneratorConfig, which keeps alphas in (1/2, 1]; the samplers read
+        # only these fields
+        cfg = types.SimpleNamespace(dim=16, vocab_size=2000, max_len=2, alphas=(0.9, alpha),
+                                    betas=(0.5, 1.5))
+        vocab = rng_stream(seed, 1).standard_normal((cfg.vocab_size, cfg.dim))
+        p = sample_unit_sphere(rng_stream(seed, 2), cfg.dim)
+        got = sample_trigrams_batch(rng_stream(seed, 3), p, 2, cfg, vocab, 20_000)
+        want = former_trigrams_batch(rng_stream(seed, 3), p, 2, cfg, vocab, 20_000)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        est = trigram_empirical_variance(p, 2, cfg, vocab, 20_000, rng_stream(seed, 4))
+        assert est == former_empirical_variance(p, 2, cfg, vocab, 20_000, rng_stream(seed, 4))
+
     def test_beta_zero_alpha_one_matches_dim(self):
         dim, m = 16, 10_000
         cfg = GeneratorConfig(
@@ -563,6 +615,12 @@ class TestInverseCdfRows:
         got = inverse_cdf_rows(cdfs, np.zeros(u.size, dtype=np.int64), u)
         assert got.tolist() == [2, 2, 4, 4, 5, 5, 5, 5]
 
+    @pytest.mark.parametrize("bad", [-1, 3, 2**40])
+    def test_rows_outside_table_rejected(self, bad):
+        cdfs = _cdf_table(rng_stream(52), 3, 4)
+        with pytest.raises(ValueError, match=rf"CDF row {bad} outside \[0, 3\)"):
+            inverse_cdf_rows(cdfs, np.array([bad, 0]), np.array([0.6, 0.6]))
+
     def test_empty_draws(self):
         cdfs = _cdf_table(rng_stream(51), 3, 30)
         got = inverse_cdf_rows(cdfs, np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -667,6 +725,28 @@ _TEXT_CASES = [
 _TEXT_CASE_IDS = ["digit_boundaries", "empty", "lengths_1_to_max_len"]
 
 
+def digit_table_text(dataset):
+    """queries.tsv and edges.tsv as the digit-table writer made them: each cell's digits
+    gathered into a (rows, cols, w + 1) buffer, a tab or a newline set after them, the
+    absent cells zeroed and every 0 byte dropped."""
+    c, q, edges = dataset.config, dataset.queries, dataset.graph.edges()
+    n = max(c.n_products, c.vocab_size, len(q))
+    width = len(str(max(n - 1, 0)))
+    digits = np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+
+    def tsv(fields, present):
+        cells = np.full((*fields.shape, width + 1), ord("\t"), dtype=np.uint8)
+        cells[..., :-1] = digits[fields]
+        cells[np.arange(len(fields)), present.sum(axis=1) - 1, -1] = ord("\n")
+        cells[~present] = 0
+        text = cells.ravel()
+        return text[text != 0].tobytes()
+
+    fields = np.column_stack([q.product_ids, q.ids])
+    queries = tsv(fields, np.arange(fields.shape[1]) <= q.lengths[:, None])
+    return queries, tsv(edges, np.ones(edges.shape, bool))
+
+
 def per_line_queries(path, width):
     """queries.tsv as the loader once read it: int() of each tab-split field, line by line."""
     with open(path) as fh:
@@ -724,6 +804,18 @@ class TestDatasetSerialization:
         edge_text = ("%d\t%d\n" * len(edges)) % tuple(edges.ravel().tolist())
         assert (tmp_path / "queries.tsv").read_bytes() == queries.encode()
         assert (tmp_path / "edges.tsv").read_bytes() == edge_text.encode()
+        assert digit_table_text(ds) == (queries.encode(), edge_text.encode())
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001])
+    def test_cell_table_at_digit_widths(self, n):
+        cells = genmodel._cell_table(n)
+        assert cells.shape == (2 * n + 1,)
+        rows = cells.view(np.uint8).reshape(2 * n + 1, -1)
+        text = [bytes(row).replace(b"\0", b"") for row in rows]
+        assert text == [b"%d\t" % v for v in range(n)] + [b"%d\n" % v for v in range(n)] + [b""]
+        edges = np.array([[0, n - 1], [n // 2, n - 1], [0, 0]])  # the first, a middle and the last
+        got = genmodel._tsv_bytes(cells, edges + [0, n])
+        assert got == ("%d\t%d\n" * 3 % tuple(edges.ravel().tolist())).encode()
 
     def test_text_bytes_pinned(self, tmp_path):
         # sha256 taken from the "%d"-formatting writer this one replaced

@@ -23,6 +23,7 @@ from queryemb.genmodel import (
 )
 from queryemb.theory import (
     _affine_fit,
+    _count_in,
     _decode_codes,
     _fmt,
     _position_probs,
@@ -309,6 +310,35 @@ class TestEstimatePmi:
         assert np.all(est.pairs[:, 0] <= est.pairs[:, 1])
         keys = est.pairs[:, 0] * 31**3 + est.pairs[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+
+def sorted_count_in(sample, values):
+    """The former _count_in: two binary searches of every value in the sorted sample."""
+    s = np.sort(sample)
+    return np.searchsorted(s, values, side="right") - np.searchsorted(s, values, side="left")
+
+
+class TestCountIn:
+    @pytest.mark.parametrize(
+        "sample, values",
+        [
+            ([], [3, 1, 2]),  # an empty sample
+            ([5, 1, 5, 9, 1, 5], [9, 0, 5, 7, 10, 1, 5]),  # absent and unsorted values
+            ([4, 4, 4], []),
+            ([2**62, -3, 2**62], [-3, 2**62, 2**62 - 1, -4]),
+        ],
+    )
+    def test_equals_sorted_search(self, sample, values):
+        sample, values = np.array(sample, dtype=np.int64), np.array(values, dtype=np.int64)
+        got = _count_in(sample, values)
+        assert got.tolist() == sorted_count_in(sample, values).tolist()
+        assert got.shape == values.shape
+
+    def test_equals_sorted_search_on_sampled_codes(self):
+        rng = rng_stream(80)
+        sample = rng.integers(0, 500, size=20_000)
+        values = rng.integers(-10, 600, size=(2, 1500))  # estimate_pmi counts both sides at once
+        assert np.array_equal(_count_in(sample, values), sorted_count_in(sample, values))
 
 
 class TestDecodeCodes:
