@@ -102,7 +102,7 @@ def lemire_draw(x, n: int):
 
     Lemire's rule as numpy applies it: the value is x*n >> 32, and the call
     redraws while x*n mod 2**32 < (2**32 - n) % n.  x is a Python int or a
-    uint64 array (elementwise).
+    uint64 array, and n an int or a uint64 array broadcast against x.
     """
     m = x * n
     return m >> 32, (m & 0xFFFFFFFF) >= (2**32 - n) % n
@@ -138,7 +138,9 @@ class ReplayStream:
             self._read(self._halves.size // 2)
 
     def integers(self, n: int) -> int:
-        """The next Generator.integers(n), 1 <= n < 2**32."""
+        """The next Generator.integers(n), 1 <= n < 2**32; any other n raises before a read."""
+        if not 1 <= n < 2**32:
+            raise ValueError(f"range must lie in [1, 2**32), got {n}")
         if n == 1:
             return 0
         while True:
@@ -161,15 +163,12 @@ class ReplayStream:
             raise ValueError(f"can skip 0 to {held} halves, not {count}")
         self._cursor += count
 
-    def peek(self, n: int, size: int) -> tuple[list[int], list[int]]:
-        """Up to size held halves from the cursor, left unread: each as its 32-bit
-        value and as the integers(n) it gives, -1 where Lemire's rule redraws.
-
-        Fewer come back near the end of what is held; nothing is read ahead.
-        """
+    def peek(self, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next size halves, read ahead as needed but left unread: as uint64
+        32-bit values and as the integers(n) each gives, -1 where Lemire's rule redraws."""
         start = self._cursor
-        return (self._halves[start : start + size].tolist(),
-                self._decoded(n)[start : start + size].tolist())
+        self._reach(start + size)
+        return self._halves[start : start + size], self._decoded(n)[start : start + size]
 
     def _decoded(self, n: int) -> np.ndarray:
         """Every held half decoded for range n in one array pass, -1 where Lemire's rule redraws."""

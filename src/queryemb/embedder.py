@@ -13,7 +13,6 @@ against a per-anchor scalar reference in the test suite.
 
 from __future__ import annotations
 
-import array
 import math
 import struct
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .core import (
     QueryGraph,
     QueryTable,
     ReplayStream,
+    lemire_draw,
     query_row,
     rng_stream,
 )
@@ -159,8 +159,11 @@ class TrainingGroup(NamedTuple):
     @classmethod
     def build(cls, anchor: np.ndarray, other: np.ndarray, weight: np.ndarray,
               positive: np.ndarray) -> "TrainingGroup":
-        distinct, inverse = np.unique(np.concatenate([anchor, other]), return_inverse=True)
-        return cls(anchor, other, weight, positive, distinct, inverse)
+        ids = np.concatenate([anchor, other])
+        low = ids.min(initial=0)  # 0 unless an id is negative
+        present = np.bincount(ids - low) > 0  # np.unique's distinct and inverse, without its sort
+        return cls(anchor, other, weight, positive, np.flatnonzero(present) + low,
+                   (np.cumsum(present) - 1)[ids - low])
 
 
 def _upstream(partner: np.ndarray, g: np.ndarray, inverse: np.ndarray, n_rows: int) -> np.ndarray:
@@ -302,35 +305,65 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
 
 
-# Halves of the train stream turned into Python ints at a time by _training_groups
-REPLAY_WINDOW = 4096
+# _training_groups replays the train stream REPLAY_BLOCK anchors at a time,
+# each at up to REPLAY_DELAYS - 1 halves past its speculative offset
+REPLAY_BLOCK = 128
+REPLAY_DELAYS = 32
 
 
-def _replayed_samples(
-    nbrs: list[int], q: int, n_samples: int, k: int, halves: list[int], values: list[int], at: int
-) -> tuple[list[int], list[int]] | None:
-    """(positives, negatives) of anchor q read straight off a window of the
-    stream: halves[at:] are the 32-bit halves from q's first draw on and
-    values[at:] their integers(n_queries), -1 where Lemire's rule redraws.
+def _replay_block(
+    graph: QueryGraph, anchors: np.ndarray, n_samples: int, k: int, stream: ReplayStream,
+    excluded: np.ndarray,
+) -> tuple[np.ndarray, bool]:
+    """(samples, stuck): the (m, n_samples + k) positives and negatives of the
+    first m anchors, from the stream's cursor on, as sample_positives and
+    sample_negatives would draw them; the cursor is left at anchor m.
 
-    None when sample_positives would redraw a positive, or when one of the k
-    halves after the positives is a redraw, q or a neighbour of q.
+    Anchor j's draws start at offset o_j if no earlier draw is redrawn, and
+    delta halves later if some are.  For each delta < REPLAY_DELAYS, array
+    passes give the next anchor's delay: the positive halves must pass
+    Lemire's rule at the degree, and the negatives are the first k halves
+    whose integers(n_queries) is accepted and neither the anchor nor a
+    neighbour (a bitmap row of excluded, all False between calls).  The walk
+    through that table stops at the first anchor without an entry: a positive
+    redraw, too few non-neighbours, or a next delay past the table.  stuck
+    says it has no entry even at delay 0, so only the samplers can draw it.
     """
-    degree = len(nbrs)
-    positives = nbrs * n_samples  # integers(1) reads nothing
-    if degree > 1:
-        positives = []
-        limit = 2**32 % degree  # Lemire's rule redraws below this
-        for x in halves[at : at + n_samples]:
-            m = x * degree
-            if m & 0xFFFFFFFF < limit:
-                return None
-            positives.append(nbrs[m >> 32])
-        at += n_samples
-    negatives = values[at : at + k]
-    excluded = set(nbrs)
-    excluded.update((q, -1))
-    return (positives, negatives) if excluded.isdisjoint(negatives) else None
+    n, width = graph.n_queries, n_samples + k + REPLAY_DELAYS - 1
+    lo, rows = graph.indptr[anchors], np.arange(anchors.size)
+    degree = graph.indptr[anchors + 1] - lo
+    n_pos = np.where(degree > 1, n_samples, 0)  # integers(1) reads nothing
+    offset = np.concatenate([[0], np.cumsum(n_pos + k)])
+    halves, values = stream.peek(n, int(offset[-1]) + width)
+    cols = offset[:-1, None] + np.arange(width)  # row j: o_j on, flattened below
+    drawn, accepted = lemire_draw(halves[cols], degree.astype(np.uint64)[:, None])
+    v = values[cols]
+    row = np.repeat(rows, degree)
+    marks = row * n + graph.indices[np.arange(row.size) + (lo - np.cumsum(degree) + degree)[row]]
+    excluded[marks] = True
+    good = ((v >= 0) & (v != anchors[:, None]) & ~excluded[rows[:, None] * n + v]).ravel()
+    excluded[marks] = False
+    # counts of redrawn positives and of kept halves before each flat index
+    redraws, goods = (np.concatenate([[0], np.cumsum(x)]) for x in (~accepted, good))
+    start = rows[:, None] * width + np.arange(REPLAY_DELAYS)  # anchor j at delay delta
+    first_negative = start + n_pos[:, None]
+    good_at = np.append(np.flatnonzero(good), 2 * good.size)  # past the last: delay too large
+    last = good_at[np.minimum(goods[first_negative] + k - 1, good_at.size - 1)]
+    nxt = last + 1 - (rows * width + n_pos + k)[:, None]
+    found = (redraws[first_negative] == redraws[start]) & (n - 1 - degree >= k)[:, None]
+    nxt[~found | (nxt >= REPLAY_DELAYS)] = -1
+    walked, delay = [], 0
+    for entries in nxt.tolist():
+        if entries[delay] < 0:
+            break
+        walked.append(delay)
+        delay = entries[delay]
+    m = len(walked)
+    at, placed = np.array(walked, dtype=np.int64)[:, None], rows[:m, None]
+    stream.skip(int(offset[m]) + delay)
+    positives = graph.indices[lo[placed] + drawn[placed, at + np.arange(n_samples)].view(np.int64)]
+    negatives = v.ravel()[good_at[goods[first_negative[placed, at]] + np.arange(k)]]
+    return np.hstack([positives, negatives]), m < anchors.size and delay == 0
 
 
 def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGroup]:
@@ -342,59 +375,45 @@ def _training_groups(graph: QueryGraph, config: TrainConfig) -> list[TrainingGro
     permutation belongs to group j // batch_size; anchors without positives
     are skipped and groups left empty are dropped.
 
-    Most anchors are read straight off a window of REPLAY_WINDOW peeked
-    halves (_replayed_samples).  An anchor that would redraw or reject a
-    draw, that has fewer non-neighbours than negatives, or whose draws run
-    past the window goes through sample_positives and sample_negatives from
-    the same stream position, so both paths give the same draws.
+    The anchors are replayed a block at a time (_replay_block).  An anchor
+    that no block table can place goes through sample_positives and
+    sample_negatives from its exact stream position, so both paths give the
+    same draws.
     """
     rng = rng_stream(config.seed, STREAM_TRAIN)
     order = rng.permutation(graph.n_queries)
-    n, n_samples = graph.n_queries, config.n_positives
+    n_samples = config.n_positives
     k = config.n_negatives * n_samples  # an anchor with positives has n_samples of them
     draws = order.size * (n_samples + k)
     stream = ReplayStream(rng.bit_generator, draws * 9 // 16)  # two draws a word, 1/8 for redraws
-    indptr, indices = graph.indptr.tolist(), graph.indices
-    halves, values, base = [], [], 0  # the window starts at stream position base
-    kept = []
-    others = array.array("q")  # 8 bytes a pair id, where a list would hold an int object each
-    for j, a in enumerate(order.tolist()):
-        lo, hi = indptr[a], indptr[a + 1]
-        if lo == hi:
-            continue  # an isolated anchor draws nothing
-        need = k + (n_samples if hi - lo > 1 else 0)  # integers(1) reads nothing
-        at = stream.position - base
-        if at + need > len(halves):
-            base, at = stream.position, 0
-            halves, values = stream.peek(n, max(REPLAY_WINDOW, need))
-        samples = None
-        if hi - lo < n - k and need <= len(halves) - at:
-            nbrs = indices[lo:hi].tolist()
-            samples = _replayed_samples(nbrs, a, n_samples, k, halves, values, at)
-        if samples is None:
-            # looked up at call time, so a wrapper installed on the module sees these anchors
-            samples = (sample_positives(graph, a, n_samples, stream),
-                       sample_negatives(graph, a, k, stream))
-        else:
-            stream.skip(need)
-        kept.append(j)
-        for ids in samples:
-            others.fromlist(ids)
-    del stream
-    if not kept:
+    kept = np.flatnonzero(np.diff(graph.indptr)[order])  # an isolated anchor draws nothing
+    if not kept.size:
         return []
-    other = np.array(others, dtype=np.int64)
-    del others
-    size = n_samples + k  # pairs per anchor
-    group = np.array(kept) // config.batch_size
-    anchor = np.repeat(order[kept], size)
-    positive = np.tile(np.arange(size) < n_samples, len(kept))
+    anchors, size = order[kept], n_samples + k  # pairs per anchor
+    other = np.empty((kept.size, size), dtype=np.int64)
+    excluded = np.zeros(REPLAY_BLOCK * graph.n_queries, dtype=bool)
+    j = 0
+    while j < kept.size:
+        samples, stuck = _replay_block(graph, anchors[j : j + REPLAY_BLOCK], n_samples, k,
+                                       stream, excluded)
+        other[j : j + len(samples)] = samples
+        j += len(samples)
+        if stuck:
+            # looked up at call time, so a wrapper installed on the module sees these anchors
+            a = int(anchors[j])
+            positives = sample_positives(graph, a, n_samples, stream)
+            other[j] = positives + sample_negatives(graph, a, k, stream)
+            j += 1
+    del stream
+    group = kept // config.batch_size
+    anchor = np.repeat(anchors, size)
+    positive = np.tile(np.arange(size) < n_samples, kept.size)
     weight = np.where(positive, 1.0 / n_samples, 1.0 / k)
     weight /= np.repeat(np.bincount(group)[group], size)  # the group's anchor count
     cuts = (np.flatnonzero(np.diff(group)) + 1) * size
     return [
         TrainingGroup.build(*parts)
-        for parts in zip(*(np.split(arr, cuts) for arr in (anchor, other, weight, positive)))
+        for parts in zip(*(np.split(a, cuts) for a in (anchor, other.ravel(), weight, positive)))
     ]
 
 

@@ -164,6 +164,32 @@ class TestReplayStream:
             # the scan stops right after the k-th kept draw
             assert replay.integers(9) == int(gen.integers(9))
 
+    def test_peek_reads_ahead_and_skip_reads(self):
+        gen, twin = _twins(17, _LEADS["kept_half"])
+        replay = ReplayStream(twin.bit_generator, 2)  # 5 halves held, the kept one first
+        halves, values = replay.peek(1000, 40)
+        assert halves.size == values.size == 40 and replay.position == 0
+        value, accepted = lemire_draw(halves, 1000)
+        assert values.tolist() == np.where(accepted, value, -1).tolist()
+        assert accepted.all()  # so each half below is one integers(1000) call
+        replay.skip(3)
+        assert replay.position == 3
+        expected = [int(gen.integers(1000)) for _ in range(40)][3:]
+        assert [replay.integers(1000) for _ in range(37)] == expected
+        with pytest.raises(ValueError, match="can skip"):
+            replay.skip(10**6)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**33])
+    def test_integers_rejects_a_range_outside_1_to_2_32_before_reading(self, n):
+        # 2**33 never accepts a draw ((2**32 - n) % n is 2**32), so unchecked it
+        # would read ahead until memory ran out; 0 would divide by zero
+        gen, twin = _twins(16, _LEADS["kept_half"])
+        replay = ReplayStream(twin.bit_generator, 4)
+        with pytest.raises(ValueError, match=r"range must lie in \[1, 2\*\*32\)"):
+            replay.integers(n)
+        assert replay.position == 0
+        assert replay.integers(7) == int(gen.integers(7))
+
     def test_integers_outside_needs_a_real_range(self):
         replay = ReplayStream(rng_stream(15).bit_generator, 8)
         for n in (0, 1, 2**32):

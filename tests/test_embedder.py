@@ -654,6 +654,27 @@ def _assert_unique_ids(group):
     assert np.array_equal(group.inverse, inverse)
 
 
+class TestGroupIndex:
+    """TrainingGroup.build's presence-count index against np.unique."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            rng_stream(57).integers(0, 50, size=400),  # repeats, some ids absent
+            np.array([13, 13]),  # a single id
+            np.array([0, 49, 0, 7, 49, 0]),  # the ends of [0, 50)
+            np.array([-1, 3, -1, 60]),  # out of range: loss_and_gradient rejects these
+        ],
+        ids=["repeats", "single", "ends", "outside"],
+    )
+    def test_matches_np_unique(self, ids):
+        half = ids.size // 2
+        group = TrainingGroup.build(ids[:half], ids[half:], np.ones(ids.size - half),
+                                    np.zeros(ids.size - half, dtype=bool))
+        _assert_unique_ids(group)
+        assert group.distinct.dtype == group.inverse.dtype == np.int64
+
+
 @pytest.fixture(scope="module")
 def desk_groups():
     """The desk dataset at seed 2 and the groups of a 1-epoch desk-recipe train."""
@@ -914,6 +935,45 @@ def _edge_case_graph():
     return _graph(40, edges)
 
 
+class _ZeroedStream(ReplayStream):
+    """A replay whose every 7th half reads 0: Lemire's rule redraws a 0 at
+    every range but a power of two."""
+
+    def _read(self, n_words):
+        super()._read(n_words)
+        self._halves[::7] = 0
+
+
+def _watch_samplers(monkeypatch):
+    """The anchors sample_negatives is called for, through the module attribute."""
+    calls = []
+
+    def watching(graph, q, k, stream):
+        calls.append(q)
+        return sample_negatives(graph, q, k, stream)
+
+    monkeypatch.setattr(embedder, "sample_negatives", watching)
+    return calls
+
+
+def _watch_blocks(monkeypatch):
+    """One (anchors, placed, stuck, late) per _replay_block call: late is how
+    many halves past its speculative offset the anchor after the placed ones starts."""
+    blocks = []
+    original = embedder._replay_block
+
+    def watching(graph, anchors, n_samples, k, stream, excluded):
+        start = stream.position
+        samples, stuck = original(graph, anchors, n_samples, k, stream, excluded)
+        degree = np.diff(graph.indptr)[anchors[: len(samples)]]
+        speculative = start + int(np.where(degree > 1, n_samples, 0).sum()) + k * len(samples)
+        blocks.append((anchors.size, len(samples), stuck, stream.position - speculative))
+        return samples, stuck
+
+    monkeypatch.setattr(embedder, "_replay_block", watching)
+    return blocks
+
+
 def _assert_same_groups(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
@@ -965,22 +1025,80 @@ class TestTrainingSamplesMatchReference:
         _assert_same_groups(groups, ref_training_groups(g, cfg))
         assert sum(np.unique(x.anchor).size for x in groups) == 38  # isolated 0 and 1 skipped
 
+    def test_edge_case_fallback_matches_reference(self, monkeypatch):
+        # with 3 delays anchor 6's window holds 11 negative halves, and about
+        # 40 are needed for its 9 non-neighbours, so only the samplers draw it
+        monkeypatch.setattr(embedder, "REPLAY_DELAYS", 3)
+        calls = _watch_samplers(monkeypatch)
+        g = _edge_case_graph()
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, n_positives=3, n_negatives=3,
+                          batch_size=7, seed=1)
+        _assert_same_groups(embedder._training_groups(g, cfg), ref_training_groups(g, cfg))
+        assert 6 in calls
+
+    def test_positive_redraws_go_to_the_samplers(self, monkeypatch):
+        # every 7th half reads 0 (_ZeroedStream), so about 3 in 7 anchors of a
+        # degree that is not a power of two redraw a positive; drawn by the
+        # samplers alone, the same stream gives the reference groups
+        monkeypatch.setattr(embedder, "ReplayStream", _ZeroedStream)
+        g = _edge_case_graph()
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, n_positives=3, n_negatives=3,
+                          batch_size=7, seed=2)
+        redrawn, sampled = set(), []
+
+        def watching(graph, q, n_samples, stream):
+            sampled.append(q)
+            start = stream.position
+            positives = sample_positives(graph, q, n_samples, stream)
+            if graph.degree(q) > 1 and stream.position - start > n_samples:
+                redrawn.add(q)
+            return positives
+
+        monkeypatch.setattr(embedder, "sample_positives", watching)
+        with monkeypatch.context() as patch:
+            def no_block(graph, anchors, n_samples, k, stream, excluded):
+                return np.empty((0, n_samples + k), dtype=np.int64), True
+
+            patch.setattr(embedder, "_replay_block", no_block)
+            expected = embedder._training_groups(g, cfg)
+        sampled.clear()
+        _assert_same_groups(embedder._training_groups(g, cfg), expected)
+        assert redrawn and redrawn <= set(sampled)
+
+    # (block, delays): the three ways a block ends, each seen at least once
+    @pytest.mark.parametrize("block, delays", [(3, 2), (5, 6), (8, 8)])
+    @pytest.mark.parametrize("graph", ["edge-case", "mixed"])
+    def test_block_boundaries_match_reference(self, graph, block, delays, monkeypatch):
+        monkeypatch.setattr(embedder, "REPLAY_BLOCK", block)
+        monkeypatch.setattr(embedder, "REPLAY_DELAYS", delays)
+        blocks = _watch_blocks(monkeypatch)
+        calls = _watch_samplers(monkeypatch)
+        g = _edge_case_graph() if graph == "edge-case" else _mixed_dataset(seed=44).graph
+        for seed in (1, 2, 3):
+            cfg = TrainConfig(learning_rate=0.1, epochs=1, n_positives=3, n_negatives=3,
+                              batch_size=7, seed=seed)
+            _assert_same_groups(embedder._training_groups(g, cfg), ref_training_groups(g, cfg))
+        # a whole block walked, its last anchor's draws running into the next one's offsets
+        assert any(m == size and late > 0 for size, m, _, late in blocks)
+        # a block stopped at an anchor it could not place: at a delay past the
+        # table, resumed by the next block ...
+        assert any(m < size and not stuck for size, m, stuck, _ in blocks)
+        # ... and at delay 0, drawn by the samplers
+        assert any(stuck for _, _, stuck, _ in blocks)
+        assert calls
+
     @pytest.mark.parametrize("seed", [4, 9])
-    def test_desk_groups_match_reference(self, seed, monkeypatch):
+    def test_desk_groups_match_reference(self, seed):
         ds = generate_dataset(default_benchmark_config(seed))
         cfg = dataclasses.replace(desk_train_config(seed), epochs=1)
-        calls = []
-
-        def counting(graph, q, k, stream):
-            calls.append(q)
-            return sample_negatives(graph, q, k, stream)
-
-        monkeypatch.setattr(embedder, "sample_negatives", counting)
         groups = embedder._training_groups(ds.graph, cfg)
         _assert_same_groups(groups, ref_training_groups(ds.graph, cfg))
-        # both paths ran: some anchors were replayed by sample_negatives, most were not
-        kept = sum(np.unique(g.anchor).size for g in groups)
-        assert 0 < len(calls) < kept
+
+    def test_20000_query_groups_match_reference(self):
+        ds = generate_dataset(dataclasses.replace(default_benchmark_config(5), n_queries=20_000))
+        cfg = dataclasses.replace(desk_train_config(5), epochs=1)
+        _assert_same_groups(embedder._training_groups(ds.graph, cfg),
+                            ref_training_groups(ds.graph, cfg))
 
     def test_anchor_with_too_few_non_neighbours_raises_before_any_draw(self, monkeypatch):
         # anchor 6 has 9 non-neighbours and needs 2 * 5 negatives
