@@ -463,11 +463,15 @@ class QueryGraph:
     Stored in CSR form: the neighbours of q are ``indices[indptr[q]:indptr[q+1]]``,
     sorted and never containing q.  ``edges`` lists each undirected edge once
     as a ``(u, v)`` row with ``u < v``, so symmetry holds by construction.
+    The input edges may have any integer dtype and are read as they are (a
+    uint32 array is not widened); anything else raises ValueError.  ``indices``
+    and ``indptr`` are int64.
     """
 
     def __init__(self, n_queries: int, edges: np.ndarray | Sequence[Sequence[int]]) -> None:
         n = int(n_queries)
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = np.asarray(edges)
+        _check_integers(edges, "edge query ids")
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -483,19 +487,25 @@ class QueryGraph:
                 raise ValueError(f"self-loop at query {a}")
             raise ValueError(f"edge ({a}, {b}) violates u < v ordering")
         # one key q * n + w per directed edge; sorted, the keys run through
-        # the CSR rows in order and key % n is the neighbour.  The keys are
-        # at most n * n - 1, so up to n = 2**16 they sort as uint32.
-        u, v = edges.T.astype(np.uint32 if n <= 1 << 16 else np.uint64)
-        keys = np.concatenate([u * n + v, v * n + u])
+        # the CSR rows in order, row q starts at the first key >= q * n and
+        # key % n is the neighbour.  The keys are at most n * n - 1, so up to
+        # n = 2**16 they sort as uint32; they are computed in that dtype, not
+        # the input's (an int32 q * n wraps from n = 2**16 + 1).
+        kind = np.uint32 if n <= 1 << 16 else np.uint64
+        keys = np.empty(2 * len(edges), dtype=kind)
+        for half, q, w in ((keys[: len(edges)], u, v), (keys[len(edges) :], v, u)):
+            np.multiply(q, n, out=half, dtype=kind, casting="unsafe")
+            np.add(half, w, out=half, dtype=kind, casting="unsafe")
         keys.sort()
         dup = np.flatnonzero(keys[1:] == keys[:-1])
         if dup.size:
             a, b = sorted(divmod(int(keys[dup[0]]), n))
             raise ValueError(f"duplicate edge ({a}, {b})")
-        keys %= max(n, 1)
-        self.indices = keys.astype(np.int64)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=self.indptr[1:])
+        self.indptr = np.empty(n + 1, dtype=np.int64)
+        self.indptr[:n] = np.searchsorted(keys, np.arange(n, dtype=kind) * kind(n))
+        self.indptr[n] = keys.size  # n * n itself overflows uint32 at n = 2**16
+        self.indices = np.empty(keys.size, dtype=np.int64)
+        np.remainder(keys, max(n, 1), out=self.indices)
 
     @property
     def n_queries(self) -> int:
@@ -511,8 +521,11 @@ class QueryGraph:
     def degree(self, q: int) -> int:
         return int(self.indptr[q + 1] - self.indptr[q])
 
-    def edges(self) -> np.ndarray:
-        """Each undirected edge once: (E, 2) rows (u, v), u < v, sorted by u then v."""
-        rows = np.repeat(np.arange(self.n_queries), np.diff(self.indptr))
-        upper = self.indices > rows
-        return np.column_stack([rows[upper], self.indices[upper]])
+    def edges(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Each undirected edge once: (E, 2) rows (u, v), u < v, sorted by u then v;
+        only those with lo <= u < hi when a row range is given."""
+        hi = self.n_queries if hi is None else hi
+        rows = np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo : hi + 1]))
+        cols = self.indices[self.indptr[lo] : self.indptr[hi]]
+        upper = cols > rows
+        return np.column_stack([rows[upper], cols[upper]])

@@ -54,8 +54,8 @@ from .core import (
     write_key_values,
 )
 
-# edges.tsv is formatted this many rows at a time, which bounds the
-# transient byte table of a write.
+# edges.tsv is formatted in blocks of graph rows holding at most this many
+# CSR entries (or one longer row), which bounds the transient tables of a write.
 _EDGE_WRITE_BLOCK = 1 << 16
 _TAB, _NEWLINE = ord("\t"), ord("\n")
 # The most digits a queries.tsv field may have: 19 of them stay below 2**64.
@@ -285,11 +285,13 @@ def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """Edges (u, v), u < v, between queries whose products are adjacent.
 
     Queries are bucketed by product; each bucket is paired with the
-    concatenated buckets of its adjacent products.
+    concatenated buckets of its adjacent products.  The rows are uint32
+    up to 2**32 queries.
     """
     order, bounds = _groups(product_ids, len(adjacency))
+    order = order.astype(np.uint32 if len(product_ids) <= 1 << 32 else np.int64)
     buckets = [order[bounds[a] : bounds[a + 1]] for a in range(len(adjacency))]
-    blocks = [np.empty((0, 2), dtype=np.int64)]
+    blocks = [np.empty((0, 2), dtype=order.dtype)]
     for a, mine in enumerate(buckets):
         near = np.concatenate([buckets[b] for b in np.flatnonzero(adjacency[a])])
         u = np.repeat(mine, near.size)
@@ -447,7 +449,7 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
     write_key_values(os.path.join(out_dir, CONFIG_FILENAME), config)
     write_matrix(os.path.join(out_dir, VOCAB_FILENAME), dataset.vocab)
     write_matrix(os.path.join(out_dir, PRODUCTS_FILENAME), dataset.products)
-    q, edges = dataset.queries, dataset.graph.edges()
+    q, graph = dataset.queries, dataset.graph
     n = max(dataset.config.n_products, dataset.config.vocab_size, len(q))
     cells = _cell_table(n)
     with open(os.path.join(out_dir, QUERIES_FILENAME), "wb") as fh:
@@ -456,8 +458,11 @@ def save_dataset(dataset: SyntheticDataset, out_dir: str) -> list[str]:
         index[np.arange(len(q)), q.lengths] += n  # a line ends after its last trigram
         fh.write(_tsv_bytes(cells, index))
     with open(os.path.join(out_dir, EDGES_FILENAME), "wb") as fh:
-        for lo in range(0, len(edges), _EDGE_WRITE_BLOCK):
-            fh.write(_tsv_bytes(cells, edges[lo : lo + _EDGE_WRITE_BLOCK] + [0, n]))
+        lo, indptr = 0, graph.indptr
+        while lo < graph.n_queries:  # the most rows from lo that fit a block, at least one
+            hi = max(lo + 1, np.searchsorted(indptr, indptr[lo] + _EDGE_WRITE_BLOCK, "right") - 1)
+            fh.write(_tsv_bytes(cells, graph.edges(lo, hi) + [0, n]))
+            lo = hi
     return [CONFIG_FILENAME, VOCAB_FILENAME, PRODUCTS_FILENAME, QUERIES_FILENAME, EDGES_FILENAME]
 
 
@@ -529,7 +534,8 @@ def load_dataset(in_dir: str) -> SyntheticDataset:
     with warnings.catch_warnings():
         # an edge-free graph is saved as an empty edges.tsv
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        edges = np.loadtxt(os.path.join(in_dir, EDGES_FILENAME), dtype=np.int64, ndmin=2)
+        edges = np.loadtxt(os.path.join(in_dir, EDGES_FILENAME), ndmin=2,
+                           dtype=np.int32 if len(queries) < 2**31 else np.int64)
     return SyntheticDataset(config, vocab, products, queries, QueryGraph(len(queries), edges))
 
 

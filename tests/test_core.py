@@ -392,6 +392,15 @@ class TestQuery:
         assert empty != QueryTable(np.zeros((0, 3), dtype=np.int64), [], [])
 
 
+_EDGE_DTYPES = [np.uint16, np.uint32, np.int32, np.int64, np.uint64]
+
+
+def fitting(edges, dtype):
+    """The (u, v) rows of edges whose ids dtype can hold, as a dtype array."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return edges[(edges <= np.iinfo(dtype).max).all(axis=1)].astype(dtype)
+
+
 def int64_csr(n, edges):
     """QueryGraph's CSR arrays from int64 keys q * n + w, whatever n is."""
     u, v = np.asarray(edges, dtype=np.int64).T
@@ -458,28 +467,70 @@ class TestQueryGraph:
         with pytest.raises(ValueError, match="shape"):
             QueryGraph(3, [(0, 1, 2)])
 
-    # keys q * n + w fit uint32 up to n = 2**16 and take uint64 from n = 2**16 + 1
+    # keys q * n + w fit uint32 up to n = 2**16 and take uint64 from n = 2**16 + 1;
+    # the edges come in any integer dtype that holds their ids, and are not widened
+    # (keys multiplied in 32 bits would make (0, 2**16) a false duplicate at 2**16 + 1)
     @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
     def test_csr_at_the_key_dtype_boundary(self, n):
-        edges = np.array([(n - 2, n - 1), (0, n - 1), (5, 7), (0, 1), (1, n - 1)])
-        g = QueryGraph(n, edges)
-        indptr, indices = int64_csr(n, edges)
-        assert g.indices.dtype == g.indptr.dtype == np.int64
-        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
-        assert g.neighbors(n - 1).tolist() == [0, 1, n - 2]
-        assert g.edges().tolist() == sorted(edges.tolist())
+        for dtype in _EDGE_DTYPES:
+            edges = fitting([(n - 2, n - 1), (0, n - 1), (5, 7), (0, 1), (1, n - 1)], dtype)
+            g = QueryGraph(n, edges)
+            indptr, indices = int64_csr(n, edges)
+            assert g.indices.dtype == g.indptr.dtype == np.int64
+            assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+            assert g.neighbors(n - 1).tolist() == sorted(u for u, v in edges.tolist() if v == n - 1)
+            assert g.edges().tolist() == sorted(edges.tolist())
+            assert len(edges) == (2 if dtype == np.uint16 and n > 2**16 else 5), dtype
+        assert QueryGraph(n, edges).neighbors(n - 1).tolist() == [0, 1, n - 2]
 
     @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
     def test_messages_at_the_key_dtype_boundary(self, n):
-        last = n - 1
+        last, tried = n - 1, 0
         for edges, message in (
             ([(0, last), (1, last), (0, last)], rf"^duplicate edge \(0, {last}\)$"),
             ([(0, 1), (last, last)], rf"^self-loop at query {last}$"),
             ([(last, 0)], rf"^edge \({last}, 0\) violates u < v ordering$"),
             ([(0, n)], rf"^edge \(0, {n}\) has a query id out of range$"),
         ):
-            with pytest.raises(ValueError, match=message):
-                QueryGraph(n, edges)
+            for dtype in _EDGE_DTYPES:  # each dtype that holds the edge's ids
+                if len(fitting(edges, dtype)) == len(edges):
+                    tried += 1
+                    with pytest.raises(ValueError, match=message):
+                        QueryGraph(n, fitting(edges, dtype))
+        assert tried == (4 * 4 + 3 if n == 2**16 else 4 * 4)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0.7, 2)], np.array([(0.7, 2)]), [(0.0, 2.0)], [("0", "2")], np.array([("0", "2")]),
+         [(True, False)], np.ones((1, 2), dtype=bool), [(0, 2**64)]],
+        ids=["float_list", "float_array", "integral_floats", "str_list", "str_array",
+             "bool_list", "bool_array", "past_uint64"],
+    )
+    def test_non_integer_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"^edge query ids must be integers, got dtype"):
+            QueryGraph(3, edges)
+
+    def test_python_int_lists_and_empty_graphs_build(self):
+        g = QueryGraph(3, [[0, 2], [1, 2]])
+        assert g.edges().tolist() == [[0, 2], [1, 2]] and g.neighbors(2).tolist() == [0, 1]
+        for n, edges in ((3, []), (3, [[]]), (0, []), (3, np.empty((0, 2))),
+                         (2**16 + 1, np.empty((0, 2), dtype=np.uint32))):
+            g = QueryGraph(n, edges)
+            assert g.n_edges == 0 and g.indptr.tolist() == [0] * (n + 1)
+            assert g.indices.dtype == g.indptr.dtype == np.int64
+            assert g.edges().shape == (0, 2)
+
+    def test_edges_of_a_row_range(self):
+        n = 12
+        rng = rng_stream(7)
+        pairs = sorted({(u, v) for u, v in rng.integers(n, size=(40, 2)).tolist() if u < v})
+        g = QueryGraph(n, pairs)
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                want = [[u, v] for u, v in pairs if lo <= u < hi]
+                assert g.edges(lo, hi).tolist() == want
+                assert g.edges(lo, hi).shape == (len(want), 2)
+        assert g.edges(0, n).tolist() == g.edges().tolist() == [list(e) for e in pairs]
 
 
 _GEN_KV = {

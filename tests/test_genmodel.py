@@ -13,6 +13,7 @@ from scipy.stats import chisquare, poisson
 from queryemb.core import (
     STREAM_QUERIES,
     GeneratorConfig,
+    QueryGraph,
     parse_key_values,
     rng_stream,
     sample_unit_sphere,
@@ -555,6 +556,48 @@ class TestCdfBlocks:
         assert peak <= 4 * 8 * genmodel._CDF_BLOCK_FLOATS, peak  # 32 MiB
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphMemory:
+    """The edge list stays in its ids' own width from generate to edges.tsv and back:
+    traced peaks on the seed-3 20,000-query dataset (about 1M edges), where an
+    (E, 2) int64 copy alone is 16 MB."""
+
+    MIB = 2**20
+
+    @pytest.fixture(scope="class")
+    def dense(self, tmp_path_factory):
+        cfg = dataclasses.replace(default_benchmark_config(3), n_queries=20_000)
+        ds, generate = traced_peak(generate_dataset, cfg)
+        out = str(tmp_path_factory.mktemp("dense"))
+        _, save = traced_peak(save_dataset, ds, out)
+        back, load = traced_peak(load_dataset, out)
+        return types.SimpleNamespace(ds=ds, back=back, generate=generate, save=save, load=load)
+
+    def test_stage_peaks_are_bounded(self, dense):
+        assert dense.ds.graph.n_edges > 900_000
+        assert dense.generate <= 38 * self.MIB, dense.generate
+        assert dense.save <= 16 * self.MIB, dense.save
+        assert dense.load <= 38 * self.MIB, dense.load
+        g, back = dense.ds.graph, dense.back.graph
+        assert np.array_equal(g.indptr, back.indptr) and np.array_equal(g.indices, back.indices)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_query_graph_peak_per_edge(self, dense, dtype):
+        g = dense.ds.graph
+        edges = g.edges().astype(dtype)
+        built, peak = traced_peak(QueryGraph, g.n_queries, edges)
+        assert peak <= 26 * len(edges), peak / len(edges)
+        assert np.array_equal(built.indptr, g.indptr) and np.array_equal(built.indices, g.indices)
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference for the row-wise inverse-CDF search: one CDF row and one
 # np.searchsorted per key that occurs.
@@ -747,6 +790,27 @@ def digit_table_text(dataset):
     return queries, tsv(edges, np.ones(edges.shape, bool))
 
 
+def assert_row_blocks_equal_one_shot_text(ds, tmp_path, monkeypatch, block):
+    """edges.tsv written in row blocks equals one _tsv_bytes call over the whole edge
+    list; the blocks tile the rows in order, and each holds the most rows whose CSR
+    entries fit in block, or one longer row."""
+    n = max(ds.config.n_products, ds.config.vocab_size, len(ds.queries))
+    want = genmodel._tsv_bytes(genmodel._cell_table(n), ds.graph.edges() + [0, n])
+    monkeypatch.setattr(genmodel, "_EDGE_WRITE_BLOCK", block)
+    ranges, edges = [], QueryGraph.edges
+    monkeypatch.setattr(QueryGraph, "edges", lambda g, lo, hi: ranges.append((lo, hi)) or edges(g, lo, hi))
+    save_dataset(ds, str(tmp_path))
+    monkeypatch.undo()
+    assert (tmp_path / "edges.tsv").read_bytes() == want
+    indptr, rows = ds.graph.indptr, len(ds.queries)
+    bounds = [0, *(hi for _, hi in ranges)]
+    assert ranges == list(zip(bounds, bounds[1:])) and bounds[-1] == rows
+    for lo, hi in ranges:
+        assert hi == lo + 1 or indptr[hi] - indptr[lo] <= block
+        assert hi == rows or indptr[hi + 1] - indptr[lo] > block
+    assert load_dataset(str(tmp_path)).graph.edges().tolist() == ds.graph.edges().tolist()
+
+
 def per_line_queries(path, width):
     """queries.tsv as the loader once read it: int() of each tab-split field, line by line."""
     with open(path) as fh:
@@ -805,6 +869,25 @@ class TestDatasetSerialization:
         assert (tmp_path / "queries.tsv").read_bytes() == queries.encode()
         assert (tmp_path / "edges.tsv").read_bytes() == edge_text.encode()
         assert digit_table_text(ds) == (queries.encode(), edge_text.encode())
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 5), (5, 39), (10, 20)], [(0, v) for v in range(1, 40)] + [(1, 2), (38, 39)], [],
+         None],
+        ids=["isolated_queries", "row_longer_than_a_block", "no_edges", "generated"],
+    )
+    def test_row_blocks_equal_one_shot_text(self, tmp_path, monkeypatch, block, edges):
+        ds = generate_dataset(_config())
+        if edges is not None:
+            ds = dataclasses.replace(ds, graph=QueryGraph(40, edges))
+        assert_row_blocks_equal_one_shot_text(ds, tmp_path, monkeypatch, block)
+
+    @pytest.mark.parametrize(
+        "cfg", [_config(n_products=0, n_queries=0), default_benchmark_config(3)], ids=["empty", "desk"]
+    )
+    def test_row_blocks_equal_one_shot_text_on_whole_datasets(self, tmp_path, monkeypatch, cfg):
+        assert_row_blocks_equal_one_shot_text(generate_dataset(cfg), tmp_path, monkeypatch, 7)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001])
     def test_cell_table_at_digit_widths(self, n):
@@ -949,6 +1032,17 @@ class TestDatasetSerialization:
         with open(os.path.join(out, "edges.tsv"), "a") as fh:
             fh.write("1\tx\n")
         with pytest.raises(ValueError):
+            load_dataset(out)
+
+    @pytest.mark.parametrize("bad", [-1, 40, 2**31, 2**63], ids=["minus_1", "n_queries", "2_pow_31", "2_pow_63"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_edge_id_out_of_range_rejected(self, tmp_path, bad, column):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        edge = [(bad, 1), (0, bad)][column]
+        with open(os.path.join(out, "edges.tsv"), "a") as fh:
+            fh.write("%d\t%d\n" % edge)
+        with pytest.raises(ValueError, match="out of range" if -1 <= bad <= 40 else None):
             load_dataset(out)
 
     def test_unordered_edge_file_rejected(self, tmp_path):
