@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QueryTable, _int64_array, query_row
+from .core import QueryTable, _int64_array
 
 HASH_DIM = 300
 
@@ -37,31 +37,24 @@ def splitmix64_array(x) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _buckets(ids, n_buckets: int) -> np.ndarray:
-    if n_buckets < 1:
-        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
-    return (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
-
-
 def _bucket_counts(ids: np.ndarray, lengths: np.ndarray, n_buckets: int) -> np.ndarray:
     """(n_buckets, n) trigram counts of n padded rows, bucket by bucket, in the
     smallest unsigned type that holds the largest count."""
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
     n, width = ids.shape
     valid = np.arange(width) < lengths[:, None]
-    cells = _buckets(ids, n_buckets) * n + np.arange(n)[:, None]
+    buckets = (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
+    cells = buckets * n + np.arange(n)[:, None]
     counts = np.bincount(cells[valid], minlength=n * n_buckets).reshape(n_buckets, n)
     return counts.astype(np.min_scalar_type(counts.max(initial=0)))
 
 
-def _query_counts(ids: Sequence[int], n_buckets: int) -> np.ndarray:
-    """Integer bucket counts of one raw query: the one-row case of _bucket_counts."""
-    row = query_row(ids)
-    return _bucket_counts(row[None], np.array([row.size]), n_buckets)[:, 0]
-
-
 def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
-    """Bucketed trigram counts of one raw query; the total count equals its length."""
-    return _query_counts(ids, n_buckets).astype(np.float64)
+    """Bucketed trigram counts of one raw query (its QueryTable.of_query) as float64;
+    the total count equals its length."""
+    table = QueryTable.of_query(ids)
+    return _bucket_counts(table.ids, table.lengths, n_buckets)[:, 0].astype(np.float64)
 
 
 def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
@@ -165,5 +158,6 @@ class TrigramHashStore(QueryStore):
     def rank(self, probe: Sequence[int], count: int,
              exclude_id: int | None = None) -> np.ndarray:
         """The count store ids nearest the probe by (distance, id), never exclude_id."""
-        return self._ranked(self.keys(_query_counts(probe, self.n_buckets)), count, exclude_id)
+        pv = self.encode(QueryTable.of_query(probe))[0]  # integer counts
+        return self._ranked(self.keys(pv), count, exclude_id)
 

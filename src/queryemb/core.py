@@ -10,6 +10,7 @@ entity can be regenerated in isolation and generation order never matters.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import typing
 from dataclasses import dataclass, field
@@ -115,7 +116,7 @@ class ReplayStream:
     kept half first (``has_uint32``/``uinteger`` of its state), then each raw
     word's low half before its high half; ``integers(1)`` reads nothing.  The
     raw words are read ahead, ``n_words`` at first and as many again as are
-    held whenever a draw runs past them, and kept as one uint64 array of
+    held whenever a peek runs past them, and kept as one uint64 array of
     halves.
     """
 
@@ -124,32 +125,12 @@ class ReplayStream:
         self._bits = bit_generator
         self._halves = np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint64)
         self._cursor = 0
-        self._bulk_n, self._bulk = 0, np.empty(0, dtype=np.int64)
         self._read(n_words)
 
     def _read(self, n_words: int) -> None:
         words = self._bits.random_raw(max(n_words, 1))
         halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
         self._halves = np.concatenate([self._halves, halves])
-        self._bulk_n = 0
-
-    def _reach(self, end: int) -> None:
-        while end > self._halves.size:
-            self._read(self._halves.size // 2)
-
-    def integers(self, n: int) -> int:
-        """The next Generator.integers(n), 1 <= n < 2**32; any other n raises before a read."""
-        if not 1 <= n < 2**32:
-            raise ValueError(f"range must lie in [1, 2**32), got {n}")
-        if n == 1:
-            return 0
-        while True:
-            if self._cursor == self._halves.size:
-                self._reach(self._cursor + 1)
-            value, accepted = lemire_draw(int(self._halves[self._cursor]), n)
-            self._cursor += 1
-            if accepted:
-                return value
 
     @property
     def position(self) -> int:
@@ -165,40 +146,16 @@ class ReplayStream:
 
     def peek(self, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The next size halves, read ahead as needed but left unread: as uint64
-        32-bit values and as the integers(n) each gives, -1 where Lemire's rule redraws."""
-        start = self._cursor
-        self._reach(start + size)
-        return self._halves[start : start + size], self._decoded(n)[start : start + size]
-
-    def _decoded(self, n: int) -> np.ndarray:
-        """Every held half decoded for range n in one array pass, -1 where Lemire's rule redraws."""
+        32-bit values and as the integers(n) each gives, -1 where Lemire's rule
+        redraws.  Any n outside [2, 2**32) raises before a read."""
         if not 1 < n < 2**32:
             raise ValueError(f"range must lie in [2, 2**32), got {n}")
-        if self._bulk_n != n:
-            value, accepted = lemire_draw(self._halves, n)
-            self._bulk_n, self._bulk = n, value.view(np.int64)  # values < 2**32
-            self._bulk[~accepted] = -1
-        return self._bulk
-
-    def integers_outside(self, n: int, k: int, excluded: set[int]) -> list[int]:
-        """The first k results of repeated integers(n) calls that are not in excluded.
-
-        The halves come decoded for range n (_decoded); the scan then needs
-        only a set lookup per draw.
-        """
-        out: list[int] = []
-        while len(out) < k:
-            start, size = self._cursor, 2 * (k - len(out)) + 16
-            self._reach(start + size)
-            bulk = self._decoded(n)
-            self._cursor += size
-            for i, value in enumerate(bulk[start : start + size].tolist()):
-                if value >= 0 and value not in excluded:
-                    out.append(value)
-                    if len(out) == k:
-                        self._cursor = start + i + 1
-                        break
-        return out
+        start = self._cursor
+        while start + size > self._halves.size:
+            self._read(self._halves.size // 2)
+        halves = self._halves[start : start + size]
+        value, accepted = lemire_draw(halves, n)
+        return halves, np.where(accepted, value.view(np.int64), -1)  # values < 2**32
 
 
 def sample_unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -359,14 +316,21 @@ def config_from_mapping(cls, kv: dict[str, str]):
     types = typing.get_type_hints(cls)
     kwargs = {}
     for name, raw in kv.items():
-        try:
+        with _errors_prefixed(name):
             kwargs[name] = _FIELD_PARSERS[types[name]](raw)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
     return cls(**kwargs)
 
 
-def _check_integers(arr: np.ndarray, what: str = "trigram ids") -> None:
+@contextlib.contextmanager
+def _errors_prefixed(prefix: str):
+    """A ValueError raised inside, raised again as one whose message starts with prefix + ": "."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
+def _check_integers(arr: np.ndarray, what: str) -> None:
     """Refuse a non-empty array whose dtype is not an integer type (np.asarray([]) is float64)."""
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
@@ -383,20 +347,6 @@ def _int64_array(values, what: str) -> np.ndarray:
     if arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max:
         raise OverflowError(f"{what} must fit int64")
     return arr.astype(np.int64)
-
-
-def query_row(q: Sequence[int]) -> np.ndarray:
-    """One raw query's trigram ids as int64, checked as a one-row QueryTable would be."""
-    ids = np.asarray(q)
-    if ids.ndim != 1:
-        raise ValueError(f"a query is a 1-d sequence of trigram ids, got shape {ids.shape}")
-    if ids.size == 0:
-        raise ValueError("a query must contain at least one trigram")
-    _check_integers(ids)
-    ids = ids.astype(np.int64, copy=False)
-    if ids.min() < 0:
-        raise ValueError("trigram ids must be non-negative")
-    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,6 +397,14 @@ class QueryTable:
             np.array_equal(getattr(self, f), getattr(other, f))
             for f in ("ids", "lengths", "product_ids")
         )
+
+    @classmethod
+    def of_query(cls, q: Sequence[int]) -> "QueryTable":
+        """One raw query as a one-row table with product id 0, its ids checked as a row's."""
+        ids = _int64_array(q, "trigram ids")
+        if ids.ndim != 1:
+            raise ValueError(f"a query is a 1-d sequence of trigram ids, got shape {ids.shape}")
+        return cls(ids[None], [ids.size], [0])
 
     def row(self, i: int) -> np.ndarray:
         """The trigram ids of query i, without padding."""

@@ -28,7 +28,6 @@ from .core import (
     QueryTable,
     ReplayStream,
     lemire_draw,
-    query_row,
     rng_stream,
 )
 from .genmodel import SyntheticDataset, read_matrix_stream, write_matrix_stream
@@ -87,17 +86,12 @@ def init_model(vocab_size: int, dim: int, max_len: int, seed: int) -> AttentionM
     return AttentionModel(emb=emb, attn=np.zeros((max_len, dim)))
 
 
-def _check_fit(model: AttentionModel, width: int, id_bound: int) -> None:
-    """Rows of this width with ids below id_bound fit the model."""
-    if width > model.max_len:
-        raise ValueError(f"query width {width} exceeds model max_len {model.max_len}")
-    if id_bound > model.vocab_size:
-        raise ValueError(f"trigram id {id_bound - 1} outside [0, {model.vocab_size})")
-
-
 def _check_table(model: AttentionModel, queries: QueryTable) -> None:
     """O(1): every row of a (self-validated) table fits the model."""
-    _check_fit(model, queries.width, queries.id_bound)
+    if queries.width > model.max_len:
+        raise ValueError(f"query width {queries.width} exceeds model max_len {model.max_len}")
+    if queries.id_bound > model.vocab_size:
+        raise ValueError(f"trigram id {queries.id_bound - 1} outside [0, {model.vocab_size})")
 
 
 def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
@@ -119,10 +113,8 @@ def _forward_rows(model: AttentionModel, ids: np.ndarray, lengths: np.ndarray):
 
 
 def embed_query(model: AttentionModel, q: Sequence[int]) -> np.ndarray:
-    """z of one raw query, checked as a one-row table would be and forwarded as one row."""
-    ids = query_row(q)
-    _check_fit(model, ids.size, int(ids.max()) + 1)
-    return _forward_rows(model, ids[None, :], np.array([ids.size]))[0][0]
+    """z of one raw query: the one row of its QueryTable.of_query."""
+    return embed_table(model, QueryTable.of_query(q))[0]
 
 
 def embed_table(model: AttentionModel, queries: QueryTable) -> np.ndarray:
@@ -244,33 +236,52 @@ def loss_and_gradient(
 # sampling
 
 
+def _first_kept(stream: ReplayStream, n: int, k: int, excluded: np.ndarray) -> np.ndarray:
+    """The first k results of repeated Generator.integers(n) calls replayed on
+    the stream that are not in excluded, as int64; the stream is left just
+    past the k-th.
+
+    Each pass decodes one window of about twice the draws still needed (peek)
+    and reads only as far as it used (skip); k <= 0 reads nothing.
+    """
+    refused = np.sort(np.append(excluded, -1))  # -1: a half that Lemire's rule redraws
+    found = [np.empty(0, dtype=np.int64)]
+    while k > 0:
+        values = stream.peek(n, 2 * k + 16)[1]
+        nearest = refused[np.minimum(np.searchsorted(refused, values), refused.size - 1)]
+        at = np.flatnonzero(nearest != values)[:k]
+        stream.skip(int(at[-1]) + 1 if at.size == k else values.size)
+        found.append(values[at])
+        k -= at.size
+    return np.concatenate(found)
+
+
 def sample_positives(graph: QueryGraph, q: int, n_samples: int, stream: ReplayStream) -> list[int]:
     """n_samples i.i.d. uniform draws from the neighbours of anchor q.
 
-    Each draw is one stream.integers(degree) call.  An isolated anchor yields
-    an empty list and draws nothing.
+    Each draw is one Generator.integers(degree) call replayed on the stream.
+    An isolated anchor yields an empty list, and it and an anchor of degree 1
+    (whose integers(1) is always 0) read nothing.
     """
     nbrs = graph.neighbors(q)
-    if nbrs.size == 0:
-        return []
-    return [int(nbrs[stream.integers(nbrs.size)]) for _ in range(n_samples)]
+    if nbrs.size < 2:
+        return nbrs.tolist() * n_samples
+    return nbrs[_first_kept(stream, nbrs.size, n_samples, np.empty(0, np.int64))].tolist()
 
 
 def sample_negatives(graph: QueryGraph, q: int, k: int, stream: ReplayStream) -> list[int]:
     """k i.i.d. uniform non-neighbours of q, by rejection sampling.
 
-    Each candidate is one stream.integers(n_queries) call, redrawn while it
-    is q or a neighbour of q.
+    Each candidate is one Generator.integers(n_queries) call replayed on the
+    stream, redrawn while it is q or a neighbour of q.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return []
     n = graph.n_queries
     available = n - 1 - graph.degree(q)
     if available < k:
         raise ValueError(f"only {available} non-neighbours available, need {k}")
-    return stream.integers_outside(n, k, {q, *graph.neighbors(q).tolist()})
+    return _first_kept(stream, n, k, np.append(graph.neighbors(q), q)).tolist()
 
 
 # ---------------------------------------------------------------------------

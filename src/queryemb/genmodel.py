@@ -43,6 +43,7 @@ from .core import (
     GeneratorConfig,
     QueryGraph,
     QueryTable,
+    _errors_prefixed,
     config_from_mapping,
     config_text,
     lemire_draw,
@@ -227,21 +228,26 @@ class SyntheticDataset:
             raise ValueError(f"products shape {self.products.shape} != ({c.n_products}, {c.dim})")
         if not (np.all(np.isfinite(self.vocab)) and np.all(np.isfinite(self.products))):
             raise ValueError("vocab and products must be finite")
-        if len(q) != c.n_queries:
-            raise ValueError(f"{len(q)} queries != configured {c.n_queries}")
+        _check_queries(c, q)
         if self.graph.n_queries != len(q):
             raise ValueError("graph size does not match query count")
-        if q.width > c.max_len:
-            raise ValueError(f"query width {q.width} exceeds max_len {c.max_len}")
-        if q.id_bound > c.vocab_size:
-            raise ValueError("trigram id out of vocabulary range")
-        if len(q) and q.product_ids.max() >= c.n_products:
-            raise ValueError(f"product_id {q.product_ids.max()} out of range")
 
     @property
     def purchase_map(self) -> dict[int, list[tuple[int, int]]]:
         """The eval's purchases, derived on each access: query q bought product_ids[q] once."""
         return {q: [(pid, 1)] for q, pid in enumerate(self.queries.product_ids.tolist())}
+
+
+def _check_queries(config: GeneratorConfig, q: QueryTable) -> None:
+    """The queries fit the config: its query count, max_len, vocabulary and products."""
+    if len(q) != config.n_queries:
+        raise ValueError(f"{len(q)} queries != configured {config.n_queries}")
+    if q.width > config.max_len:
+        raise ValueError(f"query width {q.width} exceeds max_len {config.max_len}")
+    if q.id_bound > config.vocab_size:
+        raise ValueError("trigram id out of vocabulary range")
+    if len(q) and q.product_ids.max() >= config.n_products:
+        raise ValueError(f"product_id {q.product_ids.max()} out of range")
 
 
 def product_adjacency(products: np.ndarray, epsilon_p: float) -> np.ndarray:
@@ -522,21 +528,25 @@ def _read_queries(path: str, width: int) -> QueryTable:
 
 
 def load_dataset(in_dir: str) -> SyntheticDataset:
+    """The dataset save_dataset wrote to in_dir; an error about a file's content names the file."""
     path = os.path.join(in_dir, CONFIG_FILENAME)
-    config = config_from_mapping(GeneratorConfig, read_key_values(path))
+    with _errors_prefixed(path):
+        config = config_from_mapping(GeneratorConfig, read_key_values(path))
     vocab = read_matrix(os.path.join(in_dir, VOCAB_FILENAME))
     products = read_matrix(os.path.join(in_dir, PRODUCTS_FILENAME))
 
-    queries = _read_queries(os.path.join(in_dir, QUERIES_FILENAME), config.max_len)
-    if len(queries) != config.n_queries:  # checked before the graph, whose ids it bounds
-        raise ValueError(f"{len(queries)} queries != configured {config.n_queries}")
+    path = os.path.join(in_dir, QUERIES_FILENAME)
+    queries = _read_queries(path, config.max_len)  # its errors name the file already
+    with _errors_prefixed(path):
+        _check_queries(config, queries)  # before the graph, whose ids the count bounds
 
-    with warnings.catch_warnings():
+    path = os.path.join(in_dir, EDGES_FILENAME)
+    with _errors_prefixed(path), warnings.catch_warnings():
         # an edge-free graph is saved as an empty edges.tsv
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        edges = np.loadtxt(os.path.join(in_dir, EDGES_FILENAME), ndmin=2,
-                           dtype=np.int32 if len(queries) < 2**31 else np.int64)
-    return SyntheticDataset(config, vocab, products, queries, QueryGraph(len(queries), edges))
+        edges = np.loadtxt(path, ndmin=2, dtype=np.int32 if len(queries) < 2**31 else np.int64)
+        graph = QueryGraph(len(queries), edges)
+    return SyntheticDataset(config, vocab, products, queries, graph)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The desk-benchmark training run (30 epochs on 5000 queries, then the
 attention-vs-BLUE report and the three panels its checks carry) takes
-about 12-15 s on a 2-core machine, and several test modules (trainer
+about 3.4-5 s on a 2-core machine, and several test modules (trainer
 contract, attention-vs-BLUE report, figure-1 panels, end-to-end metric
 ordering) all need the same trained model, so it runs once per session.
 """
@@ -42,6 +42,17 @@ def query_table(rows, product_ids, width: int):
     ids = np.zeros((lengths.size, width), dtype=flat.dtype if flat.size else np.int64)
     ids[np.arange(width) < lengths[:, None]] = flat
     return QueryTable(ids, lengths, product_ids)
+
+
+def next_integer(stream, n: int) -> int:
+    """The next Generator.integers(n) of a ReplayStream, through peek and skip:
+    the first half Lemire's rule accepts, and 0 without a read at n = 1."""
+    if n == 1:
+        return 0
+    values = stream.peek(n, 64)[1]  # about half are redrawn just past 2**31, never all 64
+    i = int(np.flatnonzero(values >= 0)[0])
+    stream.skip(i + 1)
+    return int(values[i])
 
 
 def has_edge(graph, u: int, v: int) -> bool:

@@ -11,7 +11,7 @@ from queryemb.baseline import (
     hash_query,
     splitmix64_array,
 )
-from queryemb.core import rng_stream
+from queryemb.core import QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query
 from queryemb.evaluation import EmbeddingStore, reformulate
 from test_embedder import BAD_RAW_QUERIES
@@ -30,6 +30,14 @@ def splitmix64(x: int) -> int:
 
 def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
     return splitmix64(trigram_id) % n_buckets
+
+
+def hash_counts(row, n_buckets: int = HASH_DIM) -> np.ndarray:
+    """The float64 bucket counts of one query, one bucket_of per trigram."""
+    out = np.zeros(n_buckets)
+    for t in row:
+        out[bucket_of(int(t), n_buckets)] += 1.0
+    return out
 
 
 def bray_curtis(a, b) -> float:
@@ -141,6 +149,20 @@ class TestHashQuery:
         with pytest.raises(ValueError, match=message):
             reformulate(store, q, 1)
 
+    @pytest.mark.parametrize("q, message", [
+        ([2**63], "too large"),  # np.asarray: uint64
+        ([1, 2**63], "too large"),  # np.asarray: float64
+        (np.array([2**64 - 1], dtype=np.uint64), "trigram ids must fit int64"),
+    ])
+    def test_raw_id_past_int64_overflows_as_a_table_row_does(self, q, message):
+        # a uint64 id wrapped to a negative one and was refused as "non-negative"
+        store = TrigramHashStore(_table([_q(1, 2), _q(3)]))
+        model = AttentionModel(np.zeros((4, 2)), np.zeros((2, 2)))
+        for one_query in (lambda q: QueryTable([q], [len(q)], [0]), hash_query,
+                          lambda q: store.rank(q, 1), lambda q: embed_query(model, q)):
+            with pytest.raises(OverflowError, match=message):
+                one_query(q)
+
     @pytest.mark.parametrize("n_buckets", [0, -3])
     def test_bucket_count_below_one_rejected(self, n_buckets):
         with pytest.raises(ValueError, match="n_buckets"):
@@ -193,7 +215,8 @@ class TestSparseStore:
     def test_matrix_is_stack_of_hash_query(self, n_buckets):
         rows, table = _random_table(48)
         store = TrigramHashStore(table, n_buckets=n_buckets)
-        want = np.stack([hash_query(r, n_buckets) for r in rows])
+        want = np.stack([hash_counts(r, n_buckets) for r in rows])
+        assert_array_equal(np.stack([hash_query(r, n_buckets) for r in rows]), want)
         assert_array_equal(store.matrix, want)
         assert_array_equal(store.totals, want.sum(axis=1))
 
@@ -234,8 +257,9 @@ class TestSparseStore:
         encoded = store.encode(table)
         assert encoded.shape == (len(table), n_buckets) and encoded.dtype.kind == "u"
         for row, vector in zip(rows, encoded):
-            pv = hash_query(row, n_buckets)
+            pv = hash_counts(row, n_buckets)
             assert_array_equal(vector, pv)
+            assert_array_equal(hash_query(row, n_buckets), pv)
             assert_array_equal(store.distances(vector), store.distances(pv))
 
     def test_counts_are_bucket_major_and_small(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import has_edge
+from conftest import has_edge, next_integer
 from numpy.testing import assert_allclose
 
 from queryemb.cli import EvalParams
@@ -19,7 +19,7 @@ from queryemb.core import (
     stream_key,
     stream_words,
 )
-from queryemb.embedder import TrainConfig
+from queryemb.embedder import TrainConfig, _first_kept
 from queryemb.genmodel import truncated_poisson_pmf
 
 
@@ -106,6 +106,12 @@ _LEADS = {
 _RANGES = [1, 2, 3, 7, 25, 1, 1000, 2**31 + 1, 5000, 2**32 - 1]
 
 
+def _raw_position(bit_generator):
+    """How far a Philox bit generator has read: its block counter and buffer position."""
+    state = bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
 class TestReplayStream:
     @pytest.mark.parametrize("lead", sorted(_LEADS))
     @pytest.mark.parametrize("n_words", [1, 4096])
@@ -114,7 +120,7 @@ class TestReplayStream:
         assert twin.bit_generator.state["has_uint32"] == (lead == "kept_half")
         replay = ReplayStream(twin.bit_generator, n_words)
         ranges = _RANGES * 300
-        assert [replay.integers(n) for n in ranges] == [int(gen.integers(n)) for n in ranges]
+        assert [next_integer(replay, n) for n in ranges] == [int(gen.integers(n)) for n in ranges]
 
     def test_forced_lemire_rejection(self):
         # n just above 2**31: the rule rejects about half of the 32-bit draws
@@ -127,7 +133,7 @@ class TestReplayStream:
         assert 0.4 < accepted.mean() < 0.6
         replay = ReplayStream(twin.bit_generator, 16)
         expected = [int(gen.integers(n)) for _ in range(2000)]
-        assert [replay.integers(n) for _ in range(2000)] == expected
+        assert [next_integer(replay, n) for _ in range(2000)] == expected
         assert value[accepted][:2000].tolist() == expected
 
     def test_lemire_draw_scalar_matches_array(self):
@@ -152,17 +158,18 @@ class TestReplayStream:
     @pytest.mark.parametrize("n, excluded", [(40, set(range(3, 37))), (2**31 + 1, {5, 7})])
     @pytest.mark.parametrize("n_words", [1, 4096])
     def test_integers_outside_matches_generator_rejection(self, n_words, n, excluded):
+        # the samplers' rejection scan over the replay (embedder._first_kept)
         gen, twin = _twins(14, _LEADS["permutation"])
         replay = ReplayStream(twin.bit_generator, n_words)
-        for k in (1, 25, 6, 40):
+        for k in (1, 25, 6, 40, 0):
             expected = []
             while len(expected) < k:
                 value = int(gen.integers(n))
                 if value not in excluded:
                     expected.append(value)
-            assert replay.integers_outside(n, k, excluded) == expected
+            assert _first_kept(replay, n, k, np.array(sorted(excluded))).tolist() == expected
             # the scan stops right after the k-th kept draw
-            assert replay.integers(9) == int(gen.integers(9))
+            assert next_integer(replay, 9) == int(gen.integers(9))
 
     def test_peek_reads_ahead_and_skip_reads(self):
         gen, twin = _twins(17, _LEADS["kept_half"])
@@ -174,27 +181,33 @@ class TestReplayStream:
         assert accepted.all()  # so each half below is one integers(1000) call
         replay.skip(3)
         assert replay.position == 3
-        expected = [int(gen.integers(1000)) for _ in range(40)][3:]
-        assert [replay.integers(1000) for _ in range(37)] == expected
+        expected = [int(gen.integers(1000)) for _ in range(40)]
+        assert values.tolist() == expected
+        assert replay.peek(1000, 37)[1].tolist() == expected[3:]
         with pytest.raises(ValueError, match="can skip"):
             replay.skip(10**6)
 
     @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**33])
     def test_integers_rejects_a_range_outside_1_to_2_32_before_reading(self, n):
-        # 2**33 never accepts a draw ((2**32 - n) % n is 2**32), so unchecked it
-        # would read ahead until memory ran out; 0 would divide by zero
+        # 2**33 never accepts a draw ((2**32 - n) % n is 2**32), so unchecked a
+        # scan for one would read ahead until memory ran out; 0 would divide by zero
         gen, twin = _twins(16, _LEADS["kept_half"])
         replay = ReplayStream(twin.bit_generator, 4)
-        with pytest.raises(ValueError, match=r"range must lie in \[1, 2\*\*32\)"):
-            replay.integers(n)
-        assert replay.position == 0
-        assert replay.integers(7) == int(gen.integers(7))
+        read = _raw_position(twin.bit_generator)
+        with pytest.raises(ValueError, match=r"range must lie in \[2, 2\*\*32\)"):
+            replay.peek(n, 10**6)
+        assert replay.position == 0 and _raw_position(twin.bit_generator) == read  # no word read
+        assert next_integer(replay, 7) == int(gen.integers(7))
 
     def test_integers_outside_needs_a_real_range(self):
-        replay = ReplayStream(rng_stream(15).bit_generator, 8)
+        # 1 too: integers(1) reads nothing, so no half may be decoded at it
+        twin = rng_stream(15).bit_generator
+        replay = ReplayStream(twin, 8)
+        read = _raw_position(twin)
         for n in (0, 1, 2**32):
-            with pytest.raises(ValueError, match="range"):
-                replay.integers_outside(n, 1, set())
+            with pytest.raises(ValueError, match=r"range must lie in \[2, 2\*\*32\)"):
+                _first_kept(replay, n, 1, np.empty(0, dtype=np.int64))
+        assert replay.position == 0 and _raw_position(twin) == read
 
 
 class TestSampleUnitSphere:
@@ -364,6 +377,15 @@ class TestQuery:
         with pytest.raises(OverflowError, match="product ids must fit int64"):
             QueryTable([[1]], [1], np.array([2**63], dtype=np.uint64))
         assert QueryTable([[1]], [1], np.array([2**63 - 1], dtype=np.uint64)).product_ids[0] == 2**63 - 1
+
+    def test_of_query_is_a_one_row_table(self):
+        t = QueryTable.of_query([4, 0, 4])
+        assert t == QueryTable([[4, 0, 4]], [3], [0])
+        assert QueryTable.of_query(np.array([7], dtype=np.uint8)) == QueryTable([[7]], [1], [0])
+        with pytest.raises(ValueError, match="1-d"):
+            QueryTable.of_query([[4, 0]])
+        with pytest.raises(ValueError, match="at least one trigram"):
+            QueryTable.of_query([])
 
     def test_arrays_are_read_only_copies(self):
         ids = np.array([[4, 5]])

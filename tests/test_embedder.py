@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import query_table
+from conftest import next_integer, query_table
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
@@ -593,7 +593,9 @@ class TestGroupPass:
         table = embed_table(model, ds.queries)
         assert table.shape == (len(ds.queries), model.dim)
         for i in range(len(ds.queries)):
-            assert_allclose(table[i], embed_query(model, ds.queries.row(i)), rtol=0, atol=1e-12)
+            row = ds.queries.row(i)
+            assert_allclose(table[i], _ref_forward(model, row)[0], rtol=0, atol=1e-12)
+            assert_allclose(embed_query(model, row), table[i], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("report_length", [None, 2])
     def test_blue_report_attention_is_per_row_mean(self, report_length):
@@ -734,7 +736,7 @@ class TestSamplePositives:
         g = _graph(3, [(0, 1)])
         stream = _stream(11)
         assert sample_positives(g, 2, 5, stream) == []
-        assert stream.integers(1000) == int(rng_stream(11).integers(1000))  # nothing drawn
+        assert next_integer(stream, 1000) == int(rng_stream(11).integers(1000))  # nothing drawn
 
 
 class TestSampleNegatives:
@@ -998,7 +1000,7 @@ class TestTrainingSamplesMatchReference:
             assert pos == ref_sample_positives(g, a, 3, gen)
             neg = sample_negatives(g, a, 3 * len(pos), stream)
             assert neg == ref_sample_negatives(g, a, 3 * len(pos), gen)
-        assert stream.integers(1000) == int(gen.integers(1000))
+        assert next_integer(stream, 1000) == int(gen.integers(1000))
 
     def test_too_few_non_neighbours_raise_before_any_draw(self):
         g = _edge_case_graph()
@@ -1007,7 +1009,7 @@ class TestTrainingSamplesMatchReference:
             sample_negatives(g, 6, 10, stream)
         with pytest.raises(ValueError, match="only 9 non-neighbours available, need 10"):
             ref_sample_negatives(g, 6, 10, rng_stream(62))
-        assert stream.integers(1000) == int(rng_stream(62).integers(1000))
+        assert next_integer(stream, 1000) == int(rng_stream(62).integers(1000))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1086,6 +1088,19 @@ class TestTrainingSamplesMatchReference:
         # ... and at delay 0, drawn by the samplers
         assert any(stuck for _, _, stuck, _ in blocks)
         assert calls
+
+    def test_fallback_heavy_graph_matches_reference(self, monkeypatch):
+        # half of all pairs are edges, so half of the negative candidates are
+        # redrawn and about a fifth of the anchors need more delays than the
+        # block table holds: the samplers draw them, at the anchor's degree
+        # and at n_queries in turn
+        upper = np.triu_indices(300, 1)
+        edge = rng_stream(70).random(upper[0].size) < 0.5
+        g = _graph(300, np.column_stack([upper[0][edge], upper[1][edge]]))
+        calls = _watch_samplers(monkeypatch)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=1)
+        _assert_same_groups(embedder._training_groups(g, cfg), ref_training_groups(g, cfg))
+        assert len(calls) > 300 // 10
 
     @pytest.mark.parametrize("seed", [4, 9])
     def test_desk_groups_match_reference(self, seed):

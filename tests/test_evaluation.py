@@ -25,7 +25,8 @@ from queryemb.evaluation import (
     write_eval_csv,
 )
 from queryemb.genmodel import default_benchmark_config, generate_dataset
-from test_baseline import bray_curtis
+from test_baseline import bray_curtis, hash_counts
+from test_embedder import _ref_forward
 
 
 def _q(*ids):
@@ -844,8 +845,11 @@ class TestBatchedRankingMatchesScalar:
         hstore = TrigramHashStore(ds.queries)
         estore = EmbeddingStore(init_model(100, 8, 4, seed=65), ds.queries)
         for i, (h, z) in enumerate(zip(hstore.encode(ds.queries), estore.encode(ds.queries))):
-            assert_array_equal(h, hash_query(ds.queries.row(i)))
-            assert_array_equal(z, embed_query(estore.model, ds.queries.row(i)))
+            row = ds.queries.row(i)
+            assert_array_equal(h, hash_counts(row))
+            assert_allclose(z, _ref_forward(estore.model, row)[0], rtol=0, atol=1e-12)
+            assert_array_equal(h, hash_query(row))
+            assert_array_equal(z, embed_query(estore.model, row))
 
     def test_probe_checks_keep_reformulate_messages(self):
         queries = _table([_q(i % 5) for i in range(8)])

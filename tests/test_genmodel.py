@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import tracemalloc
 import types
 
@@ -1053,6 +1054,37 @@ class TestDatasetSerialization:
             fh.write("3\t1\n")
         with pytest.raises(ValueError, match="u < v"):
             load_dataset(out)
+
+    # (file, its new text from the saved text, the message after the file's path)
+    @pytest.mark.parametrize("name, edit, message", [
+        ("config.txt", lambda text: text + "oops\n", "line 11: expected 'key = value', got 'oops'"),
+        ("config.txt", lambda text: text.replace("dim = 4\n", ""),
+         r"missing GeneratorConfig keys: \['dim'\]"),
+        ("config.txt", lambda text: text.replace("dim = 4", "dim = x"), "dim: invalid literal"),
+        ("edges.tsv", lambda text: text + text.splitlines(True)[0], r"duplicate edge \(0, \d+\)"),
+        ("edges.tsv", lambda text: "0\t40\n" + text, r"edge \(0, 40\) has a query id out of range"),
+        ("edges.tsv", lambda text: "0\t1\tx\n" + text,
+         "could not convert string 'x' to int32 at row 0, column 3"),
+        ("queries.tsv", lambda text: "3\tx\n" + text.split("\n", 1)[1], "line 1: invalid literal"),
+        ("queries.tsv", lambda text: "3\t50\n" + text.split("\n", 1)[1],
+         "trigram id out of vocabulary range"),
+        ("queries.tsv", lambda text: "5\t1\n" + text.split("\n", 1)[1], "product_id 5 out of range"),
+        ("queries.tsv", lambda text: text.split("\n", 1)[1], "39 queries != configured 40"),
+    ], ids=["config-line", "config-missing", "config-value", "edges-duplicate", "edges-range",
+            "edges-parse", "queries-parse", "queries-vocabulary", "queries-product", "queries-count"])
+    def test_content_errors_name_their_file_once(self, tmp_path, name, edit, message):
+        out = os.path.join(tmp_path, "ds")
+        save_dataset(generate_dataset(_config()), out)
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            text = edit(fh.read())
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError) as caught:
+            load_dataset(out)
+        # the parser of queries.tsv names the file and the line itself: " line 1:"
+        assert str(caught.value).count(name) == 1
+        assert re.fullmatch(f"{re.escape(path)}:? {message}.*", str(caught.value))
 
     @pytest.mark.parametrize("name, bad", [("vocab.bin", np.inf), ("products.bin", np.nan)])
     def test_non_finite_matrix_rejected(self, tmp_path, name, bad):

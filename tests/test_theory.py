@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
+from queryemb import theory
 from queryemb.core import GeneratorConfig, rng_stream
-from queryemb.embedder import init_model
+from queryemb.embedder import AttentionModel, init_model
 from queryemb.genmodel import (
     default_benchmark_config,
     generate_dataset,
@@ -302,6 +303,16 @@ class TestEstimatePmi:
         assert float(z.max()) <= 3.0
         assert pearson_r(exact, est.dot_over_d) > 0.8
 
+
+    def test_marginal_counts_bind_the_selection(self):
+        # the joint draws come first, so both runs select on the same joint
+        # counts; with 10,000 marginal draws in the selection half, 10 of the 478
+        # pairs whose joint count reaches min_count have a side seen fewer times
+        ds = generate_dataset(tiny_universe_config(VALIDATE_SEED))
+        few = estimate_pmi(ds, n_marginal=20_000, seed=VALIDATE_SEED, min_count=TINY_MIN_COUNT)
+        many = estimate_pmi(ds, seed=VALIDATE_SEED, min_count=TINY_MIN_COUNT)
+        assert (len(few.pairs), len(many.pairs)) == (468, 478)
+        assert few.n_dropped + len(few.pairs) == many.n_dropped + len(many.pairs)
 
     def test_pairs_are_ordered_codes_in_key_order(self):
         ds = generate_dataset(tiny_universe_config(3))
@@ -725,6 +736,29 @@ class TestCheckResultFormatting:
         assert check.line() == "PASS demo: x=1.5 n=3"
         check = CheckResult(name="demo", passed=False, details={})
         assert check.line().startswith("FAIL demo:")
+
+
+class TestGatesAtTheirEdges:
+    """Each correlation gate with the statistic at its threshold and one float
+    step to the other side, so a gate that moved or changed direction fails."""
+
+    @pytest.mark.parametrize("r, passed", [(0.8, False), (np.nextafter(0.8, 1.0), True)])
+    def test_pmi_dot_correlation_is_above_0_8(self, monkeypatch, r, passed):
+        monkeypatch.setattr(theory, "pearson_r", lambda x, y: r)
+        check = theory.suite_pmi(VALIDATE_SEED)[0]
+        assert check.name == "pmi_dot_correlation" and check.passed == passed
+
+    @pytest.mark.parametrize("r, passed", [(0.8, True), (np.nextafter(0.8, 0.0), False)])
+    def test_figure1_correlations_are_at_least_0_8(self, monkeypatch, r, passed):
+        # in place of the 30-epoch run, random attention rows: their mean
+        # weights vary by position, so blue_report takes a correlation
+        def untrained(model, dataset, config):
+            return AttentionModel(model.emb, rng_stream(71).standard_normal(model.attn.shape)), []
+
+        monkeypatch.setattr(theory, "train", untrained)
+        monkeypatch.setattr(theory, "pearson_r", lambda x, y: r)
+        checks = {check.name: check.passed for check in theory.figure1_report(DESK_SEED).checks}
+        assert checks["attention_tracks_blue"] == checks["variance_grows_linearly"] == passed
 
 
 class TestSuites:
