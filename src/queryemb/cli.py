@@ -23,6 +23,7 @@ from .baseline import TrigramHashStore
 from .core import (
     STREAM_SPLIT,
     GeneratorConfig,
+    _errors_prefixed,
     config_from_mapping,
     config_text,
     key_values_text,
@@ -179,12 +180,16 @@ class EvalParams:
             raise ValueError("test_fraction must lie in [0, 1)")
 
 
-def _config(cls, path: str, seed: int | None):
-    """The config file at path parsed as cls, its seed replaced by --seed if given."""
-    mapping = read_key_values(path)
-    if seed is not None:
-        mapping["seed"] = str(seed)
-    return config_from_mapping(cls, mapping)
+def _config(cls, path: str | None, seed: int | None):
+    """The config file at path parsed as cls, its seed replaced by --seed if given;
+    cls's defaults when path is None.  A bad file's error starts with its path."""
+    if path is None:
+        return config_from_mapping(cls, {})
+    with _errors_prefixed(path):
+        mapping = read_key_values(path)
+        if seed is not None:
+            mapping["seed"] = str(seed)
+        return config_from_mapping(cls, mapping)
 
 
 def split_query_ids(n_queries: int, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:
@@ -272,7 +277,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not _verified("checkpoint", checkpoint_dir, checkpoint_manifest):
             return 2
     dataset = load_dataset(args.dataset)
-    params = config_from_mapping(EvalParams, read_key_values(args.config) if args.config else {})
+    params = _config(EvalParams, args.config, None)
     seed = args.seed if args.seed is not None else 0
     store_ids, probe_ids = split_query_ids(len(dataset.queries), params.test_fraction, seed)
     store_queries = dataset.queries.take(store_ids)

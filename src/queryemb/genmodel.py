@@ -28,13 +28,13 @@ low half and keeps its high half for the next one, which ``random()`` skips;
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     STREAM_PRODUCTS,
@@ -74,6 +74,38 @@ QUERIES_FILENAME = "queries.tsv"
 EDGES_FILENAME = "edges.tsv"
 
 
+# cephes lgam's constants: log(sqrt(2 pi)) and its Stirling series in 1/x**2 below x = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(k: int) -> float:
+    """log(k!) for an integer k >= 0, bit for bit scipy.special.gammaln(k + 1.0).
+
+    A port of cephes lgam, the algorithm behind gammaln, for x = k + 1 >= 1,
+    so that no scipy.special import is needed.  math.lgamma differs from
+    gammaln in the last bits (up to 5.7e-14 for k <= 64), which could move a
+    query's length across a CDF boundary.
+    """
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(float(math.factorial(k)))  # lgam's product is exact here
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        return q + (series + 0.0833333333333333333333) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
+
+
 def truncated_poisson_pmf(lam: float, max_len: int) -> np.ndarray:
     """Pmf of Poisson(lam) conditioned on 1 <= k <= max_len; entry j is k=j+1."""
     if not (0.0 < lam < np.inf):
@@ -81,7 +113,7 @@ def truncated_poisson_pmf(lam: float, max_len: int) -> np.ndarray:
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     k = np.arange(1, max_len + 1, dtype=np.float64)
-    log_pmf = k * np.log(lam) - gammaln(k + 1.0)
+    log_pmf = k * np.log(lam) - np.array([_log_factorial(j) for j in range(1, max_len + 1)])
     log_pmf -= log_pmf.max()
     pmf = np.exp(log_pmf)
     return pmf / pmf.sum()

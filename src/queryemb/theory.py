@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     STREAM_VALIDATE,
@@ -494,6 +493,8 @@ def fit_betas(
     bracketed root is unique; positions with a negative gap or a gap beyond
     rho(FIT_BETA_MAX)^2 are flagged infeasible (beta = NaN).
     """
+    from scipy.optimize import brentq  # only figure1 fits betas: keep it off the import path
+
     var = np.asarray(variances, dtype=np.float64)
     line = np.asarray(target_line, dtype=np.float64)
     if var.shape != line.shape:

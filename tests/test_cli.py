@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -662,6 +663,70 @@ class TestConfigParsing:
         assert store0 == probe0 == list(range(10))
 
 
+@pytest.mark.parametrize("bad", ["line", "value"])
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("generate", GEN_CONFIG, "lam = 3.0"),
+        ("train", TRAIN_CONFIG, "epochs = 3"),
+        ("eval", "test_fraction = 0.2\n", "test_fraction = 0.2"),
+    ],
+    ids=["generate", "train", "eval"],
+)
+def test_config_file_errors_name_the_file(pipeline, tmp_path, capsys, command, text, line, bad):
+    key = line.partition(" = ")[0]
+    cfg = _write(tmp_path / "bad.cfg", text.replace(line, "oops" if bad == "line" else f"{key} = x"))
+    inputs = {
+        "generate": [],
+        "train": [pipeline["data"]],
+        "eval": [pipeline["data"], "--model", "baseline"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: " + ("line " if bad == "line" else f"{key}: ")), err
+    assert not out.exists()
+
+
+def _child_env():
+    """os.environ with PYTHONPATH led by the directory of the queryemb package this
+    session imported, so a child interpreter runs the same checkout."""
+    src = str(Path(queryemb.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+_FOOTPRINT_CHILD = """\
+import json, sys
+import queryemb.cli
+
+def loaded():
+    names = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
+    return [name for name in names if name in sys.modules]
+
+at_import = loaded()
+assert queryemb.cli.main(["generate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert queryemb.cli.main(["validate", "mean", "--out", sys.argv[3]]) == 0
+print(json.dumps({"import": at_import, "run": loaded()}))
+"""
+
+
+def test_import_and_statistical_runs_leave_scipy_optimize_and_special_unloaded(tmp_path):
+    """Only scipy.sparse is on the CLI's import path: scipy.optimize is
+    imported inside fit_betas (figure1), and scipy.special nowhere.  A fresh
+    interpreter, because the test modules import scipy.stats themselves."""
+    cfg = _write(tmp_path / "g.cfg", GEN_CONFIG.replace("n_queries = 400", "n_queries = 50"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_CHILD, cfg, str(tmp_path / "data"), str(tmp_path / "val")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == ["scipy.sparse"]
+    assert "scipy.optimize" not in loaded["run"] and "scipy.special" not in loaded["run"]
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -687,16 +752,13 @@ def test_console_script_help(tmp_path):
         target = tomllib.load(f)["project"]["scripts"]["queryemb"]
     module, _, attr = target.partition(":")
     code = f"import sys; from {module} import {attr.split('.')[0]}; sys.exit({attr}())"
-    src = str(Path(queryemb.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, "--help"],
         capture_output=True,
         text=True,
         timeout=60,
         cwd=tmp_path,
-        env=env,
+        env=_child_env(),
     )
     _assert_help_lists_subcommands(proc)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import has_edge, query_table
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 from scipy.stats import chisquare, poisson
 
 from queryemb.core import (
@@ -166,6 +167,36 @@ class TestQueryLength:
     def test_uniforms_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
             query_lengths(_config(), np.array([0.25, bad, 0.75]))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLogFactorial:
+    """genmodel._log_factorial, a port of cephes lgam, against scipy's gammaln."""
+
+    def test_equals_gammaln_bit_for_bit_below_200000(self):
+        k = np.arange(200_000)
+        assert _same_bits([genmodel._log_factorial(j) for j in range(k.size)], gammaln(k + 1.0))
+
+    # each branch edge of lgam (x = k + 1 at 13, 1000 and past 1e8), and far past the last
+    @pytest.mark.parametrize(
+        "lo, hi", [(11, 13), (990, 1010), (10**8 - 501, 10**8 + 500), (10**9 - 500, 10**9 + 500)]
+    )
+    def test_equals_gammaln_bit_for_bit_across_branch_edges(self, lo, hi):
+        k = np.arange(lo, hi)
+        assert _same_bits([genmodel._log_factorial(int(j)) for j in k], gammaln(k + 1.0))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 4.0, 5.0, 12.5, 1200.0, 6000.0])
+    @pytest.mark.parametrize("max_len", [1, 3, 12, 13, 50, 64, 1500])
+    def test_pmf_equals_the_gammaln_formula_bit_for_bit(self, lam, max_len):
+        k = np.arange(1, max_len + 1, dtype=np.float64)
+        log_pmf = k * np.log(lam) - gammaln(k + 1.0)
+        log_pmf -= log_pmf.max()
+        pmf = np.exp(log_pmf)
+        assert _same_bits(truncated_poisson_pmf(lam, max_len), pmf / pmf.sum())
 
 
 class TestPartitionFunction:
