@@ -50,13 +50,6 @@ def _bucket_counts(ids: np.ndarray, lengths: np.ndarray, n_buckets: int) -> np.n
     return counts.astype(np.min_scalar_type(counts.max(initial=0)))
 
 
-def hash_query(ids: Sequence[int], n_buckets: int = HASH_DIM) -> np.ndarray:
-    """Bucketed trigram counts of one raw query (its QueryTable.of_query) as float64;
-    the total count equals its length."""
-    table = QueryTable.of_query(ids)
-    return _bucket_counts(table.ids, table.lengths, n_buckets)[:, 0].astype(np.float64)
-
-
 def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
     """x as a count vector: integers keep their type, anything else becomes float64."""
     arr = np.asarray(x)
@@ -126,7 +119,7 @@ class TrigramHashStore(QueryStore):
         self.totals = queries.lengths.astype(np.float64)  # row sums of matrix
 
     def encode(self, queries: QueryTable) -> np.ndarray:
-        """(Q, n_buckets) bucket counts of every table row, equal to its hash_query."""
+        """(Q, n_buckets) unsigned bucket counts of every table row, counted as matrix is."""
         return _bucket_counts(queries.ids, queries.lengths, self.n_buckets).T
 
     def distances(self, pv: np.ndarray) -> np.ndarray:
@@ -138,8 +131,8 @@ class TrigramHashStore(QueryStore):
         counts.  min takes numpy's usual type promotion of the counts and the
         probe, so no count wraps, and integer mins are summed in the
         smallest type that holds the probe's total, which bounds them.  For
-        integer counts, as hash_query and encode give, every term is an
-        integer that float64 holds exactly, so the result equals the dense
+        integer counts, as encode gives, every term is an integer that
+        float64 holds exactly, so the result equals the dense
         ``abs(M - pv).sum(1) / (M + pv).sum(1)`` bit for bit.
         """
         pv = _counts(pv)

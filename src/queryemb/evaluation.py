@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .baseline import QueryStore, TrigramHashStore
-from .core import QueryTable
+from .core import QueryTable, _int64_array
 from .embedder import AttentionModel, embed_query, embed_table
 
 PurchaseMap = Mapping[int, Sequence[tuple[int, int]]]
@@ -130,40 +130,6 @@ def _overlaps(probe_tops: np.ndarray, ref_tops: np.ndarray) -> tuple[np.ndarray,
     """
     hits = _hits(probe_tops, ref_tops)
     return hits.any(axis=2).sum(axis=1), hits.any(axis=1).sum(axis=1)
-
-
-def _one_probe(q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int):
-    """The probe's top-k row and its _overlaps with the reformulations."""
-    rows = _top_rows([q, *reformulations], purchase_map, k)
-    relevant, covered = _overlaps(rows[:1], rows[None, 1:])
-    return rows[0], int(relevant[0]), int(covered[0])
-
-
-def query_precision_at_k(
-    q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int
-) -> float:
-    """Fraction of reformulations sharing a top-k product with the probe.
-
-    Queries absent from the purchase map count as non-relevant.
-    """
-    if len(reformulations) == 0:
-        raise ValueError("need at least one reformulation")
-    return _one_probe(q, reformulations, purchase_map, k)[1] / len(reformulations)
-
-
-def product_recall_at_k(
-    q: int, reformulations: Sequence[int], purchase_map: PurchaseMap, k: int
-) -> float:
-    """Fraction of the probe's top-k products covered by some reformulation's top-k.
-
-    A product listed twice in the probe's list counts twice in the
-    denominator and at most once in the numerator.
-    """
-    probe, _, covered = _one_probe(q, reformulations, purchase_map, k)
-    length = int(np.count_nonzero(probe >= 0))
-    if not length:
-        raise ValueError(f"probe {q} has no purchases; recall undefined")
-    return covered / length
 
 
 def f1(precision: float, recall: float) -> float:
@@ -290,8 +256,8 @@ def oracle_best(
     pool.  ``table`` is a TopTable that already holds every probe and
     candidate (evaluate passes its own); without it, one is built.
     """
-    probe_ids = np.asarray(probes, dtype=np.int64).reshape(-1)
-    cand = np.asarray(candidate_ids, dtype=np.int64).reshape(-1)
+    probe_ids = _int64_array(probes, "probe ids").reshape(-1)
+    cand = _int64_array(candidate_ids, "candidate ids").reshape(-1)
     if probe_ids.size == 0:
         raise ValueError("need at least one probe query")
     if n_reformulations < 1 or pool < 1:
@@ -413,7 +379,7 @@ def evaluate(
     oracle of all probes are read from one TopTable of the probes and stored
     queries, so top_products runs once per distinct id.
     """
-    probes = [int(q) for q in probe_ids]
+    probes = _int64_array(probe_ids, "probe ids").reshape(-1).tolist()
     if not probes:
         raise ValueError("need at least one probe query")
     table = _top_table(np.concatenate([probes, store.ids]), purchase_map, k)

@@ -129,10 +129,7 @@ def query_lengths(config: GeneratorConfig, u: np.ndarray) -> np.ndarray:
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails too
         raise ValueError(f"uniforms must lie in [0, 1), got values in [{u.min()}, {u.max()}]")
     cdf = np.cumsum(truncated_poisson_pmf(config.lam, config.max_len))
-    lengths = np.ones(u.shape, dtype=np.int64)
-    for entry in cdf[:-1].tolist():
-        lengths += u >= entry
-    return lengths
+    return inverse_cdf_rows(cdf[None, :], np.zeros(u.shape, dtype=np.int64), u) + 1
 
 
 def partition_function(p: np.ndarray, beta: float, vocab: np.ndarray) -> float:

@@ -388,31 +388,21 @@ def position_variances(dataset: SyntheticDataset, positions: Sequence[int]) -> n
     return out
 
 
-def blue_report(
-    model: AttentionModel,
-    dataset: SyntheticDataset,
-    report_length: int | None = None,
-    allow_untrained: bool = False,
-) -> BlueReport:
+def blue_report(model: AttentionModel, dataset: SyntheticDataset) -> BlueReport:
     """Per-position mean attention weights against BLUE weights.
 
-    Restricts to queries of one length (default: the most common length) so
-    every averaged query has the same number of softmax slots; mixing
-    lengths would confound position weight with query length.
+    Restricts to queries of the most common length so every averaged query
+    has the same number of softmax slots; mixing lengths would confound
+    position weight with query length.  An untrained model (all attention
+    rows zero) is refused.
     """
-    if not allow_untrained and np.all(model.attn == 0.0):
-        raise ValueError(
-            "attention rows are all zero (untrained model); "
-            "pass allow_untrained=True to report anyway"
-        )
+    if np.all(model.attn == 0.0):
+        raise ValueError("attention rows are all zero (untrained model)")
     lengths = dataset.queries.lengths
     if lengths.size == 0:
         raise ValueError("dataset has no queries")
-    if report_length is None:
-        report_length = int(np.bincount(lengths).argmax())
+    report_length = int(np.bincount(lengths).argmax())
     used = np.flatnonzero(lengths == report_length)
-    if not used.size:
-        raise ValueError(f"no queries of length {report_length}")
 
     queries = dataset.queries
     _check_table(model, queries)
@@ -422,9 +412,9 @@ def blue_report(
     positions = tuple(range(1, report_length + 1))
     variances = position_variances(dataset, positions)
     blue = blue_weights(variances)
-    # an exactly flat profile (e.g. a zero-attention model reported with
-    # allow_untrained) has no defined correlation; report NaN instead of
-    # refusing the whole report
+    # an exactly flat profile (e.g. the BLUE weights when every position
+    # has the same alpha and beta) has no defined correlation; report NaN
+    # instead of refusing the whole report
     if np.ptp(att) == 0.0 or np.ptp(blue) == 0.0:
         r = float("nan")
     else:

@@ -17,7 +17,7 @@ from conftest import query_table
 from scipy.optimize import minimize
 
 from queryemb import theory
-from queryemb.baseline import TrigramHashStore, hash_query
+from queryemb.baseline import TrigramHashStore
 from queryemb.cli import main, sha256_file, split_query_ids
 from queryemb.core import GeneratorConfig, rng_stream
 from queryemb.embedder import AttentionModel, loss_and_gradient
@@ -26,13 +26,12 @@ from queryemb.evaluation import (
     evaluate,
     f1,
     oracle_best,
-    product_recall_at_k,
-    query_precision_at_k,
     reformulate,
 )
 from queryemb.genmodel import generate_dataset, trigram_empirical_variance
-from test_baseline import bray_curtis, knn, splitmix64
+from test_baseline import bray_curtis, hash_counts, knn, splitmix64
 from test_embedder import TrainingBatch, _group_pairs
+from test_evaluation import _ref_precision, _ref_recall, metrics_of
 
 
 def _report(num, name, passed, detail):
@@ -295,13 +294,18 @@ def test_09_metric_examples():
         if not good:
             failures.append(f"{label}: got {got!r}, want {want!r}")
 
+    def table(rows):
+        return query_table(rows, [0] * len(rows), max(map(len, rows), default=1))
+
     # trigram-hash baseline
     check("splitmix64(0)", splitmix64(0), 0xE220A8397B1DCDAF)
     check("splitmix64(1)", splitmix64(1), 0x910A2DEC89025CC1)
     q3 = [5, 9, 5]
-    check("hash count conservation", float(hash_query(q3).sum()), 3.0)
-    check("hash determinism", np.array_equal(hash_query(q3), hash_query(q3)), True)
-    check("hash bag semantics", np.array_equal(hash_query(q3), hash_query([9, 5, 5])), True)
+    h3 = TrigramHashStore(table([q3])).encode(table([q3, q3, [9, 5, 5]]))
+    check("hash count conservation", float(h3[0].sum()), 3.0)
+    check("hash reference counts", np.array_equal(h3[0], hash_counts(q3)), True)
+    check("hash determinism", np.array_equal(h3[0], h3[1]), True)
+    check("hash bag semantics", np.array_equal(h3[0], h3[2]), True)
     check("bray_curtis identical", bray_curtis([1.0, 2.0], [1.0, 2.0]), 0.0)
     check("bray_curtis disjoint", bray_curtis([1.0, 0.0], [0.0, 2.0]), 1.0)
     check("bray_curtis hand case", bray_curtis([1.0, 0.0, 2.0], [1.0, 1.0, 0.0]), 3 / 5)
@@ -310,14 +314,10 @@ def test_09_metric_examples():
     queries = [rng.integers(0, 40, size=rng.integers(1, 6)).tolist() for _ in range(50)]
     store = TrigramHashStore(query_table(queries, [0] * 50, 5))
     check("knn self nearest", knn(store, queries[13], 1), [13])
-    hashed = [hash_query(q) for q in queries]
-    order = sorted(range(50), key=lambda i: (bray_curtis(hashed[i], hash_query(queries[4])), i))
+    order = sorted(range(50), key=lambda i: (bray_curtis(store.matrix[i], store.matrix[4]), i))
     check("knn full sort oracle", knn(store, queries[4], 50), order)
 
     # retrieval metrics
-    def table(rows):
-        return query_table(rows, [0] * len(rows), max(map(len, rows), default=1))
-
     dup = [1, 2]
     others = [rng.integers(3, 40, size=4).tolist() for _ in range(10)]
     dup_store = TrigramHashStore(table([dup] * 5 + others))
@@ -331,16 +331,16 @@ def test_09_metric_examples():
     probe = others[0]
     dists = sorted(
         range(len(scan_store)),
-        key=lambda i: (bray_curtis(hash_query((others * 3)[i]), hash_query(probe)), i),
+        key=lambda i: (bray_curtis(scan_store.matrix[i], scan_store.matrix[0]), i),
     )
     check("reformulate scan oracle", reformulate(scan_store, probe), dists[:5])
 
-    check("precision all share", query_precision_at_k(1, [2, 3], P, 20), 1.0)
-    check("precision none share", query_precision_at_k(1, [4, 5], P, 20), 0.0)
-    check("precision 2 of 5", query_precision_at_k(1, [2, 3, 4, 5, 6], P, 20), 0.4)
-    check("recall full cover", product_recall_at_k(1, [2], P, 20), 1.0)
-    check("recall empty union", product_recall_at_k(1, [4], P, 20), 0.0)
-    check("recall half cover", product_recall_at_k(7, [2], P, 20), 0.5)
+    check("precision all share", metrics_of(1, [2, 3], P, 20)[0], 1.0)
+    check("precision none share", metrics_of(1, [4, 5], P, 20)[0], 0.0)
+    check("precision 2 of 5", metrics_of(1, [2, 3, 4, 5, 6], P, 20)[0], 0.4)
+    check("recall full cover", metrics_of(1, [2], P, 20)[1], 1.0)
+    check("recall empty union", metrics_of(1, [4], P, 20)[1], 0.0)
+    check("recall half cover", metrics_of(7, [2], P, 20)[1], 0.5)
     check("f1 equal args", f1(0.5, 0.5), 0.5)
     check("f1 zero recall", f1(1.0, 0.0), 0.0)
     check("f1 table values", f1(0.659, 0.708), 0.6826, exact=False)
@@ -357,8 +357,8 @@ def test_09_metric_examples():
     restricted = oracle_best([0], cands, toy_p, 20, pool=len(cands))
     best_p, best_r = 0.0, 0.0  # each maximized over subsets independently
     for combo in itertools.combinations(cands, 5):
-        best_p = max(best_p, query_precision_at_k(0, list(combo), toy_p, 20))
-        best_r = max(best_r, product_recall_at_k(0, list(combo), toy_p, 20))
+        best_p = max(best_p, _ref_precision(0, combo, toy_p, 20))
+        best_r = max(best_r, _ref_recall(0, combo, toy_p, 20))
     check("oracle full enumeration", restricted, (best_p, best_r))
 
     _report("9/10", "frozen metric examples (hash baseline + retrieval metrics)",

@@ -8,7 +8,6 @@ from queryemb.baseline import (
     QueryStore,
     TrigramHashStore,
     _counts,
-    hash_query,
     splitmix64_array,
 )
 from queryemb.core import QueryTable, rng_stream
@@ -114,36 +113,41 @@ class TestSplitmix64:
             assert bucket_of(t, 7) == splitmix64(t) % 7
 
 
+def _encoded(*rows, n_buckets=HASH_DIM):
+    """The store's bucket counts of each row, by encode and as stored in matrix."""
+    store = TrigramHashStore(_table(list(rows)), n_buckets=n_buckets)
+    encoded = store.encode(_table(list(rows)))
+    assert_array_equal(encoded, store.matrix)
+    assert_array_equal(encoded, [hash_counts(row, n_buckets) for row in rows])
+    return encoded
+
+
 class TestHashQuery:
     def test_count_conservation(self):
-        h = hash_query(_q(3, 14, 159))
-        assert h.sum() == 3.0
+        (h,) = _encoded(_q(3, 14, 159))
+        assert h.sum() == 3
         assert h.shape == (HASH_DIM,)
 
     def test_identical_queries_identical_vectors(self):
-        a = hash_query(_q(5, 6, 7))
-        b = hash_query(_q(5, 6, 7))
+        a, b = _encoded(_q(5, 6, 7), _q(5, 6, 7))
         assert np.array_equal(a, b)
 
     def test_bag_semantics_under_permutation(self):
-        a = hash_query(_q(9, 2, 41, 2))
-        b = hash_query(_q(2, 41, 9, 2))
+        a, b = _encoded(_q(9, 2, 41, 2), _q(2, 41, 9, 2))
         assert np.array_equal(a, b)
 
     def test_repeated_trigram_counts_twice(self):
-        h = hash_query(_q(11, 11))
-        assert h[bucket_of(11)] == 2.0
-        assert h.sum() == 2.0
+        (h,) = _encoded(_q(11, 11))
+        assert h[bucket_of(11)] == 2
+        assert h.sum() == 2
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            bray_curtis(np.array([1.0, -1.0]), hash_query(_q(1), n_buckets=2))
+            bray_curtis(np.array([1.0, -1.0]), hash_counts(_q(1), n_buckets=2))
 
     @pytest.mark.parametrize("q, message", BAD_RAW_QUERIES)
     def test_bad_raw_queries_rejected_as_embed_query_rejects_them(self, q, message):
         store = TrigramHashStore(_table([_q(1, 2), _q(3)]))
-        with pytest.raises(ValueError, match=message):
-            hash_query(q)
         with pytest.raises(ValueError, match=message):
             store.rank(q, 1)
         with pytest.raises(ValueError, match=message):
@@ -158,15 +162,13 @@ class TestHashQuery:
         # a uint64 id wrapped to a negative one and was refused as "non-negative"
         store = TrigramHashStore(_table([_q(1, 2), _q(3)]))
         model = AttentionModel(np.zeros((4, 2)), np.zeros((2, 2)))
-        for one_query in (lambda q: QueryTable([q], [len(q)], [0]), hash_query,
-                          lambda q: store.rank(q, 1), lambda q: embed_query(model, q)):
+        for one_query in (lambda q: QueryTable([q], [len(q)], [0]), lambda q: store.rank(q, 1),
+                          lambda q: embed_query(model, q)):
             with pytest.raises(OverflowError, match=message):
                 one_query(q)
 
     @pytest.mark.parametrize("n_buckets", [0, -3])
     def test_bucket_count_below_one_rejected(self, n_buckets):
-        with pytest.raises(ValueError, match="n_buckets"):
-            hash_query(_q(1), n_buckets)
         with pytest.raises(ValueError, match="n_buckets"):
             TrigramHashStore(_table([_q(1)]), n_buckets=n_buckets)
 
@@ -216,7 +218,6 @@ class TestSparseStore:
         rows, table = _random_table(48)
         store = TrigramHashStore(table, n_buckets=n_buckets)
         want = np.stack([hash_counts(r, n_buckets) for r in rows])
-        assert_array_equal(np.stack([hash_query(r, n_buckets) for r in rows]), want)
         assert_array_equal(store.matrix, want)
         assert_array_equal(store.totals, want.sum(axis=1))
 
@@ -228,7 +229,7 @@ class TestSparseStore:
         rng = rng_stream(50)
         probes = rows[:5] + [rng.integers(0, 60, size=k).tolist() for k in (1, 3, 6, 9)]
         for probe in probes:
-            pv = hash_query(probe, n_buckets)
+            pv = hash_counts(probe, n_buckets)
             dense = np.abs(m - pv).sum(axis=1) / (m + pv).sum(axis=1)
             assert_array_equal(store.distances(pv), dense)
 
@@ -243,12 +244,12 @@ class TestSparseStore:
     def test_non_finite_probe_counts_rejected(self, bad):
         # NaN passed the sign check and gave all-NaN keys, ranked with a warning only
         store = TrigramHashStore(_table([_q(1, 2), _q(3)]), n_buckets=7)
-        pv = hash_query(_q(1), 7)
+        pv = hash_counts(_q(1), 7)
         pv[4] = bad
         with pytest.raises(ValueError, match="finite"):
             store.distances(pv)
         with pytest.raises(ValueError, match="finite"):
-            bray_curtis(pv, hash_query(_q(2), 7))
+            bray_curtis(pv, hash_counts(_q(2), 7))
 
     @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
     def test_encode_rows_are_hash_query(self, n_buckets):
@@ -259,7 +260,6 @@ class TestSparseStore:
         for row, vector in zip(rows, encoded):
             pv = hash_counts(row, n_buckets)
             assert_array_equal(vector, pv)
-            assert_array_equal(hash_query(row, n_buckets), pv)
             assert_array_equal(store.distances(vector), store.distances(pv))
 
     def test_counts_are_bucket_major_and_small(self):
@@ -285,7 +285,6 @@ class TestCountTypes:
         assert store.counts.dtype == np.uint16
         assert store.matrix[:, 0].tolist() == [300, 2]
         assert store.encode(table)[:, 0].tolist() == [300, 2]
-        assert hash_query(long_query, 1)[0] == 300.0
         for pv in (np.array([300.0]), np.array([2], dtype=np.uint8), store.encode(table)[0]):
             assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv))
 
@@ -340,7 +339,7 @@ class TestKnn:
     def test_probe_in_store_is_own_nearest(self):
         queries, store = self._random_store(41)
         assert knn(store, queries[17], 1) == [17] or bray_curtis(
-            hash_query(queries[knn(store, queries[17], 1)[0]]), hash_query(queries[17])
+            hash_counts(queries[knn(store, queries[17], 1)[0]]), hash_counts(queries[17])
         ) == 0.0
 
     def test_k_equals_store_size_is_full_sort(self):
@@ -348,8 +347,8 @@ class TestKnn:
         probe = queries[3]
         out = knn(store, probe, 20)
         assert sorted(out) == list(range(20))
-        pv = hash_query(probe)
-        dists = [bray_curtis(hash_query(q), pv) for q in queries]
+        pv = hash_counts(probe)
+        dists = [bray_curtis(hash_counts(q), pv) for q in queries]
         oracle = [i for _, i in sorted((d, i) for i, d in enumerate(dists))]
         assert out == oracle
 
@@ -358,8 +357,8 @@ class TestKnn:
         rng = rng_stream(44)
         for _ in range(10):
             probe = _q(*rng.integers(0, 400, size=4).tolist())
-            pv = hash_query(probe)
-            dists = [bray_curtis(hash_query(q), pv) for q in queries]
+            pv = hash_counts(probe)
+            dists = [bray_curtis(hash_counts(q), pv) for q in queries]
             oracle = [i for _, i in sorted((d, i) for i, d in enumerate(dists))][:7]
             assert knn(store, probe, 7) == oracle
 
@@ -396,7 +395,7 @@ class TestKnn:
         assert 2 not in ranked
         assert ranked.size == 9
         assert_array_equal(ranked, _full_sort(store.ids, store.distances(
-            hash_query(queries[2])), 9, 2))
+            hash_counts(queries[2])), 9, 2))
 
     def test_rank_hashes_raw_probes_to_integer_counts(self, monkeypatch):
         # counts past 255 widen the store to uint16; a probe repeats one trigram 300 times
@@ -407,8 +406,8 @@ class TestKnn:
         monkeypatch.setattr(store, "keys", lambda pv: seen.append(pv) or distances(pv))
         for probe in rows + [[7] * 299 + [8]]:
             ranked = store.rank(probe, 5)
-            # the float64 vector of hash_query gives the same distances, bit for bit
-            want = store.distances(hash_query(probe, 13))
+            # the float64 reference counts give the same distances, bit for bit
+            want = store.distances(hash_counts(probe, 13))
             assert seen[-1].dtype.kind == "u"
             assert_array_equal(distances(seen[-1]), want)
             assert_array_equal(ranked, _full_sort(store.ids, want, 5))
@@ -418,7 +417,7 @@ class TestKnn:
         store = TrigramHashStore(_table(queries), n_buckets=7)
         assert store.matrix.shape == (2, 7)
         with pytest.raises(ValueError, match="width"):
-            store.distances(hash_query(_q(1), n_buckets=300))
+            store.distances(hash_counts(_q(1), n_buckets=300))
 
 
 class TestTopCountSelection:
@@ -486,7 +485,7 @@ class TestTopCountSelection:
         # a small vocabulary makes many rows hash to equal distances
         rows = [_q(*rng.integers(0, 6, size=rng.integers(1, 4)).tolist()) for _ in range(40)]
         store = TrigramHashStore(_table(rows), rng.permutation(100)[:40].tolist())
-        self._check_store(store, rows[:10], lambda p: store.distances(hash_query(p)))
+        self._check_store(store, rows[:10], lambda p: store.distances(hash_counts(p)))
 
     def test_embedding_store_matches_full_sort(self):
         rng = rng_stream(63)

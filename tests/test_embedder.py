@@ -597,11 +597,10 @@ class TestGroupPass:
             assert_allclose(table[i], _ref_forward(model, row)[0], rtol=0, atol=1e-12)
             assert_allclose(embed_query(model, row), table[i], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("report_length", [None, 2])
-    def test_blue_report_attention_is_per_row_mean(self, report_length):
+    def test_blue_report_attention_is_per_row_mean(self):
         ds = _mixed_dataset()
         model = _random_model(50)
-        report = theory.blue_report(model, ds, report_length=report_length)
+        report = theory.blue_report(model, ds)
         used = np.flatnonzero(ds.queries.lengths == report.report_length)
         assert report.n_queries_used == used.size > 1
         expected = np.mean([attention_weights(model, ds.queries.row(i)) for i in used], axis=0)

@@ -6,7 +6,7 @@ import pytest
 from conftest import query_table
 from numpy.testing import assert_allclose, assert_array_equal
 
-from queryemb.baseline import TrigramHashStore, hash_query
+from queryemb.baseline import TrigramHashStore
 from queryemb import evaluation
 from queryemb.cli import split_query_ids
 from queryemb.core import GeneratorConfig, rng_stream
@@ -18,8 +18,6 @@ from queryemb.evaluation import (
     f1,
     format_summary,
     oracle_best,
-    product_recall_at_k,
-    query_precision_at_k,
     reformulate,
     top_products,
     write_eval_csv,
@@ -35,6 +33,16 @@ def _q(*ids):
 
 def _table(rows):
     return query_table(rows, [0] * len(rows), max(map(len, rows), default=1))
+
+
+def metrics_of(q, refs, pm, k):
+    """evaluate's precision and recall of probe q whose reformulations are exactly
+    the distinct ids refs: the store holds only them, and evaluate asks for all."""
+    queries = _table([_q(0)] * (max(q, *refs) + 1))
+    store = TrigramHashStore(queries.take(refs), refs)
+    row = evaluate(store, queries, pm, [q], k, n_reformulations=len(refs)).rows[0]
+    assert sorted(row.reformulations) == sorted(refs)
+    return row.precision, row.recall
 
 
 class TestTopProducts:
@@ -88,59 +96,83 @@ class TestBadPurchasesRejected:
     @pytest.mark.parametrize("pm, message", _BAD_PURCHASES)
     def test_one_probe_metrics(self, pm, message):
         with pytest.raises(ValueError, match=message):
-            query_precision_at_k(0, [1], pm, 20)
-        with pytest.raises(ValueError, match=message):
-            product_recall_at_k(0, [1], pm, 20)
+            metrics_of(0, [1], pm, 20)
+
+
+class TestNonIntegerIdsRejected:
+    """Probe and candidate ids must be integers; before the check, probe 0.7
+    was scored as query 0, np.float64(1.9) and True as query 1, and candidate
+    1.5 as 1."""
+
+    PM = {0: [(1, 1)], 1: [(1, 1)], 2: [(4, 1)]}
+
+    @pytest.mark.parametrize("probes", [[0.7], [np.float64(1.9)], [True], [2, 0.7]],
+                             ids=["float", "numpy-float", "bool", "int-then-float"])
+    def test_evaluate(self, probes):
+        queries = _table([_q(1), _q(1), _q(2)])
+        with pytest.raises(ValueError, match="probe ids must be integers"):
+            evaluate(TrigramHashStore(queries), queries, self.PM, probes, n_reformulations=1)
+
+    @pytest.mark.parametrize("probes, candidates, what", [
+        ([0.7], [1, 2], "probe ids"),
+        ([np.float64(1.9)], [0, 2], "probe ids"),
+        ([True], [0, 2], "probe ids"),
+        ([0], [1.5, 2], "candidate ids"),
+        ([0], np.array([1.0, 2.0]), "candidate ids"),
+    ], ids=["float", "numpy-float", "bool", "float-candidate", "float-candidate-array"])
+    def test_oracle_best(self, probes, candidates, what):
+        with pytest.raises(ValueError, match=f"{what} must be integers"):
+            oracle_best(probes, candidates, self.PM, 20)
 
 
 class TestQueryPrecision:
     def test_all_share_single_product(self):
         pm = {0: [(9, 1)], 1: [(9, 3)], 2: [(9, 1)], 3: [(9, 2)]}
-        assert query_precision_at_k(0, [1, 2, 3], pm, 20) == 1.0
+        assert metrics_of(0, [1, 2, 3], pm, 20)[0] == 1.0
 
     def test_none_share(self):
         pm = {0: [(9, 1)], 1: [(8, 1)], 2: [(7, 1)]}
-        assert query_precision_at_k(0, [1, 2], pm, 20) == 0.0
+        assert metrics_of(0, [1, 2], pm, 20)[0] == 0.0
 
     def test_two_of_five(self):
         pm = {0: [(9, 1)], 1: [(9, 1)], 2: [(9, 1)], 3: [(8, 1)], 4: [(7, 1)], 5: [(6, 1)]}
-        assert query_precision_at_k(0, [1, 2, 3, 4, 5], pm, 20) == 0.4
+        assert metrics_of(0, [1, 2, 3, 4, 5], pm, 20)[0] == 0.4
 
     def test_missing_purchases_count_as_nonrelevant(self):
         pm = {0: [(9, 1)], 1: [(9, 1)]}
-        assert query_precision_at_k(0, [1, 2], pm, 20) == 0.5
+        assert metrics_of(0, [1, 2], pm, 20)[0] == 0.5
 
     def test_respects_k_cutoff(self):
         # probe's product 9 is the probe's 2nd-ranked product: visible at
         # k=2, invisible at k=1
         pm = {0: [(3, 5), (9, 1)], 1: [(9, 4)]}
-        assert query_precision_at_k(0, [1], pm, 2) == 1.0
-        assert query_precision_at_k(0, [1], pm, 1) == 0.0
+        assert metrics_of(0, [1], pm, 2)[0] == 1.0
+        assert metrics_of(0, [1], pm, 1)[0] == 0.0
 
     def test_order_invariance(self):
         pm = {0: [(9, 1)], 1: [(9, 1)], 2: [(8, 1)], 3: [(9, 1)]}
-        a = query_precision_at_k(0, [1, 2, 3], pm, 20)
-        b = query_precision_at_k(0, [3, 1, 2], pm, 20)
+        a = metrics_of(0, [1, 2, 3], pm, 20)[0]
+        b = metrics_of(0, [3, 1, 2], pm, 20)[0]
         assert a == b
 
 
 class TestProductRecall:
     def test_full_coverage(self):
         pm = {0: [(1, 2), (2, 1)], 1: [(1, 9)], 2: [(2, 9)]}
-        assert product_recall_at_k(0, [1, 2], pm, 20) == 1.0
+        assert metrics_of(0, [1, 2], pm, 20)[1] == 1.0
 
     def test_empty_union(self):
         pm = {0: [(1, 2)], 1: [(5, 1)], 2: []}
-        assert product_recall_at_k(0, [1, 2], pm, 20) == 0.0
+        assert metrics_of(0, [1, 2], pm, 20)[1] == 0.0
 
     def test_half_coverage(self):
         # probe has {a=1, b=2}; reformulations cover only {1}
         pm = {0: [(1, 3), (2, 3)], 1: [(1, 1)], 2: [(1, 5)]}
-        assert product_recall_at_k(0, [1, 2], pm, 20) == 0.5
+        assert metrics_of(0, [1, 2], pm, 20)[1] == 0.5
 
     def test_probe_without_purchases_rejected(self):
         with pytest.raises(ValueError, match="no purchases"):
-            product_recall_at_k(0, [1], {1: [(1, 1)]}, 20)
+            metrics_of(0, [1], {1: [(1, 1)]}, 20)
 
     def test_monotone_in_k_on_single_product_data(self):
         cfg = GeneratorConfig(
@@ -152,7 +184,7 @@ class TestProductRecall:
         refs = [1, 2, 3, 4, 5]
         for probe in (0, 7, 19):
             values = [
-                product_recall_at_k(probe, refs, ds.purchase_map, k)
+                metrics_of(probe, refs, ds.purchase_map, k)[1]
                 for k in (1, 2, 5, 20)
             ]
             assert values == sorted(values)
@@ -229,9 +261,9 @@ class TestReformulate:
         queries = _table(rows)
         store = TrigramHashStore(queries)
         probe_id = 4
-        pv = hash_query(rows[probe_id])
+        pv = hash_counts(rows[probe_id])
         scored = [
-            (bray_curtis(hash_query(q), pv), i)
+            (bray_curtis(hash_counts(q), pv), i)
             for i, q in enumerate(rows)
             if i != probe_id
         ]
@@ -470,7 +502,7 @@ def _oracle_one(q, ids, tops, purchase_map, k, n_reformulations, pool):
     ids = ids[keep]
     # one mask bit per distinct product; a product listed twice in probe_top
     # still counts twice in len(probe_top), so full coverage is then out of
-    # reach, as full recall is in product_recall_at_k
+    # reach, as full recall is in evaluate
     slot = {pid: j for j, pid in enumerate(probe_top)}
     hits = (tops[keep][:, :, None] == np.fromiter(slot, np.int64, len(slot))).any(axis=1)
     bits = [1 << j for j in slot.values()]
@@ -683,26 +715,25 @@ def _ref_recall(q, refs, pm, k):
 
 
 class TestArrayMetricsMatchScalar:
+    """evaluate's precision and recall against the set-based references."""
+
     @pytest.mark.parametrize("k", [1, 2, 5, 70])
     def test_random_maps(self, k):
         rng = rng_stream(72)
         pm = _messy_purchases(rng, 40, 12, 8, repeat=0.6)
         probes = [q for q in pm if _listed_twice(pm, q, 20)][:5] + [q for q in pm][:10]
         for q in probes:
+            others = [i for i in range(45) if i != q]  # some ids have no purchases
             for _ in range(4):
-                refs = rng.integers(0, 45, size=int(rng.integers(1, 7))).tolist()
-                refs.append(refs[0])  # a reformulation listed twice counts twice
-                assert query_precision_at_k(q, refs, pm, k) == _ref_precision(q, refs, pm, k)
-                assert product_recall_at_k(q, refs, pm, k) == _ref_recall(q, refs, pm, k)
+                refs = rng.choice(others, size=int(rng.integers(1, 8)), replace=False).tolist()
+                assert metrics_of(q, refs, pm, k) == (_ref_precision(q, refs, pm, k),
+                                                      _ref_recall(q, refs, pm, k))
 
     def test_repeated_probe_product_counts_once_above_twice_below(self):
         pm = {0: [(4, 2), (6, 2), (4, 1)], 1: [(4, 1), (6, 1)]}
         assert top_products(pm[0], 3) == [4, 6, 4]
-        assert product_recall_at_k(0, [1], pm, 3) == 2 / 3
-        assert product_recall_at_k(0, [], pm, 3) == 0.0
-        assert query_precision_at_k(0, [1, 2], pm, 3) == 0.5
-        with pytest.raises(ValueError, match="at least one reformulation"):
-            query_precision_at_k(0, [], pm, 3)
+        assert metrics_of(0, [1], pm, 3)[1] == 2 / 3
+        assert metrics_of(0, [1, 2], pm, 3)[0] == 0.5
 
 
 def _reference_evaluate(store, queries, pm, probe_ids, k=20, n_reformulations=5,
@@ -848,7 +879,6 @@ class TestBatchedRankingMatchesScalar:
             row = ds.queries.row(i)
             assert_array_equal(h, hash_counts(row))
             assert_allclose(z, _ref_forward(estore.model, row)[0], rtol=0, atol=1e-12)
-            assert_array_equal(h, hash_query(row))
             assert_array_equal(z, embed_query(estore.model, row))
 
     def test_probe_checks_keep_reformulate_messages(self):

@@ -469,8 +469,6 @@ class TestBlueReport:
         model = init_model(50, 4, 3, 13)
         with pytest.raises(ValueError, match="untrained"):
             blue_report(model, ds)
-        report = blue_report(model, ds, allow_untrained=True)
-        assert_allclose(report.attention, 1.0 / 3.0, atol=1e-12)
 
     def test_overflowing_betas_rejected_not_nan(self):
         # exp(beta^2 / 2) overflows at these betas, so every exact variance is NaN
@@ -483,8 +481,10 @@ class TestBlueReport:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"position 1 \(beta 200.0\) is not finite: nan"):
                 position_variances(ds, [1, 2, 3])
+            model = init_model(50, 4, 3, 13)
+            model.attn[:] = 1.0  # a trained model's rows are not all zero
             with pytest.raises(ValueError, match="not finite"):
-                blue_report(init_model(50, 4, 3, 13), ds, allow_untrained=True)
+                blue_report(model, ds)
 
     @pytest.mark.parametrize("field", ["variances", "blue"])
     def test_nan_fields_rejected(self, field):
