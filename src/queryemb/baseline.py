@@ -69,7 +69,9 @@ class QueryStore:
     against every stored row (keys, ascending is nearer)."""
 
     def __init__(self, queries: QueryTable, ids: Sequence[int] | None) -> None:
-        self.ids = _int64_array(range(len(queries)) if ids is None else list(ids), "store ids")
+        if ids is None:
+            ids = np.arange(len(queries))
+        self.ids = _int64_array(ids if isinstance(ids, np.ndarray) else list(ids), "store ids")
         if self.ids.size != len(queries):
             raise ValueError("ids and queries must have equal length")
         self._sorted_ids = np.unique(self.ids)

@@ -330,10 +330,19 @@ def _errors_prefixed(prefix: str):
         raise ValueError(f"{prefix}: {exc}") from None
 
 
-def _check_integers(arr: np.ndarray, what: str) -> None:
-    """Refuse a non-empty array whose dtype is not an integer type (np.asarray([]) is float64)."""
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _check_integers(arr: np.ndarray, values, what: str) -> None:
+    """Refuse arr = np.asarray(values) unless it is empty or of an integer dtype
+    (np.asarray([]) is float64).  np.asarray reads a bool beside other ints as an
+    int ([2, True] is int64), so values that are not an ndarray are also scanned."""
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.size and not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(
+        map(type, np.asarray(values, dtype=object).flat)
+    ):
+        raise ValueError(f"{what} must be integers, got a bool")
 
 
 def _int64_array(values, what: str) -> np.ndarray:
@@ -343,7 +352,7 @@ def _int64_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in "fOu" and not isinstance(values, np.ndarray):
         np.array(values, dtype=np.int64)  # the OverflowError, if any
-    _check_integers(arr, what)
+    _check_integers(arr, values, what)
     if arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max:
         raise OverflowError(f"{what} must fit int64")
     return arr.astype(np.int64)
@@ -422,14 +431,15 @@ class QueryGraph:
     sorted and never containing q.  ``edges`` lists each undirected edge once
     as a ``(u, v)`` row with ``u < v``, so symmetry holds by construction.
     The input edges may have any integer dtype and are read as they are (a
-    uint32 array is not widened); anything else raises ValueError.  ``indices``
-    and ``indptr`` are int64.
+    uint32 array is not widened); anything else, a bool in a list included,
+    raises ValueError.  ``indptr`` is int64; ``indices`` is int32, 4 bytes per
+    CSR entry (int64 only past 2**31 queries), written over the sorted edge keys.
     """
 
     def __init__(self, n_queries: int, edges: np.ndarray | Sequence[Sequence[int]]) -> None:
         n = int(n_queries)
-        edges = np.asarray(edges)
-        _check_integers(edges, "edge query ids")
+        edges, given = np.asarray(edges), edges
+        _check_integers(edges, given, "edge query ids")
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -462,8 +472,12 @@ class QueryGraph:
         self.indptr = np.empty(n + 1, dtype=np.int64)
         self.indptr[:n] = np.searchsorted(keys, np.arange(n, dtype=kind) * kind(n))
         self.indptr[n] = keys.size  # n * n itself overflows uint32 at n = 2**16
-        self.indices = np.empty(keys.size, dtype=np.int64)
-        np.remainder(keys, max(n, 1), out=self.indices)
+        # the neighbours, key % n < n, overwrite the keys they come from
+        np.remainder(keys, max(n, 1), out=keys)
+        if kind == np.uint32:
+            self.indices = keys.view(np.int32)
+        else:
+            self.indices = keys.astype(np.int32) if n <= 1 << 31 else keys.view(np.int64)
 
     @property
     def n_queries(self) -> int:

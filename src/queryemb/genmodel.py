@@ -64,6 +64,9 @@ _MAX_DIGITS = 19
 # The tilted draws' CDF table is built and searched at most this many floats
 # (8 MiB) at a time; the desk and dense tables (200 keys x 2000) fit in one.
 _CDF_BLOCK_FLOATS = 1 << 20
+# inverse_cdf_rows searches at most this many draws at a time, so that each
+# pass's temporaries (64 KiB) stay in cache instead of spanning every draw.
+_CDF_DRAWS = 1 << 13
 
 MATRIX_MAGIC = b"QEMBMAT1"
 
@@ -129,7 +132,7 @@ def query_lengths(config: GeneratorConfig, u: np.ndarray) -> np.ndarray:
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails too
         raise ValueError(f"uniforms must lie in [0, 1), got values in [{u.min()}, {u.max()}]")
     cdf = np.cumsum(truncated_poisson_pmf(config.lam, config.max_len))
-    return inverse_cdf_rows(cdf[None, :], np.zeros(u.shape, dtype=np.int64), u) + 1
+    return inverse_cdf_rows(cdf[None, :], np.broadcast_to(np.int64(0), u.shape), u) + 1
 
 
 def partition_function(p: np.ndarray, beta: float, vocab: np.ndarray) -> float:
@@ -197,7 +200,7 @@ def sample_trigrams_batch(
     pick_tilted = rng.random(n_samples) < alpha
     u = rng.random(n_samples)[pick_tilted]  # drawn for every sample, read for the tilted ones
     ids = rng.integers(config.vocab_size, size=n_samples).astype(np.int64)
-    ids[pick_tilted] = inverse_cdf_rows(cdf, np.zeros(u.size, dtype=np.int64), u)
+    ids[pick_tilted] = inverse_cdf_rows(cdf, np.broadcast_to(np.int64(0), u.shape), u)
     return ids
 
 
@@ -295,25 +298,34 @@ def _groups(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse_cdf_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw j: min(searchsorted(cdfs[rows[j]], u[j], side="right"), m - 1), all draws at once.
+    """Draw j: min(searchsorted(cdfs[rows[j]], u[j], side="right"), m - 1).
 
     Every row of the (K, m) table must be non-decreasing (a cumsum of
     probabilities), so a binary lift over the flattened table counts exactly
-    the entries <= u[j]: about log2(m) gather-and-compare passes.  A row
-    outside [0, K) raises ValueError.
+    the entries <= u[j]: about log2(m) gather-and-compare passes, run on
+    _CDF_DRAWS draws at a time.  rows and u have one shape, which the result
+    takes.  A row outside [0, K) raises ValueError before any draw is searched.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows, u = np.asarray(rows, dtype=np.int64), np.asarray(u)
+    if rows.shape != u.shape:
+        raise ValueError(f"rows and u must have one shape, got {rows.shape} and {u.shape}")
     if rows.size and (rows.min() < 0 or rows.max() >= len(cdfs)):
         bad = rows.min() if rows.min() < 0 else rows.max()
         raise ValueError(f"CDF row {bad} outside [0, {len(cdfs)})")
-    m, first = cdfs.shape[1], rows * cdfs.shape[1]
-    flat, at, span = cdfs.ravel(), first.copy(), m
-    while span > 1:  # the count lies in [at - first, at - first + span]
-        half = span // 2
-        at += half * (flat[at + half] <= u)
-        span -= half
-    at += flat[at] <= u
-    return np.minimum(at - first, m - 1)
+    m, flat = cdfs.shape[1], cdfs.ravel()
+    out = np.empty(u.shape, dtype=np.int64)
+    rows, u, flat_out = rows.reshape(-1), u.reshape(-1), out.reshape(-1)
+    for lo in range(0, u.size, _CDF_DRAWS):
+        first = rows[lo : lo + _CDF_DRAWS] * m
+        draws, at, span = u[lo : lo + _CDF_DRAWS], first.copy(), m
+        while span > 1:  # the count lies in [at - first, at - first + span]
+            half = span // 2
+            at += half * (flat[at + half] <= draws)
+            span -= half
+        at += flat[at] <= draws
+        at -= first
+        np.minimum(at, m - 1, out=flat_out[lo : lo + _CDF_DRAWS])
+    return out
 
 
 def _query_edges(product_ids: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
@@ -386,6 +398,7 @@ def _sample_queries(
         tilted = reader.random(rows) < config.alphas[pos]
         tilted_u[rows[tilted], pos] = reader.random(rows[tilted])  # stays NaN where not tilted
         ids[rows[~tilted], pos] = reader.integers(rows[~tilted], config.vocab_size)
+    del reader  # every draw is decoded: its words (8 bytes per stream and word) go
 
     q, pos = np.nonzero(~np.isnan(tilted_u))
     slot = np.array([config.betas.index(b) for b in config.betas])  # equal betas, one CDF

@@ -27,6 +27,7 @@ from .core import (
 )
 from .embedder import AttentionModel, TrainConfig, _check_table, _forward_rows, init_model, train
 from .genmodel import (
+    _CDF_DRAWS,
     SyntheticDataset,
     _position_params,
     default_benchmark_config,
@@ -176,14 +177,18 @@ def _sample_sequences(
     base = c.vocab_size + 1
     codes = np.zeros(n, dtype=np.int64)
     for pos in range(c.max_len):
-        active = np.flatnonzero(lengths > pos)
-        if active.size == 0:
+        n_active = np.count_nonzero(lengths > pos)
+        if n_active == 0:
             break
         # single inverse-CDF draw from the full mixture (cdfs already fold in
-        # the uniform component)
-        u = rng.random(active.size)
-        ids = inverse_cdf_rows(cdfs[pos], product_ids[active], u)
-        codes[active] += (ids + 1) * base**pos
+        # the uniform component), every active draw's uniform at once; the
+        # rows are gathered and the codes updated _CDF_DRAWS draws at a time
+        u, used = rng.random(n_active), 0
+        for lo in range(0, n, _CDF_DRAWS):
+            active = lo + np.flatnonzero(lengths[lo : lo + _CDF_DRAWS] > pos)
+            ids = inverse_cdf_rows(cdfs[pos], product_ids[active], u[used : used + active.size])
+            codes[active] += (ids + 1) * base**pos
+            used += active.size
     return codes
 
 

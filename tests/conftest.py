@@ -8,6 +8,7 @@ ordering) all need the same trained model, so it runs once per session.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,3 +61,12 @@ def has_edge(graph, u: int, v: int) -> bool:
     nbrs = graph.neighbors(u)
     j = np.searchsorted(nbrs, v)
     return bool(j < nbrs.size and nbrs[j] == v)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

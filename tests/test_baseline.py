@@ -533,6 +533,14 @@ class TestStoreIds:
             with pytest.raises(error, match=message):
                 make(queries, ids)
 
+    @pytest.mark.parametrize("ids", [[0, True, 2], (np.False_, 1, 2)], ids=["bool", "numpy-bool"])
+    def test_bool_beside_ints_rejected(self, ids):
+        # np.asarray([0, True, 2]) is int64: it was stored as id 1
+        queries = _table([_q(1), _q(2), _q(3)])
+        for make in (TrigramHashStore, QueryStore):
+            with pytest.raises(ValueError, match=r"^store ids must be integers, got a bool$"):
+                make(queries, ids)
+
     def test_integer_ids_of_any_type_kept(self):
         queries = _table([_q(1), _q(2), _q(3)])
         for ids in ([7, 3, 5], np.array([7, 3, 5], dtype=np.uint8), (np.int32(7), 3, 5),

@@ -378,6 +378,16 @@ class TestQuery:
             QueryTable([[1]], [1], np.array([2**63], dtype=np.uint64))
         assert QueryTable([[1]], [1], np.array([2**63 - 1], dtype=np.uint64)).product_ids[0] == 2**63 - 1
 
+    def test_bool_beside_ints_rejected(self):
+        # np.asarray([[1, True]]) is int64: it was stored as id 1
+        for args, what in ((([[1, True]], [2], [0]), "trigram ids"),
+                           (([[1, 2], [3, 0]], [2, np.True_], [0, 1]), "lengths"),
+                           (([[1, 2], [3, 0]], [2, 1], [0, True]), "product ids")):
+            with pytest.raises(ValueError, match=rf"^{what} must be integers, got a bool$"):
+                QueryTable(*args)
+        with pytest.raises(ValueError, match=r"^trigram ids must be integers, got a bool$"):
+            QueryTable.of_query([4, False])
+
     def test_of_query_is_a_one_row_table(self):
         t = QueryTable.of_query([4, 0, 4])
         assert t == QueryTable([[4, 0, 4]], [3], [0])
@@ -498,7 +508,7 @@ class TestQueryGraph:
             edges = fitting([(n - 2, n - 1), (0, n - 1), (5, 7), (0, 1), (1, n - 1)], dtype)
             g = QueryGraph(n, edges)
             indptr, indices = int64_csr(n, edges)
-            assert g.indices.dtype == g.indptr.dtype == np.int64
+            assert g.indices.dtype == np.int32 and g.indptr.dtype == np.int64
             assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
             assert g.neighbors(n - 1).tolist() == sorted(u for u, v in edges.tolist() if v == n - 1)
             assert g.edges().tolist() == sorted(edges.tolist())
@@ -532,6 +542,13 @@ class TestQueryGraph:
         with pytest.raises(ValueError, match=r"^edge query ids must be integers, got dtype"):
             QueryGraph(3, edges)
 
+    @pytest.mark.parametrize("edges", [[(0, True)], [(False, 2)], [[0, 1], [np.True_, 2]],
+                                       [np.array([0, 1]), np.array([True, True])]])
+    def test_bool_beside_ints_rejected(self, edges):
+        # np.asarray reads each as int64: [(0, True)] was stored as edge (0, 1)
+        with pytest.raises(ValueError, match=r"^edge query ids must be integers, got a bool$"):
+            QueryGraph(3, edges)
+
     def test_python_int_lists_and_empty_graphs_build(self):
         g = QueryGraph(3, [[0, 2], [1, 2]])
         assert g.edges().tolist() == [[0, 2], [1, 2]] and g.neighbors(2).tolist() == [0, 1]
@@ -539,7 +556,7 @@ class TestQueryGraph:
                          (2**16 + 1, np.empty((0, 2), dtype=np.uint32))):
             g = QueryGraph(n, edges)
             assert g.n_edges == 0 and g.indptr.tolist() == [0] * (n + 1)
-            assert g.indices.dtype == g.indptr.dtype == np.int64
+            assert g.indices.dtype == np.int32 and g.indptr.dtype == np.int64
             assert g.edges().shape == (0, 2)
 
     def test_edges_of_a_row_range(self):

@@ -125,6 +125,26 @@ class TestNonIntegerIdsRejected:
             oracle_best(probes, candidates, self.PM, 20)
 
 
+class TestBoolBesideIntsRejected:
+    """np.asarray([2, True]) is int64: evaluate scored True as query 1, and
+    oracle_best took it as probe or candidate 1."""
+
+    PM = TestNonIntegerIdsRejected.PM
+
+    def test_evaluate(self):
+        queries = _table([_q(1), _q(1), _q(2)])
+        with pytest.raises(ValueError, match=r"^probe ids must be integers, got a bool$"):
+            evaluate(TrigramHashStore(queries), queries, self.PM, [2, True], n_reformulations=1)
+
+    @pytest.mark.parametrize("probes, candidates, what", [
+        ([2, True], [0, 1], "probe ids"),
+        ([0], [np.True_, 2], "candidate ids"),
+    ])
+    def test_oracle_best(self, probes, candidates, what):
+        with pytest.raises(ValueError, match=rf"^{what} must be integers, got a bool$"):
+            oracle_best(probes, candidates, self.PM, 20)
+
+
 class TestQueryPrecision:
     def test_all_share_single_product(self):
         pm = {0: [(9, 1)], 1: [(9, 3)], 2: [(9, 1)], 3: [(9, 2)]}

@@ -2,12 +2,11 @@ import dataclasses
 import hashlib
 import os
 import re
-import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from conftest import has_edge, query_table
+from conftest import has_edge, query_table, traced_peak
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 from scipy.stats import chisquare, poisson
@@ -579,28 +578,15 @@ class TestCdfBlocks:
         cfg = dataclasses.replace(
             default_benchmark_config(0), betas=betas, n_products=500, n_queries=2000
         )
-        tracemalloc.start()
-        try:
-            generate_dataset(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(generate_dataset, cfg)
         assert peak <= 4 * 8 * genmodel._CDF_BLOCK_FLOATS, peak  # 32 MiB
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes it allocated above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestGraphMemory:
-    """The edge list stays in its ids' own width from generate to edges.tsv and back:
-    traced peaks on the seed-3 20,000-query dataset (about 1M edges), where an
-    (E, 2) int64 copy alone is 16 MB."""
+    """The edge list stays in its ids' own width from generate to edges.tsv and back,
+    and the CSR's int32 indices are written over its sorted keys: traced peaks on
+    the seed-3 20,000-query dataset (about 1M edges), where an (E, 2) int64 copy
+    alone is 16 MB."""
 
     MIB = 2**20
 
@@ -615,18 +601,19 @@ class TestGraphMemory:
 
     def test_stage_peaks_are_bounded(self, dense):
         assert dense.ds.graph.n_edges > 900_000
-        assert dense.generate <= 38 * self.MIB, dense.generate
+        assert dense.generate <= 24 * self.MIB, dense.generate
         assert dense.save <= 16 * self.MIB, dense.save
-        assert dense.load <= 38 * self.MIB, dense.load
+        assert dense.load <= 28 * self.MIB, dense.load
         g, back = dense.ds.graph, dense.back.graph
         assert np.array_equal(g.indptr, back.indptr) and np.array_equal(g.indices, back.indices)
+        assert g.indices.nbytes == back.indices.nbytes == 8 * g.n_edges
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
     def test_query_graph_peak_per_edge(self, dense, dtype):
         g = dense.ds.graph
         edges = g.edges().astype(dtype)
         built, peak = traced_peak(QueryGraph, g.n_queries, edges)
-        assert peak <= 26 * len(edges), peak / len(edges)
+        assert peak <= 12 * len(edges), peak / len(edges)
         assert np.array_equal(built.indptr, g.indptr) and np.array_equal(built.indices, g.indices)
 
 
@@ -713,6 +700,57 @@ class TestInverseCdfRows:
         tilted = np.minimum(np.searchsorted(cdf, rng.random(5000), side="right"), 299)
         want = np.where(pick, tilted, rng.integers(300, size=5000))
         assert np.array_equal(sample_trigrams_batch(rng_stream(21), p, 2, cfg, vocab, 5000), want)
+
+
+class _CountedReads(np.ndarray):
+    """An array view that counts its item reads (a search's gathers), over every instance."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountedReads.reads += 1
+        return super().__getitem__(key)
+
+
+class TestInverseCdfBlocks:
+    """inverse_cdf_rows searches _CDF_DRAWS draws at a time: draw counts on
+    either side of a block boundary match the one-search-per-key reference."""
+
+    BLOCK = genmodel._CDF_DRAWS
+
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_matches_scalar_reference_across_blocks(self, n, n_rows):
+        rng = rng_stream(60 + n_rows)
+        cdfs = _cdf_table(rng, n_rows + 1, 30)[:n_rows]  # the all-zero last row left out
+        rows, u = _hard_draws(rng, cdfs, n)
+        want = inverse_cdf_by_group(rows, u, n_rows, lambda k: cdfs[k])
+        assert np.array_equal(inverse_cdf_rows(cdfs, rows, u), want)
+        # a read-only broadcast row and a strided u, as query_lengths and theory pass them
+        last = np.broadcast_to(np.int64(n_rows - 1), (n,))
+        wide = np.zeros((n, 3))
+        wide[:, 1] = u
+        assert not last.flags.writeable and wide[:, 1].strides == (24,)
+        want = inverse_cdf_by_group(np.full(n, n_rows - 1), u, n_rows, lambda k: cdfs[k])
+        assert np.array_equal(inverse_cdf_rows(cdfs, last, wide[:, 1]), want)
+
+    def test_bad_row_raises_before_any_block_is_searched(self):
+        cdfs = _cdf_table(rng_stream(63), 3, 30).view(_CountedReads)
+        u = rng_stream(64).random(3 * self.BLOCK + 5)
+        rows = np.zeros(u.size, dtype=np.int64)
+        _CountedReads.reads = 0
+        inverse_cdf_rows(cdfs, rows, u)
+        assert _CountedReads.reads > 0  # a search reads the table through the view
+        rows[-1] = 3  # in the last block
+        _CountedReads.reads = 0
+        with pytest.raises(ValueError, match=r"CDF row 3 outside \[0, 3\)"):
+            inverse_cdf_rows(cdfs, rows, u)
+        assert _CountedReads.reads == 0
+
+    def test_rows_and_u_of_other_shapes_rejected(self):
+        cdfs = _cdf_table(rng_stream(65), 3, 30)
+        with pytest.raises(ValueError, match=r"must have one shape, got \(1,\) and \(2,\)"):
+            inverse_cdf_rows(cdfs, np.zeros(1, dtype=np.int64), np.array([0.1, 0.2]))
 
 
 class TestMatrixSerialization:

@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -771,6 +772,13 @@ class TestSuites:
         assert checks, name
         for check in checks:
             assert check.passed, check.line()
+
+    def test_pmi_peak_allocation_is_bounded(self):
+        # 300,000 joint and marginal draws: each full-size int64 array is 2.3 MiB,
+        # and the inverse-CDF searches run in blocks, not on every draw at once
+        checks, peak = traced_peak(SUITES["pmi"], VALIDATE_SEED)
+        assert all(check.passed for check in checks)
+        assert peak <= 26 * 2**20, peak
 
     def test_pmi_report_text_at_pinned_seed(self):
         assert [check.line() for check in SUITES["pmi"](VALIDATE_SEED)] == [
