@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QueryTable, _int64_array
+from .core import QueryTable, _check_integers, _int64_array
 
 HASH_DIM = 300
 
@@ -37,29 +37,15 @@ def splitmix64_array(x) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _bucket_counts(ids: np.ndarray, lengths: np.ndarray, n_buckets: int) -> np.ndarray:
-    """(n_buckets, n) trigram counts of n padded rows, bucket by bucket, in the
+def _bucket_counts(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(HASH_DIM, n) trigram counts of n padded rows, bucket by bucket, in the
     smallest unsigned type that holds the largest count."""
-    if n_buckets < 1:
-        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
     n, width = ids.shape
     valid = np.arange(width) < lengths[:, None]
-    buckets = (splitmix64_array(ids) % np.uint64(n_buckets)).astype(np.intp)
+    buckets = (splitmix64_array(ids) % np.uint64(HASH_DIM)).astype(np.intp)
     cells = buckets * n + np.arange(n)[:, None]
-    counts = np.bincount(cells[valid], minlength=n * n_buckets).reshape(n_buckets, n)
+    counts = np.bincount(cells[valid], minlength=n * HASH_DIM).reshape(HASH_DIM, n)
     return counts.astype(np.min_scalar_type(counts.max(initial=0)))
-
-
-def _counts(x: np.ndarray | Sequence[float]) -> np.ndarray:
-    """x as a count vector: integers keep their type, anything else becomes float64."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "iu":
-        arr = arr.astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("count vectors must be finite")
-    if arr.dtype.kind != "u" and np.any(arr < 0):
-        raise ValueError("count vectors must be non-negative")
-    return arr
 
 
 class QueryStore:
@@ -71,20 +57,14 @@ class QueryStore:
     def __init__(self, queries: QueryTable, ids: Sequence[int] | None) -> None:
         if ids is None:
             ids = np.arange(len(queries))
-        self.ids = _int64_array(ids if isinstance(ids, np.ndarray) else list(ids), "store ids")
+        self.ids = _int64_array(ids, "store ids")
         if self.ids.size != len(queries):
             raise ValueError("ids and queries must have equal length")
-        self._sorted_ids = np.unique(self.ids)
-        if self._sorted_ids.size != self.ids.size:
+        if np.unique(self.ids).size != self.ids.size:
             raise ValueError("store ids must be unique")
 
     def __len__(self) -> int:
         return self.ids.size
-
-    def __contains__(self, query_id: int) -> bool:
-        """Whether some stored id equals query_id (3.0 equals 3), by binary search."""
-        i = np.searchsorted(self._sorted_ids, query_id)
-        return bool(i < self._sorted_ids.size and self._sorted_ids[i] == query_id)
 
     def _ranked(self, keys: np.ndarray, count: int, exclude_id: int | None) -> np.ndarray:
         """The first count store ids in (keys, ascending id) order, never exclude_id.
@@ -112,47 +92,43 @@ class QueryStore:
 class TrigramHashStore(QueryStore):
     """Immutable retrieval index of hashed queries."""
 
-    def __init__(self, queries: QueryTable, ids: Sequence[int] | None = None,
-                 n_buckets: int = HASH_DIM) -> None:
+    def __init__(self, queries: QueryTable, ids: Sequence[int] | None = None) -> None:
         super().__init__(queries, ids)
-        self.n_buckets = n_buckets
-        self.counts = _bucket_counts(queries.ids, queries.lengths, n_buckets)
-        self.matrix = self.counts.T  # row i: the bucket counts of stored query i
-        self.totals = queries.lengths.astype(np.float64)  # row sums of matrix
+        self.counts = _bucket_counts(queries.ids, queries.lengths)
+        self.totals = queries.lengths.astype(np.float64)  # each stored row's count total
 
     def encode(self, queries: QueryTable) -> np.ndarray:
-        """(Q, n_buckets) unsigned bucket counts of every table row, counted as matrix is."""
-        return _bucket_counts(queries.ids, queries.lengths, self.n_buckets).T
+        """(Q, HASH_DIM) unsigned bucket counts of every table row, counted as the store's are."""
+        return _bucket_counts(queries.ids, queries.lengths).T
 
-    def distances(self, pv: np.ndarray) -> np.ndarray:
-        """Bray-Curtis distance from the probe's count vector to every stored row.
+    def keys(self, pv: np.ndarray) -> np.ndarray:
+        """Bray-Curtis distance from the probe's integer count vector to every stored row.
 
         sum |a - b| = S_a + S_b - 2 sum min(a, b) for non-negative counts, and
         min(a_j, b_j) is 0 where the probe has no count, so only the probe's
         (at most its length) buckets are read, each one contiguous row of
         counts.  min takes numpy's usual type promotion of the counts and the
-        probe, so no count wraps, and integer mins are summed in the
-        smallest type that holds the probe's total, which bounds them.  For
-        integer counts, as encode gives, every term is an integer that
-        float64 holds exactly, so the result equals the dense
+        probe, so no count wraps, and the mins are summed in the smallest
+        type that holds the probe's total, which bounds them.  Every term is
+        an integer that float64 holds exactly, so the result equals the dense
         ``abs(M - pv).sum(1) / (M + pv).sum(1)`` bit for bit.
         """
-        pv = _counts(pv)
-        if pv.shape != (self.n_buckets,):
+        arr = np.asarray(pv)
+        _check_integers(arr, pv, "probe counts")
+        if arr.dtype.kind == "i" and np.any(arr < 0):
+            raise ValueError("count vectors must be non-negative")
+        if arr.shape != self.counts.shape[:1]:
             raise ValueError("probe bucket width does not match store")
-        cols = np.flatnonzero(pv)
-        probe = pv[cols, None]
+        cols = np.flatnonzero(arr)
+        probe = arr[cols, None]
         top = np.result_type(self.counts, probe, np.min_scalar_type(probe.sum()))
         shared = np.minimum(self.counts[cols], probe).sum(axis=0, dtype=top)
         # every stored row counts >= 1 trigram, so no denominator is 0
-        total = self.totals + pv.sum()
+        total = self.totals + arr.sum()
         return (total - 2.0 * shared) / total
-
-    keys = distances  # the sort keys of an encoded probe
 
     def rank(self, probe: Sequence[int], count: int,
              exclude_id: int | None = None) -> np.ndarray:
         """The count store ids nearest the probe by (distance, id), never exclude_id."""
-        pv = self.encode(QueryTable.of_query(probe))[0]  # integer counts
+        pv = self.encode(QueryTable.of_query(probe))[0]
         return self._ranked(self.keys(pv), count, exclude_id)
-

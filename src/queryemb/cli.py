@@ -115,15 +115,21 @@ def verify_checksums(artifact_dir: str, manifest: dict[str, str] | None = None) 
     manifest is artifact_dir's manifest as read_manifest returned it, for a
     caller that has read it already; None reads it here.  A missing manifest
     is not an error (hand-built directories are legal inputs); a manifest
-    whose recorded files are absent or altered is.
+    whose recorded files are absent or altered is.  Only regular files named
+    directly in artifact_dir are hashed: a recorded path elsewhere, or a FIFO
+    or device, could be read forever.
     """
     if manifest is None:
         manifest = read_manifest(artifact_dir) or {}
     problems = []
     for name, expected in _checksums(manifest).items():
         path = os.path.join(artifact_dir, name)
-        if not os.path.exists(path):
+        if os.path.basename(name) != name or name in (os.curdir, os.pardir):
+            problems.append(f"{name}: recorded name is not a file name in the directory")
+        elif not os.path.exists(path):
             problems.append(f"{name}: recorded in manifest but missing on disk")
+        elif not os.path.isfile(path):
+            problems.append(f"{name}: recorded in manifest but not a regular file")
         elif sha256_file(path) != expected:
             problems.append(f"{name}: checksum mismatch (file changed since the manifest)")
     return problems
@@ -192,22 +198,19 @@ def _config(cls, path: str | None, seed: int | None):
         return config_from_mapping(cls, mapping)
 
 
-def split_query_ids(n_queries: int, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:
-    """Deterministic (store_ids, probe_ids) split on its own RNG stream.
+def split_query_ids(n_queries: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (store_ids, probe_ids) split on its own RNG stream, each an
+    ascending int64 array.
 
     test_fraction = 0 means self-retrieval: every query is both stored and
     probed (probes are excluded from their own candidate lists downstream).
     """
-    ids = np.arange(n_queries)
     if test_fraction == 0.0:
-        all_ids = [int(i) for i in ids]
-        return all_ids, all_ids
+        return np.arange(n_queries), np.arange(n_queries)
     perm = rng_stream(seed, STREAM_SPLIT).permutation(n_queries)
     n_test = int(round(test_fraction * n_queries))
     n_test = min(max(n_test, 1), n_queries - 1)
-    probe = sorted(int(i) for i in perm[:n_test])
-    store = sorted(int(i) for i in perm[n_test:])
-    return store, probe
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 # ---------------------------------------------------------------------------

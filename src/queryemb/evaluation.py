@@ -181,7 +181,7 @@ def reformulate(
         if not 0 <= q < len(queries):
             raise ValueError(f"query id {q} outside [0, {len(queries)})")
         probe: Sequence[int] = queries.row(q)
-        exclude: int | None = int(q) if q in store else None
+        exclude: int | None = int(q) if q in store.ids else None
     else:
         probe, exclude = q, None
     available = len(store) - (1 if exclude is not None else 0)
@@ -379,13 +379,14 @@ def evaluate(
     oracle of all probes are read from one TopTable of the probes and stored
     queries, so top_products runs once per distinct id.
     """
-    probes = _int64_array(probe_ids, "probe ids").reshape(-1).tolist()
-    if not probes:
+    probe_ids = _int64_array(probe_ids, "probe ids").reshape(-1)
+    if not probe_ids.size:
         raise ValueError("need at least one probe query")
-    table = _top_table(np.concatenate([probes, store.ids]), purchase_map, k)
-    probe_tops = table.rows(probes)
+    table = _top_table(np.concatenate([probe_ids, store.ids]), purchase_map, k)
+    probe_tops = table.rows(probe_ids)
     lengths = np.count_nonzero(probe_tops >= 0, axis=1)
-    excluded, n = np.isin(probes, store.ids).tolist(), len(queries)
+    probes, n = probe_ids.tolist(), len(queries)
+    excluded = np.isin(probe_ids, store.ids).tolist()
     for q, exclude, length in zip(probes, excluded, lengths.tolist()):  # reformulate's checks
         if not 0 <= q < n:
             raise ValueError(f"query id {q} outside [0, {n})")
@@ -393,7 +394,7 @@ def evaluate(
             raise ValueError(f"store offers {len(store) - exclude} candidates, need {n_reformulations}")
         if not length:
             raise ValueError(f"probe {q} has no purchases; recall undefined")
-    vectors = store.encode(queries.take(probes))
+    vectors = store.encode(queries.take(probe_ids))
     refs = [store._ranked(store.keys(v), n_reformulations, q if exclude else None).tolist()
             for q, v, exclude in zip(probes, vectors, excluded)]
     relevant, covered = _overlaps(probe_tops, table.rows(refs))
@@ -404,7 +405,7 @@ def evaluate(
     mean_p = float(np.mean(precision))
     mean_r = float(np.mean(recall))
     best_p, best_r = oracle_best(
-        probes, store.ids, purchase_map, k, n_reformulations, oracle_pool, table=table
+        probe_ids, store.ids, purchase_map, k, n_reformulations, oracle_pool, table=table
     )
     best = f1(best_p, best_r)
     return EvalReport(

@@ -314,7 +314,7 @@ def test_09_metric_examples():
     queries = [rng.integers(0, 40, size=rng.integers(1, 6)).tolist() for _ in range(50)]
     store = TrigramHashStore(query_table(queries, [0] * 50, 5))
     check("knn self nearest", knn(store, queries[13], 1), [13])
-    order = sorted(range(50), key=lambda i: (bray_curtis(store.matrix[i], store.matrix[4]), i))
+    order = sorted(range(50), key=lambda i: (bray_curtis(store.counts[:, i], store.counts[:, 4]), i))
     check("knn full sort oracle", knn(store, queries[4], 50), order)
 
     # retrieval metrics
@@ -331,7 +331,7 @@ def test_09_metric_examples():
     probe = others[0]
     dists = sorted(
         range(len(scan_store)),
-        key=lambda i: (bray_curtis(scan_store.matrix[i], scan_store.matrix[0]), i),
+        key=lambda i: (bray_curtis(scan_store.counts[:, i], scan_store.counts[:, 0]), i),
     )
     check("reformulate scan oracle", reformulate(scan_store, probe), dists[:5])
 

@@ -3,13 +3,8 @@ import pytest
 from conftest import query_table
 from numpy.testing import assert_allclose, assert_array_equal
 
-from queryemb.baseline import (
-    HASH_DIM,
-    QueryStore,
-    TrigramHashStore,
-    _counts,
-    splitmix64_array,
-)
+from queryemb import baseline
+from queryemb.baseline import HASH_DIM, QueryStore, TrigramHashStore, splitmix64_array
 from queryemb.core import QueryTable, rng_stream
 from queryemb.embedder import AttentionModel, embed_query
 from queryemb.evaluation import EmbeddingStore, reformulate
@@ -32,16 +27,20 @@ def bucket_of(trigram_id: int, n_buckets: int = HASH_DIM) -> int:
 
 
 def hash_counts(row, n_buckets: int = HASH_DIM) -> np.ndarray:
-    """The float64 bucket counts of one query, one bucket_of per trigram."""
-    out = np.zeros(n_buckets)
+    """The int64 bucket counts of one query, one bucket_of per trigram."""
+    out = np.zeros(n_buckets, dtype=np.int64)
     for t in row:
-        out[bucket_of(int(t), n_buckets)] += 1.0
+        out[bucket_of(int(t), n_buckets)] += 1
     return out
 
 
 def bray_curtis(a, b) -> float:
     """sum |a_i - b_i| / sum (a_i + b_i); defined only when some count is positive."""
-    va, vb = (_counts(v).astype(np.float64) for v in (a, b))  # unsigned counts would wrap
+    va, vb = (np.asarray(v, dtype=np.float64) for v in (a, b))  # unsigned counts would wrap
+    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
+        raise ValueError("count vectors must be finite")
+    if np.any(va < 0) or np.any(vb < 0):
+        raise ValueError("count vectors must be non-negative")
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
     denom = float(np.sum(va + vb))
@@ -113,13 +112,18 @@ class TestSplitmix64:
             assert bucket_of(t, 7) == splitmix64(t) % 7
 
 
-def _encoded(*rows, n_buckets=HASH_DIM):
-    """The store's bucket counts of each row, by encode and as stored in matrix."""
-    store = TrigramHashStore(_table(list(rows)), n_buckets=n_buckets)
+def _encoded(*rows):
+    """The store's bucket counts of each row, by encode and as stored in counts."""
+    store = TrigramHashStore(_table(list(rows)))
     encoded = store.encode(_table(list(rows)))
-    assert_array_equal(encoded, store.matrix)
-    assert_array_equal(encoded, [hash_counts(row, n_buckets) for row in rows])
+    assert_array_equal(encoded, store.counts.T)
+    assert_array_equal(encoded, [hash_counts(row) for row in rows])
     return encoded
+
+
+def _narrow(monkeypatch, n_buckets):
+    """Stores built and probes encoded from here on hash into n_buckets buckets."""
+    monkeypatch.setattr(baseline, "HASH_DIM", n_buckets)
 
 
 class TestHashQuery:
@@ -167,11 +171,6 @@ class TestHashQuery:
             with pytest.raises(OverflowError, match=message):
                 one_query(q)
 
-    @pytest.mark.parametrize("n_buckets", [0, -3])
-    def test_bucket_count_below_one_rejected(self, n_buckets):
-        with pytest.raises(ValueError, match="n_buckets"):
-            TrigramHashStore(_table([_q(1)]), n_buckets=n_buckets)
-
 
 class TestBrayCurtis:
     def test_identical_vectors_zero(self):
@@ -214,94 +213,102 @@ def _random_table(seed, n=60, vocab=40, width=6):
 
 class TestSparseStore:
     @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
-    def test_matrix_is_stack_of_hash_query(self, n_buckets):
+    def test_matrix_is_stack_of_hash_query(self, monkeypatch, n_buckets):
+        _narrow(monkeypatch, n_buckets)
         rows, table = _random_table(48)
-        store = TrigramHashStore(table, n_buckets=n_buckets)
+        store = TrigramHashStore(table)
         want = np.stack([hash_counts(r, n_buckets) for r in rows])
-        assert_array_equal(store.matrix, want)
+        assert_array_equal(store.counts.T, want)
         assert_array_equal(store.totals, want.sum(axis=1))
 
     @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
-    def test_distances_equal_dense_bray_curtis_bitwise(self, n_buckets):
+    def test_distances_equal_dense_bray_curtis_bitwise(self, monkeypatch, n_buckets):
+        _narrow(monkeypatch, n_buckets)
         rows, table = _random_table(49)
-        store = TrigramHashStore(table, n_buckets=n_buckets)
-        m = store.matrix
+        store = TrigramHashStore(table)
+        m = store.counts.T.astype(np.float64)
         rng = rng_stream(50)
         probes = rows[:5] + [rng.integers(0, 60, size=k).tolist() for k in (1, 3, 6, 9)]
         for probe in probes:
             pv = hash_counts(probe, n_buckets)
             dense = np.abs(m - pv).sum(axis=1) / (m + pv).sum(axis=1)
-            assert_array_equal(store.distances(pv), dense)
+            assert_array_equal(store.keys(pv), dense)
 
-    def test_negative_probe_counts_rejected(self):
-        store = TrigramHashStore(_table([_q(1, 2)]), n_buckets=7)
+    def test_negative_probe_counts_rejected(self, monkeypatch):
+        _narrow(monkeypatch, 7)
+        store = TrigramHashStore(_table([_q(1, 2)]))
         with pytest.raises(ValueError, match="non-negative"):
-            store.distances(-np.ones(7))
+            store.keys(-np.ones(7, dtype=np.int64))
         with pytest.raises(ValueError, match="non-negative"):
-            store.distances(np.array([0, 0, -1, 0, 0, 0, 2]))
+            store.keys(np.array([0, 0, -1, 0, 0, 0, 2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_probe_counts_rejected(self, bad):
-        # NaN passed the sign check and gave all-NaN keys, ranked with a warning only
-        store = TrigramHashStore(_table([_q(1, 2), _q(3)]), n_buckets=7)
-        pv = hash_counts(_q(1), 7)
+    def test_non_finite_probe_counts_rejected(self, monkeypatch, bad):
+        # NaN passed the sign check and gave all-NaN keys, ranked with a warning only;
+        # now every non-integer probe is refused
+        _narrow(monkeypatch, 7)
+        store = TrigramHashStore(_table([_q(1, 2), _q(3)]))
+        pv = hash_counts(_q(1), 7).astype(np.float64)
         pv[4] = bad
-        with pytest.raises(ValueError, match="finite"):
-            store.distances(pv)
+        with pytest.raises(ValueError, match="probe counts must be integers, got dtype float64"):
+            store.keys(pv)
         with pytest.raises(ValueError, match="finite"):
             bray_curtis(pv, hash_counts(_q(2), 7))
 
     @pytest.mark.parametrize("n_buckets", [7, HASH_DIM])
-    def test_encode_rows_are_hash_query(self, n_buckets):
+    def test_encode_rows_are_hash_query(self, monkeypatch, n_buckets):
+        _narrow(monkeypatch, n_buckets)
         rows, table = _random_table(51)
-        store = TrigramHashStore(table.take(range(20)), n_buckets=n_buckets)
+        store = TrigramHashStore(table.take(range(20)))
         encoded = store.encode(table)
         assert encoded.shape == (len(table), n_buckets) and encoded.dtype.kind == "u"
         for row, vector in zip(rows, encoded):
             pv = hash_counts(row, n_buckets)
             assert_array_equal(vector, pv)
-            assert_array_equal(store.distances(vector), store.distances(pv))
+            assert_array_equal(store.keys(vector), store.keys(pv))
 
     def test_counts_are_bucket_major_and_small(self):
         _, table = _random_table(52)
         store = TrigramHashStore(table)
         assert store.counts.shape == (HASH_DIM, len(table)) and store.counts.flags.c_contiguous
         assert store.counts.dtype == np.uint8
-        assert np.shares_memory(store.matrix, store.counts)
 
 
 def _dense_bray_curtis(store, pv):
-    m = store.matrix.astype(np.float64)
+    m = store.counts.T.astype(np.float64)
     return np.abs(m - pv).sum(axis=1) / (m + pv).sum(axis=1)
 
 
 class TestCountTypes:
     """Counts are held in the smallest unsigned type; no count or sum wraps."""
 
-    def test_count_past_uint8_is_kept(self):
+    def test_count_past_uint8_is_kept(self, monkeypatch):
+        _narrow(monkeypatch, 1)
         long_query = list(range(300))
         table = query_table([long_query, _q(1, 2)], [0, 0], 300)
-        store = TrigramHashStore(table, n_buckets=1)
+        store = TrigramHashStore(table)
         assert store.counts.dtype == np.uint16
-        assert store.matrix[:, 0].tolist() == [300, 2]
+        assert store.counts[0].tolist() == [300, 2]
         assert store.encode(table)[:, 0].tolist() == [300, 2]
-        for pv in (np.array([300.0]), np.array([2], dtype=np.uint8), store.encode(table)[0]):
-            assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv))
+        for pv in (np.array([300]), np.array([2], dtype=np.uint8), store.encode(table)[0]):
+            assert_array_equal(store.keys(pv), _dense_bray_curtis(store, pv))
 
-    def test_sum_of_mins_past_the_count_type_does_not_wrap(self):
+    def test_sum_of_mins_past_the_count_type_does_not_wrap(self, monkeypatch):
         # 300 trigrams over 7 buckets: every count fits uint8, their sum does not
+        _narrow(monkeypatch, 7)
         table = query_table([list(range(300)), _q(1, 2)], [0, 0], 300)
-        store = TrigramHashStore(table, n_buckets=7)
+        store = TrigramHashStore(table)
         assert store.counts.dtype == np.uint8
         pv = store.encode(table)[0]
         assert pv.dtype == np.uint8 and pv.sum() == 300
-        assert store.distances(pv)[0] == 0.0
-        assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv.astype(float)))
+        assert store.keys(pv)[0] == 0.0
+        assert_array_equal(store.keys(pv), _dense_bray_curtis(store, pv.astype(float)))
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64])
-    def test_probe_count_past_the_store_type_does_not_wrap(self, dtype):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_probe_count_past_the_store_type_does_not_wrap(self, monkeypatch, dtype):
+        _narrow(monkeypatch, 7)
         _, table = _random_table(53)
-        store = TrigramHashStore(table, n_buckets=7)
+        store = TrigramHashStore(table)
         assert store.counts.dtype == np.uint8
         for big in (255, 256, 300, 1000):
             if big > np.iinfo(np.uint8).max and dtype is np.uint8:
@@ -309,23 +316,22 @@ class TestCountTypes:
             pv = np.zeros(7, dtype=dtype)
             pv[[0, 3]] = big, 2
             want = _dense_bray_curtis(store, pv.astype(np.float64))
-            assert_array_equal(store.distances(pv), want)
+            assert_array_equal(store.keys(pv), want)
             # sums of 255-capped mins past 255 must not wrap either
             pv[:] = big
-            assert_array_equal(store.distances(pv), _dense_bray_curtis(store, pv.astype(float)))
+            assert_array_equal(store.keys(pv), _dense_bray_curtis(store, pv.astype(float)))
 
-    def test_fractional_probe_counts_promote_to_float(self):
+    def test_fractional_probe_counts_rejected(self, monkeypatch):
+        # encode gives unsigned counts; a float probe, whole-valued or not, is refused
+        _narrow(monkeypatch, 7)
         _, table = _random_table(54)
-        store = TrigramHashStore(table, n_buckets=7)
+        store = TrigramHashStore(table)
         rng = rng_stream(55)
-        for _ in range(10):
-            pv = rng.random(7) * rng.integers(1, 4, size=7)
-            got = store.distances(pv)
-            assert got.dtype == np.float64
-            assert_allclose(got, _dense_bray_curtis(store, pv), rtol=1e-15, atol=0)
-            assert_allclose(store.distances(pv.astype(np.float32)),
-                            _dense_bray_curtis(store, pv.astype(np.float32).astype(float)),
-                            rtol=1e-15, atol=0)
+        pv = rng.random(7) * rng.integers(1, 4, size=7)
+        for bad in (pv, pv.astype(np.float32), np.round(pv), [1, 0, 2.5, 0, 0, 0, 0],
+                    np.zeros(7, dtype=bool)):
+            with pytest.raises(ValueError, match="probe counts must be integers"):
+                store.keys(bad)
 
 
 class TestKnn:
@@ -394,30 +400,32 @@ class TestKnn:
         ranked = store.rank(queries[2], 9, exclude_id=2)
         assert 2 not in ranked
         assert ranked.size == 9
-        assert_array_equal(ranked, _full_sort(store.ids, store.distances(
+        assert_array_equal(ranked, _full_sort(store.ids, store.keys(
             hash_counts(queries[2])), 9, 2))
 
     def test_rank_hashes_raw_probes_to_integer_counts(self, monkeypatch):
         # counts past 255 widen the store to uint16; a probe repeats one trigram 300 times
+        _narrow(monkeypatch, 13)
         rows = [[7] * 300, _q(7, 8, 9), _q(1, 2, 3, 4), _q(8)] + [[8] * 40] * 3
-        store = TrigramHashStore(_table(rows), n_buckets=13)
+        store = TrigramHashStore(_table(rows))
         seen = []
-        distances = store.distances
-        monkeypatch.setattr(store, "keys", lambda pv: seen.append(pv) or distances(pv))
+        keys = store.keys
+        monkeypatch.setattr(store, "keys", lambda pv: seen.append(pv) or keys(pv))
         for probe in rows + [[7] * 299 + [8]]:
             ranked = store.rank(probe, 5)
-            # the float64 reference counts give the same distances, bit for bit
-            want = store.distances(hash_counts(probe, 13))
+            # the int64 reference counts give the same distances, bit for bit
+            want = keys(hash_counts(probe, 13))
             assert seen[-1].dtype.kind == "u"
-            assert_array_equal(distances(seen[-1]), want)
+            assert_array_equal(keys(seen[-1]), want)
             assert_array_equal(ranked, _full_sort(store.ids, want, 5))
 
-    def test_custom_bucket_width(self):
-        queries = [_q(1, 2), _q(3)]
-        store = TrigramHashStore(_table(queries), n_buckets=7)
-        assert store.matrix.shape == (2, 7)
+    def test_custom_bucket_width(self, monkeypatch):
+        # a probe counted at another width than the store's is refused
+        _narrow(monkeypatch, 7)
+        store = TrigramHashStore(_table([_q(1, 2), _q(3)]))
+        assert store.counts.shape == (7, 2)
         with pytest.raises(ValueError, match="width"):
-            store.distances(hash_counts(_q(1), n_buckets=300))
+            store.keys(hash_counts(_q(1), n_buckets=300))
 
 
 class TestTopCountSelection:
@@ -485,7 +493,7 @@ class TestTopCountSelection:
         # a small vocabulary makes many rows hash to equal distances
         rows = [_q(*rng.integers(0, 6, size=rng.integers(1, 4)).tolist()) for _ in range(40)]
         store = TrigramHashStore(_table(rows), rng.permutation(100)[:40].tolist())
-        self._check_store(store, rows[:10], lambda p: store.distances(hash_counts(p)))
+        self._check_store(store, rows[:10], lambda p: store.keys(hash_counts(p)))
 
     def test_embedding_store_matches_full_sort(self):
         rng = rng_stream(63)
@@ -549,23 +557,3 @@ class TestStoreIds:
             assert store.ids.dtype == np.int64
             assert store.ids.tolist() == [int(i) for i in ids]
             assert store.rank(_q(2), 1).tolist() == [3]
-
-
-class TestStoreMembership:
-    """`in` answers by binary search over the sorted ids, as a scan would."""
-
-    def test_matches_scan(self):
-        rng = rng_stream(64)
-        ids = rng.permutation(200)[:60].astype(np.int64) - 20  # some stored ids are negative
-        store = QueryStore(_table([_q(0)] * ids.size), ids.tolist())
-        assert (ids < 0).any()
-        for q in range(-30, 190):
-            for value in (q, np.int64(q), float(q), q + 0.5):
-                assert (value in store) == bool(np.any(ids == value)), value
-        for value in (int(ids.max()) + 1, int(ids.min()) - 1, 2**70, -(2**70), float("nan")):
-            assert value not in store
-
-    def test_float_equal_to_a_stored_id_is_a_member(self):
-        store = QueryStore(_table([_q(0)] * 3), [7, 3, 5])
-        assert 3.0 in store and np.int64(5) in store
-        assert 3.5 not in store and 4 not in store and -3 not in store

@@ -544,6 +544,66 @@ def test_unparsable_manifest_value_names_file_and_key(tmp_path, key, value, kind
     assert str(info.value) == f"manifest {path!r}: {key!r} is not parsable as {kind}: {value!r}"
 
 
+class TestChecksumNames:
+    """A manifest's checksum.* names are bare names of regular files in its
+    directory; anything else is a checksum problem, reported without a read."""
+
+    def test_every_recorded_name_is_a_regular_file_in_its_directory(self, pipeline, tmp_path):
+        val = str(tmp_path / "val")
+        assert main(["validate", "blue", "--out", val]) == 0
+        for out in (pipeline["data"], pipeline["run"], pipeline["eval_att"],
+                    pipeline["eval_hash"], val):
+            names = list(_manifest_section(out, "checksum"))
+            assert names, out
+            for name in names:
+                assert os.path.basename(name) == name and name not in (".", ".."), name
+                path = os.path.join(out, name)
+                assert os.path.isfile(path) and not os.path.islink(path), path
+
+    @pytest.mark.parametrize("target", ["dataset", "checkpoint"])
+    @pytest.mark.parametrize("kind", ["dev-zero", "parent", "absolute", "fifo"])
+    def test_name_outside_the_directory_or_not_a_file_exits_2_unread(
+        self, pipeline, tmp_path, monkeypatch, capsys, kind, target
+    ):
+        data, run = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(pipeline["data"], data)
+        shutil.copytree(pipeline["run"], run)
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not an artifact\n")
+        bad = data if target == "dataset" else run
+        if kind == "fifo":
+            os.mkfifo(bad / "pipe")
+        name, problem = {
+            "dev-zero": ("/dev/zero", "recorded name is not a file name in the directory"),
+            "parent": ("../outside.txt", "recorded name is not a file name in the directory"),
+            "absolute": (str(outside), "recorded name is not a file name in the directory"),
+            "fifo": ("pipe", "recorded in manifest but not a regular file"),
+        }[kind]
+        with open(bad / "manifest.txt", "a") as fh:
+            fh.write(f"checksum.{name} = 00\n")
+        # hashing a device, a FIFO or a file outside the two directories fails
+        # the test instead of hanging it or reading elsewhere
+        allowed = {os.path.realpath(data), os.path.realpath(run)}
+        sha256_file = cli.sha256_file
+
+        def guarded(path):
+            assert os.path.isfile(path) and os.path.dirname(os.path.realpath(path)) in allowed, path
+            return sha256_file(path)
+
+        monkeypatch.setattr(cli, "sha256_file", guarded)
+        ckpt = str(run / "checkpoint.bin")
+        commands = {
+            "dataset": [["train", str(data), "--config", pipeline["train_cfg"]],
+                        ["eval", str(data), "--model", "baseline"]],
+            "checkpoint": [["eval", str(data), "--model", ckpt]],
+        }[target]
+        for argv in commands:
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out)]) == 2
+            assert f"error: {target} {bad}: {name}: {problem}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestManifestLayout:
     """Every command's manifest: command, seed and duration_seconds, then the
     config.*, input.*, output.* and checksum.* lines, each section sorted by
@@ -652,15 +712,18 @@ def test_options_that_did_nothing_are_rejected(tmp_path, capsys):
 class TestConfigParsing:
     def test_split_query_ids_partition(self):
         store, probe = split_query_ids(100, 0.25, seed=3)
+        for ids in (store, probe):
+            assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0)
         assert len(probe) == 25
-        assert sorted(store + probe) == list(range(100))
-        assert split_query_ids(100, 0.25, seed=3) == (store, probe)
+        assert np.array_equal(np.sort(np.concatenate([store, probe])), np.arange(100))
+        again = split_query_ids(100, 0.25, seed=3)
+        assert np.array_equal(again[0], store) and np.array_equal(again[1], probe)
 
     def test_split_extremes_keep_both_sides_nonempty(self):
         store, probe = split_query_ids(10, 0.99, seed=0)
         assert len(store) >= 1 and len(probe) >= 1
-        store0, probe0 = split_query_ids(10, 0.0, seed=0)
-        assert store0 == probe0 == list(range(10))
+        for ids in split_query_ids(10, 0.0, seed=0):
+            assert ids.dtype == np.int64 and np.array_equal(ids, np.arange(10))
 
 
 @pytest.mark.parametrize("bad", ["line", "value"])

@@ -760,8 +760,12 @@ class TestSampleNegatives:
         # 100-node ring: every node has 2 neighbors, 97 non-neighbors
         n = 100
         g = _graph(n, [(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)])
+        # 2,000 calls of 50 replay the stream's draws as 100,000 calls of one would
         stream = _stream(19)
-        draws = np.array([sample_negatives(g, 0, 1, stream)[0] for _ in range(100_000)])
+        draws = np.concatenate([sample_negatives(g, 0, 50, stream) for _ in range(2_000)])
+        one_stream = _stream(19)
+        singles = [sample_negatives(g, 0, 1, one_stream)[0] for _ in range(1_000)]
+        assert singles == draws[:1_000].tolist()
         allowed = sorted(set(range(n)) - {0, 1, 99})
         counts = np.array([(draws == a).sum() for a in allowed])
         assert counts.sum() == 100_000
